@@ -27,7 +27,7 @@ print()
 
 for cycle in range(8):
     level_in = storage.level
-    plan = run_cycle(config, storage, rng, cycle_index=cycle)
+    plan = run_cycle(config, storage, rng)
     slots = []
     for slot in plan.slots:
         if not slot.filled:

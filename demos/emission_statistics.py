@@ -13,7 +13,7 @@ MEAN_PAIRS = 0.3
 DRAWS = 200_000
 
 rng = np.random.default_rng(1)
-counts = sample_cycle_emissions(DRAWS, MEAN_PAIRS, rng).pair_counts
+counts = sample_cycle_emissions(DRAWS, MEAN_PAIRS, rng)
 
 print(f"mean pairs per cycle: {MEAN_PAIRS}")
 print(f"sampled cycles:       {DRAWS}")

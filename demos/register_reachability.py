@@ -6,16 +6,15 @@ and bottom lose options because the crossing geometry caps how many
 stages they can take (top) or forces stages on them (bottom).
 """
 
-from spdcmux import (
-    RegisterTopology,
-    accessible_delays,
-    enumerate_delay_paths,
-    step_count_bounds,
-)
+import numpy as np
+
+from spdcmux import RegisterTopology, step_count_bounds
 
 topology = RegisterTopology(source_count=11, step_count=3)
+table = topology.access_table
+stages = tuple(2**j for j in range(topology.step_count))
 
-print(f"bank: {topology.source_count} rows, stages {topology.step_delays}")
+print(f"bank: {topology.source_count} rows, stages {stages}")
 print(f"delay range: 0 .. {topology.max_delay} cycles")
 print()
 
@@ -23,15 +22,15 @@ header = "row   window   " + " ".join(f"d{d}" for d in range(topology.delay_coun
 print(header)
 for source in range(1, topology.source_count + 1):
     low, high = step_count_bounds(topology, source)
-    reachable = accessible_delays(topology, source).delays
-    cells = "  ".join("x" if d in reachable else "." for d in range(topology.delay_count))
+    cells = "  ".join("x" if reachable else "." for reachable in table[source - 1])
     print(f" {source:>2}   ({low},{high})    {cells}")
 
 print()
 print("row 2 in detail: every delay is a choice of stages to take")
-for path in enumerate_delay_paths(topology, 2):
-    stages = "+".join(str(s) for s in path.steps) if path.steps else "bypass all"
-    print(f"  delay {path.delay}: {stages}")
+for delay in np.flatnonzero(table[1]):
+    # stage 2**j is taken exactly when bit j of the delay is set
+    taken = [str(s) for s in stages if delay & s]
+    print(f"  delay {delay}: {'+'.join(taken) if taken else 'bypass all'}")
 
 print()
 print("note the mirror symmetry: row i reaching delay d is the same")

@@ -9,15 +9,13 @@ analysis and an operating-point optimizer, plus a CLI wrapping all of it.
 """
 
 from .emission import (
-    EmissionBatch,
     HeraldProbabilities,
-    HeraldReport,
     herald,
     herald_probabilities,
     pair_pmf,
     sample_cycle_emissions,
 )
-from .errors import ConvergenceError, ParameterError
+from .errors import ConservationError, ConvergenceError, ParameterError
 from .oracle import (
     ChainSpec,
     OracleRates,
@@ -28,11 +26,7 @@ from .oracle import (
     transition_matrix,
 )
 from .register import (
-    DelayPath,
-    DelaySet,
     RegisterTopology,
-    accessible_delays,
-    enumerate_delay_paths,
     step_count_bounds,
     verify_monotone_assignment,
 )
@@ -61,15 +55,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryMode",
     "ChainSpec",
+    "ConservationError",
     "ConvergenceError",
     "CyclePlan",
-    "DelayPath",
-    "DelaySet",
-    "EmissionBatch",
     "FeedbackMode",
     "FeedbackPolicy",
     "HeraldProbabilities",
-    "HeraldReport",
     "OracleRates",
     "ParameterError",
     "RegisterTopology",
@@ -77,10 +68,8 @@ __all__ = [
     "SimMetrics",
     "SlotFill",
     "StorageState",
-    "accessible_delays",
     "apply_feedback",
     "derive_point_seed",
-    "enumerate_delay_paths",
     "herald",
     "herald_count_distribution",
     "herald_probabilities",

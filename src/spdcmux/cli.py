@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .emission import herald_probabilities
-from .errors import ConvergenceError, ParameterError
+from .errors import ConservationError, ConvergenceError, ParameterError
 from .oracle import ChainSpec, optimized_power, stationary_rates
 from .register import RegisterTopology
 from .simulator import (
@@ -447,7 +447,8 @@ def run_command(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code.
 
     Usage mistakes exit 2 (argparse convention), domain and numeric
-    failures exit 1 with a message on stderr, success exits 0.
+    failures (including a float overflow and a photon conservation
+    violation) exit 1 with a message on stderr, success exits 0.
     """
     parser = _build_parser()
     try:
@@ -462,7 +463,9 @@ def run_command(argv: Sequence[str]) -> int:
             Path(out).write_text(text)
         else:
             sys.stdout.write(text)
-    except (ParameterError, ConvergenceError, OSError) as exc:
+    except (
+        ParameterError, ConvergenceError, ConservationError, OverflowError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -470,3 +473,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -10,29 +10,19 @@ pairs" and nothing finer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_mean_pairs, check_source_count
 
 __all__ = [
-    "EmissionBatch",
     "HeraldProbabilities",
-    "HeraldReport",
     "herald",
     "herald_probabilities",
     "pair_pmf",
     "sample_cycle_emissions",
 ]
-
-
-def _check_mean_pairs(mean_pairs: float) -> float:
-    mean = float(mean_pairs)
-    if not math.isfinite(mean) or mean <= 0.0:
-        raise ParameterError(f"mean pair number must be positive and finite, got {mean_pairs!r}")
-    return mean
 
 
 def pair_pmf(count: int, mean_pairs: float) -> float:
@@ -52,7 +42,7 @@ def pair_pmf(count: int, mean_pairs: float) -> float:
     """
     if count != int(count) or count < 0:
         raise ParameterError(f"pair count must be a non-negative integer, got {count!r}")
-    mean = _check_mean_pairs(mean_pairs)
+    mean = check_mean_pairs(mean_pairs)
     n = int(count)
     # log form keeps large counts from overflowing the numerator
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
@@ -71,45 +61,17 @@ def herald_probabilities(mean_pairs: float) -> HeraldProbabilities:
     ``p_herald`` is the chance of at least one pair, ``p_multi`` the chance
     of two or more.  Both are per cycle.
     """
-    mean = _check_mean_pairs(mean_pairs)
+    mean = check_mean_pairs(mean_pairs)
     p_herald = -math.expm1(-mean)
     p_multi = p_herald - mean * math.exp(-mean)
     return HeraldProbabilities(p_herald=p_herald, p_multi=p_multi)
-
-
-@dataclass(frozen=True, eq=False)
-class EmissionBatch:
-    """Pair counts for every source in a single clock cycle."""
-
-    pair_counts: np.ndarray
-    mean_pairs: float
-    cycle_index: int = 0
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.pair_counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ParameterError("pair_counts must be a non-empty 1-D array")
-        if np.any(counts < 0):
-            raise ParameterError("pair counts cannot be negative")
-        _check_mean_pairs(self.mean_pairs)
-        if self.cycle_index < 0:
-            raise ParameterError(f"cycle index cannot be negative, got {self.cycle_index}")
-        counts = counts.copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "pair_counts", counts)
-
-    @property
-    def source_count(self) -> int:
-        return int(self.pair_counts.size)
 
 
 def sample_cycle_emissions(
     source_count: int,
     mean_pairs: float,
     rng: np.random.Generator,
-    *,
-    cycle_index: int = 0,
-) -> EmissionBatch:
+) -> np.ndarray:
     """Draw one cycle of Poisson pair counts for the whole source bank.
 
     Uses inversion by sequential search so that exactly one uniform variate
@@ -125,16 +87,14 @@ def sample_cycle_emissions(
         Mean pairs per source per cycle.
     rng : numpy.random.Generator
         Seeded generator supplying the uniforms.
-    cycle_index : int, optional
-        Cycle label copied onto the batch.
 
     Returns
     -------
-    EmissionBatch
+    numpy.ndarray
+        Read-only int64 pair count of each source, in source order.
     """
-    if source_count < 1:
-        raise ParameterError(f"source count must be at least 1, got {source_count}")
-    mean = _check_mean_pairs(mean_pairs)
+    check_source_count(source_count)
+    mean = check_mean_pairs(mean_pairs)
     if not isinstance(rng, np.random.Generator):
         raise ParameterError("rng must be a numpy.random.Generator")
 
@@ -155,57 +115,14 @@ def sample_cycle_emissions(
         cumulative += term
         counts[pending] = n
         pending = u > cumulative
-    return EmissionBatch(pair_counts=counts, mean_pairs=mean, cycle_index=cycle_index)
+    counts.flags.writeable = False
+    return counts
 
 
-@dataclass(frozen=True, eq=False)
-class HeraldReport:
-    """Detector-side view of one cycle.
+def herald(counts: np.ndarray) -> np.ndarray:
+    """Threshold a cycle of pair counts into the boolean herald click mask.
 
-    ``heralded`` is all a scheduler is allowed to look at: the detectors
-    cannot count photons, so routing decisions must not depend on
-    ``multiplicity``.  The multiplicity array exists purely so that error
-    accounting can tell singles from multi-pair events after the fact.
+    The mask is all a scheduler may route on: the detectors cannot count
+    photons, so a click means "one or more pairs" and nothing finer.
     """
-
-    heralded: np.ndarray
-    multiplicity: np.ndarray
-    cycle_index: int = 0
-
-    def __post_init__(self) -> None:
-        heralded = np.asarray(self.heralded, dtype=bool)
-        multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
-        if heralded.ndim != 1 or heralded.size == 0:
-            raise ParameterError("heralded must be a non-empty 1-D array")
-        if multiplicity.shape != heralded.shape:
-            raise ParameterError("multiplicity and heralded must have the same shape")
-        if np.any(multiplicity < 0):
-            raise ParameterError("multiplicity cannot be negative")
-        if not np.array_equal(heralded, multiplicity >= 1):
-            raise ParameterError("heralded flags must equal multiplicity >= 1")
-        heralded = heralded.copy()
-        multiplicity = multiplicity.copy()
-        heralded.flags.writeable = False
-        multiplicity.flags.writeable = False
-        object.__setattr__(self, "heralded", heralded)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        if self.cycle_index < 0:
-            raise ParameterError(f"cycle index cannot be negative, got {self.cycle_index}")
-
-    @property
-    def source_count(self) -> int:
-        return int(self.heralded.size)
-
-    @property
-    def herald_count(self) -> int:
-        return int(np.count_nonzero(self.heralded))
-
-
-def herald(batch: EmissionBatch) -> HeraldReport:
-    """Threshold a cycle of pair counts into herald clicks."""
-    counts = batch.pair_counts
-    return HeraldReport(
-        heralded=counts >= 1,
-        multiplicity=counts,
-        cycle_index=batch.cycle_index,
-    )
+    return counts >= 1

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
 
 from __future__ import annotations
+
+import math
 
 
 class ParameterError(ValueError):
@@ -9,3 +11,39 @@ class ParameterError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solve fails to reach its tolerance."""
+
+
+class ConservationError(RuntimeError):
+    """Raised when a cycle plan loses or invents a photon."""
+
+
+def check_source_count(source_count: int) -> int:
+    if source_count < 1:
+        raise ParameterError(f"source count must be at least 1, got {source_count}")
+    return source_count
+
+
+def check_step_count(step_count: int) -> int:
+    if step_count < 1:
+        raise ParameterError(f"step count must be at least 1, got {step_count}")
+    return step_count
+
+
+def check_capacity(capacity: int) -> int:
+    if capacity < 0:
+        raise ParameterError(f"capacity cannot be negative, got {capacity}")
+    return capacity
+
+
+def check_mean_pairs(mean_pairs: float) -> float:
+    """The mean pair number as a float, which must be positive and finite."""
+    mean = float(mean_pairs)
+    if not math.isfinite(mean) or mean <= 0.0:
+        raise ParameterError(f"mean pair number must be positive and finite, got {mean_pairs!r}")
+    return mean
+
+
+def check_p_herald(p_herald: float) -> float:
+    if not 0.0 < p_herald < 1.0:
+        raise ParameterError(f"p_herald must lie strictly in (0, 1), got {p_herald}")
+    return p_herald

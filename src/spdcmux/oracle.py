@@ -23,7 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .emission import herald_probabilities
-from .errors import ConvergenceError, ParameterError
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    check_capacity,
+    check_p_herald,
+    check_source_count,
+)
 from .scheduler import storage_capacity
 
 __all__ = [
@@ -48,14 +54,11 @@ class ChainSpec:
     p_multi: float
 
     def __post_init__(self) -> None:
-        if self.source_count < 1:
-            raise ParameterError(f"source count must be at least 1, got {self.source_count}")
+        check_source_count(self.source_count)
         if self.multiple < 1:
             raise ParameterError(f"multiple must be at least 1, got {self.multiple}")
-        if self.capacity < 0:
-            raise ParameterError(f"capacity cannot be negative, got {self.capacity}")
-        if not 0.0 < self.p_herald < 1.0:
-            raise ParameterError(f"p_herald must lie strictly in (0, 1), got {self.p_herald}")
+        check_capacity(self.capacity)
+        check_p_herald(self.p_herald)
         if not 0.0 <= self.p_multi < self.p_herald:
             raise ParameterError("p_multi must lie in [0, p_herald)")
 
@@ -89,19 +92,20 @@ class OracleRates(NamedTuple):
 
 
 def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
-    """Exact binomial pmf of the number of heralds in one cycle."""
-    if source_count < 1:
-        raise ParameterError(f"source count must be at least 1, got {source_count}")
-    if not 0.0 < p_herald < 1.0:
-        raise ParameterError(f"p_herald must lie strictly in (0, 1), got {p_herald}")
-    pmf = np.empty(source_count + 1)
-    for h in range(source_count + 1):
-        pmf[h] = (
-            math.comb(source_count, h)
-            * p_herald**h
-            * (1.0 - p_herald) ** (source_count - h)
-        )
-    return pmf
+    """Exact binomial pmf of the number of heralds in one cycle.
+
+    Computed in log space, so large banks neither overflow the binomial
+    coefficient nor lose the tail to subnormal powers of ``p_herald``.
+    """
+    s = check_source_count(source_count)
+    p = check_p_herald(p_herald)
+    log_factorial = np.array([math.lgamma(n + 1) for n in range(s + 1)])
+    h = np.arange(s + 1)
+    log_pmf = (
+        log_factorial[s] - log_factorial - log_factorial[::-1]
+        + h * math.log(p) + (s - h) * math.log1p(-p)
+    )
+    return np.exp(log_pmf)
 
 
 def _chain_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -16,21 +16,16 @@ from that counting window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_source_count, check_step_count
 
 __all__ = [
-    "DelayPath",
-    "DelaySet",
     "RegisterTopology",
-    "accessible_delays",
-    "enumerate_delay_paths",
     "step_count_bounds",
     "verify_monotone_assignment",
 ]
@@ -50,16 +45,10 @@ class RegisterTopology:
 
     source_count: int
     step_count: int
-    step_delays: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.source_count < 1:
-            raise ParameterError(f"source count must be at least 1, got {self.source_count}")
-        if self.step_count < 1:
-            raise ParameterError(f"step count must be at least 1, got {self.step_count}")
-        object.__setattr__(
-            self, "step_delays", tuple(2**j for j in range(self.step_count))
-        )
+        check_source_count(self.source_count)
+        check_step_count(self.step_count)
 
     @property
     def delay_count(self) -> int:
@@ -72,22 +61,18 @@ class RegisterTopology:
 
     @cached_property
     def access_table(self) -> np.ndarray:
-        """Boolean matrix, entry [i - 1, d] true when row i can reach delay d."""
-        table = np.zeros((self.source_count, self.delay_count), dtype=bool)
-        for source in range(1, self.source_count + 1):
-            low, high = step_count_bounds(self, source)
-            for delay in range(self.delay_count):
-                taken = delay.bit_count()
-                table[source - 1, delay] = low <= taken <= high
+        """Boolean matrix, entry [i - 1, d] true when row i can reach delay d.
+
+        A delay d is reachable exactly when its binary popcount lies inside
+        the row's stage-count window, since each set bit of d corresponds to
+        taking one distinct stage.
+        """
+        delays = np.arange(self.delay_count)
+        taken = ((delays[:, None] >> np.arange(self.step_count)) & 1).sum(axis=1)
+        low, high = _stage_window(self, np.arange(1, self.source_count + 1))
+        table = (low[:, None] <= taken) & (taken <= high[:, None])
         table.flags.writeable = False
         return table
-
-    def can_reach(self, source: int, delay: int) -> bool:
-        """True when ``source`` (1-based) can exit with the given delay."""
-        _check_source(self, source)
-        if not 0 <= delay <= self.max_delay:
-            return False
-        return bool(self.access_table[source - 1, delay])
 
 
 def _check_source(topology: RegisterTopology, source: int) -> int:
@@ -105,56 +90,15 @@ def step_count_bounds(topology: RegisterTopology, source: int) -> tuple[int, int
     tall bank see the full window (0, K); rows within K of either edge
     are clipped by the crossing geometry.
     """
-    i = _check_source(topology, source)
+    low, high = _stage_window(topology, _check_source(topology, source))
+    return int(low), int(high)
+
+
+def _stage_window(topology: RegisterTopology, rows: int | np.ndarray):
+    """Inclusive stage-count window of 1-based row index (or index array) ``rows``."""
     s = topology.source_count
     k = topology.step_count
-    low = max(0, k - (s - i))
-    high = min(k, i - 1)
-    return low, high
-
-
-class DelaySet(NamedTuple):
-    """Reachable delays for one source row."""
-
-    source: int
-    delays: frozenset[int]
-
-
-def accessible_delays(topology: RegisterTopology, source: int) -> DelaySet:
-    """Every delay value a given row can be routed to.
-
-    A delay d is reachable exactly when its binary popcount lies inside
-    the row's stage-count window, since each set bit of d corresponds to
-    taking one distinct stage.
-    """
-    i = _check_source(topology, source)
-    low, high = step_count_bounds(topology, i)
-    delays = frozenset(
-        d for d in range(topology.delay_count) if low <= d.bit_count() <= high
-    )
-    return DelaySet(source=i, delays=delays)
-
-
-class DelayPath(NamedTuple):
-    """One concrete route through the register: total delay plus the stages taken."""
-
-    delay: int
-    steps: tuple[int, ...]
-
-
-def enumerate_delay_paths(topology: RegisterTopology, source: int) -> tuple[DelayPath, ...]:
-    """All stage subsets a row can take, one path per subset.
-
-    Stage delays are distinct powers of two, so paths map one-to-one onto
-    reachable delay values.  Paths come back sorted by total delay.
-    """
-    i = _check_source(topology, source)
-    low, high = step_count_bounds(topology, i)
-    paths = []
-    for size in range(low, high + 1):
-        for steps in combinations(topology.step_delays, size):
-            paths.append(DelayPath(delay=sum(steps), steps=steps))
-    return tuple(sorted(paths))
+    return np.maximum(0, k - (s - rows)), np.minimum(k, rows - 1)
 
 
 def verify_monotone_assignment(assignments: Sequence[tuple[int, int]]) -> bool:

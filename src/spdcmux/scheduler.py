@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .emission import HeraldReport
-from .errors import ParameterError
+from .errors import ParameterError, check_capacity, check_step_count
 from .register import RegisterTopology
 
 __all__ = [
@@ -44,8 +41,7 @@ _OPTIMAL_MAX_MULTIPLE = 8
 
 def storage_capacity(step_count: int, multiple: int) -> int:
     """Free register span behind an m-photon train: ``2**step_count - multiple``."""
-    if step_count < 1:
-        raise ParameterError(f"step count must be at least 1, got {step_count}")
+    check_step_count(step_count)
     span = 2**step_count
     if multiple != int(multiple) or not 1 <= multiple <= span:
         raise ParameterError(
@@ -66,8 +62,7 @@ class StorageState:
     capacity: int
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ParameterError(f"capacity cannot be negative, got {self.capacity}")
+        check_capacity(self.capacity)
         stored = tuple(int(v) for v in self.stored)
         if len(stored) > self.capacity:
             raise ParameterError(
@@ -141,14 +136,15 @@ class CyclePlan:
 
 def _check_plan_args(
     topology: RegisterTopology,
-    report: HeraldReport,
+    clicks: np.ndarray,
+    counts: np.ndarray,
     storage_in: StorageState,
     multiple: int,
 ) -> int:
-    if report.source_count != topology.source_count:
+    if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
         raise ParameterError(
-            f"herald report covers {report.source_count} sources, "
-            f"topology has {topology.source_count}"
+            f"clicks {clicks.shape} and pair counts {counts.shape} must both "
+            f"cover the topology's {topology.source_count} sources"
         )
     m = int(multiple)
     expected = storage_capacity(topology.step_count, m)
@@ -162,7 +158,8 @@ def _check_plan_args(
 
 def plan_cycle(
     topology: RegisterTopology,
-    report: HeraldReport,
+    clicks: np.ndarray,
+    counts: np.ndarray,
     storage_in: StorageState,
     multiple: int,
     *,
@@ -179,14 +176,16 @@ def plan_cycle(
     position nobody can reach, since stored photons must sit contiguously
     behind the train.
 
-    The planner reads only ``report.heralded``; multiplicities are copied
-    through for accounting but never influence a routing choice.
+    The planner routes on ``clicks`` alone; ``counts`` (whose nonzero
+    entries must be exactly the clicks) is only indexed to copy pair
+    multiplicities into slots and storage for accounting, so they never
+    influence a routing choice.
 
     Returns
     -------
     CyclePlan
     """
-    m = _check_plan_args(topology, report, storage_in, multiple)
+    m = _check_plan_args(topology, clicks, counts, storage_in, multiple)
     capacity = storage_in.capacity
     table = topology.access_table
 
@@ -199,8 +198,7 @@ def plan_cycle(
         for j in range(emit_count)
     ]
 
-    queue = [int(i) + 1 for i in np.flatnonzero(report.heralded)]
-    multiplicity = report.multiplicity
+    queue = [int(i) + 1 for i in np.flatnonzero(clicks)]
     pointer = 0
     discarded = 0
     assignments: list[tuple[int, int]] = []
@@ -223,7 +221,7 @@ def plan_cycle(
         pointer = pick + 1
         assignments.append((source, j))
         slots.append(
-            SlotFill(delay=j, multiplicity=int(multiplicity[source - 1]), source=source)
+            SlotFill(delay=j, multiplicity=int(counts[source - 1]), source=source)
         )
 
     new_stored: list[int] = []
@@ -236,7 +234,7 @@ def plan_cycle(
         discarded += pick - pointer
         pointer = pick + 1
         assignments.append((source, target))
-        new_stored.append(int(multiplicity[source - 1]))
+        new_stored.append(int(counts[source - 1]))
     discarded += len(queue) - pointer
 
     return CyclePlan(
@@ -251,7 +249,8 @@ def plan_cycle(
 
 def plan_cycle_optimal(
     topology: RegisterTopology,
-    report: HeraldReport,
+    clicks: np.ndarray,
+    counts: np.ndarray,
     storage_in: StorageState,
     multiple: int,
     *,
@@ -264,7 +263,7 @@ def plan_cycle_optimal(
     restriction, then tops up storage greedily.  Useful as a ceiling for
     what any feasible policy could fill.  Restricted to small banks.
     """
-    m = _check_plan_args(topology, report, storage_in, multiple)
+    m = _check_plan_args(topology, clicks, counts, storage_in, multiple)
     if topology.source_count > _OPTIMAL_MAX_SOURCES or m > _OPTIMAL_MAX_MULTIPLE:
         raise ParameterError(
             "optimal planner supports at most "
@@ -279,19 +278,17 @@ def plan_cycle_optimal(
     carried = storage_in.stored[emit_count:]
     open_slots = list(range(emit_count, m))
 
-    queue = [int(i) + 1 for i in np.flatnonzero(report.heralded)]
-    multiplicity = report.multiplicity
+    queue = [int(i) + 1 for i in np.flatnonzero(clicks)]
 
     matched: dict[int, int] = {}  # slot delay -> source
     if open_slots and queue:
-        eligible = np.zeros((len(open_slots), len(queue)), dtype=np.int8)
+        eligible = np.zeros((len(open_slots), len(queue)), dtype=bool)
         for r, j in enumerate(open_slots):
             for c, source in enumerate(queue):
                 if not boundary_limits or table[source - 1, j]:
-                    eligible[r, c] = 1
-        match = maximum_bipartite_matching(csr_matrix(eligible), perm_type="column")
-        for r, c in enumerate(match):
-            if c >= 0:
+                    eligible[r, c] = True
+        for c, r in enumerate(_maximum_matching(eligible)):
+            if r >= 0:
                 matched[open_slots[r]] = queue[c]
 
     slots = [
@@ -306,7 +303,7 @@ def plan_cycle_optimal(
         else:
             assignments.append((source, j))
             slots.append(
-                SlotFill(delay=j, multiplicity=int(multiplicity[source - 1]), source=source)
+                SlotFill(delay=j, multiplicity=int(counts[source - 1]), source=source)
             )
 
     leftovers = [s for s in queue if s not in matched.values()]
@@ -322,7 +319,7 @@ def plan_cycle_optimal(
             break
         source = leftovers.pop(pick)
         assignments.append((source, target))
-        new_stored.append(int(multiplicity[source - 1]))
+        new_stored.append(int(counts[source - 1]))
 
     discarded = len(queue) - len(assignments)
     return CyclePlan(
@@ -333,3 +330,25 @@ def plan_cycle_optimal(
         herald_count=len(queue),
         stored_in_level=storage_in.level,
     )
+
+
+def _maximum_matching(eligible: np.ndarray) -> list[int]:
+    """Row matched to each column of a boolean matrix (-1 if none), maximum in size.
+
+    Augmenting-path search: each row in turn claims a free eligible column
+    or one whose holder can move on to another column.
+    """
+    holder = [-1] * eligible.shape[1]
+
+    def augment(row: int, seen: set[int]) -> bool:
+        for col in np.flatnonzero(eligible[row]):
+            if col not in seen:
+                seen.add(col)
+                if holder[col] < 0 or augment(holder[col], seen):
+                    holder[col] = row
+                    return True
+        return False
+
+    for row in range(eligible.shape[0]):
+        augment(row, set())
+    return holder

@@ -16,7 +16,13 @@ from enum import Enum
 import numpy as np
 
 from .emission import herald, sample_cycle_emissions
-from .errors import ParameterError
+from .errors import (
+    ConservationError,
+    ParameterError,
+    check_capacity,
+    check_mean_pairs,
+    check_source_count,
+)
 from .register import _cached_topology
 from .scheduler import CyclePlan, StorageState, plan_cycle, storage_capacity
 
@@ -77,8 +83,7 @@ def apply_feedback(
     base_mean: float,
 ) -> float:
     """Effective mean pair number for the coming cycle."""
-    if capacity < 0:
-        raise ParameterError(f"capacity cannot be negative, got {capacity}")
+    check_capacity(capacity)
     if not 0 <= storage_level <= capacity:
         raise ParameterError(
             f"storage level {storage_level} outside [0, {capacity}]"
@@ -107,17 +112,10 @@ class SimConfig:
     boundary: BoundaryMode = BoundaryMode.CONSTRAINED
 
     def __post_init__(self) -> None:
-        if self.source_count < 1:
-            raise ParameterError(f"source count must be at least 1, got {self.source_count}")
-        if self.step_count < 1:
-            raise ParameterError(f"step count must be at least 1, got {self.step_count}")
-        # delegates range checking of multiple to the capacity rule
+        check_source_count(self.source_count)
+        # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
-        mean = float(self.mean_pairs)
-        if not math.isfinite(mean) or mean <= 0.0:
-            raise ParameterError(
-                f"mean pair number must be positive and finite, got {self.mean_pairs!r}"
-            )
+        check_mean_pairs(self.mean_pairs)
         if self.cycles < 0:
             raise ParameterError(f"cycle count cannot be negative, got {self.cycles}")
         if self.seed != int(self.seed) or self.seed < 0:
@@ -187,21 +185,18 @@ def run_cycle(
     config: SimConfig,
     storage_in: StorageState,
     rng: np.random.Generator,
-    *,
-    cycle_index: int = 0,
 ) -> CyclePlan:
     """Simulate a single cycle: feedback, emission, heralding, routing."""
     topology = _cached_topology(config.source_count, config.step_count)
     mean = apply_feedback(
         config.feedback, storage_in.level, storage_in.capacity, config.mean_pairs
     )
-    batch = sample_cycle_emissions(
-        config.source_count, mean, rng, cycle_index=cycle_index
-    )
-    report = herald(batch)
+    counts = sample_cycle_emissions(config.source_count, mean, rng)
+    clicks = herald(counts)
     return plan_cycle(
         topology,
-        report,
+        clicks,
+        counts,
         storage_in,
         config.multiple,
         boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
@@ -235,9 +230,9 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     level_sum = 0
 
     for cycle in range(config.cycles):
-        plan = run_cycle(config, storage, rng, cycle_index=cycle)
+        plan = run_cycle(config, storage, rng)
         if not plan.conservation_ok():
-            raise RuntimeError(f"photon conservation violated at cycle {cycle}")
+            raise ConservationError(f"photon conservation violated at cycle {cycle}")
         lack += plan.lack_count
         multi += plan.multi_count
         filled += plan.filled_count
@@ -247,7 +242,7 @@ def run_simulation(config: SimConfig) -> SimMetrics:
         level_sum += storage.level
 
     if heralds != filled + storage.level + discarded:
-        raise RuntimeError("photon conservation violated across the run totals")
+        raise ConservationError("photon conservation violated across the run totals")
 
     return SimMetrics(
         cycles=config.cycles,

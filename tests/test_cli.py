@@ -1,9 +1,15 @@
 """Command line surface: config parsing, CSV shape, subcommands, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from spdcmux import simulator
 from spdcmux import (
     BoundaryMode,
     FeedbackMode,
@@ -25,6 +31,19 @@ def _rows(text: str) -> list[list[str]]:
     lines = text.strip().split("\n")
     assert lines[0] == HEADER
     return [line.split(",") for line in lines[1:]]
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports spdcmux from the tree under test."""
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def test_parse_config_minimal_applies_defaults() -> None:
@@ -340,3 +359,99 @@ def test_write_failure_exits_one(tmp_path) -> None:
         ]
     )
     assert code == 1
+
+
+def test_overflow_exits_one(capsys: pytest.CaptureFixture) -> None:
+    # an infinite grid value cannot be rounded to a bank size
+    code = run_command(
+        ["sweep", "--param", "size", "--values", "1e400",
+         "--multiple", "4", "--mean-pairs", "0.05", "--cycles", "10"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFixture) -> None:
+    real_plan_cycle = simulator.plan_cycle
+
+    def leaky_plan_cycle(*args, **kwargs):
+        plan = real_plan_cycle(*args, **kwargs)
+        return replace(plan, discarded=plan.discarded + 1)
+
+    monkeypatch.setattr(simulator, "plan_cycle", leaky_plan_cycle)
+    code = run_command(
+        ["simulate", "--sources", "11", "--multiple", "4", "--mean-pairs", "0.1",
+         "--cycles", "10"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: photon conservation violated at cycle 0\n"
+
+
+def test_module_entry_points_run_the_cli() -> None:
+    for module in ("spdcmux", "spdcmux.cli"):
+        done = _python("-m", module, "verify-topology", "--sources", "3", "--steps", "1")
+        assert done.returncode == 0, (module, done.stderr)
+        assert done.stdout == "source,d0,d1\n1,1,0\n2,1,1\n3,0,1\n", module
+
+
+def test_cli_import_does_not_load_scipy() -> None:
+    done = _python(
+        "-c",
+        "import sys, spdcmux.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# Exact output bytes of fixed invocations.  No change that leaves the RNG
+# stream alone may alter a number or a CSV byte, so a refactor of emission,
+# reachability or planning must reproduce these byte for byte.
+GOLDEN_OUTPUTS = [
+    (
+        ["simulate", "--sources", "100", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "0.049", "--cycles", "5000", "--seed", "42",
+         "--boundary", "constrained"],
+        HEADER + "\n0.049,0.02445,0.0232,0.0237815,19511,4290,2.8034,monte_carlo,42,5000\n",
+    ),
+    (
+        ["simulate", "--sources", "100", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "0.049", "--cycles", "5000", "--seed", "42",
+         "--boundary", "unconstrained"],
+        HEADER + "\n0.049,0.02065,0.0234,0.0238934,19587,4214,2.895,monte_carlo,42,5000\n",
+    ),
+    (
+        ["simulate", "--sources", "1000", "--multiple", "16", "--steps", "5",
+         "--mean-pairs", "0.01", "--cycles", "500", "--seed", "42",
+         "--feedback", "turbo_boost"],
+        HEADER + "\n0.01,0.008125,0.007375,0.00743541,7935,48,6.224,monte_carlo,42,500\n",
+    ),
+    (
+        ["verify-topology", "--sources", "11", "--steps", "3"],
+        "source,d0,d1,d2,d3,d4,d5,d6,d7\n"
+        "1,1,0,0,0,0,0,0,0\n"
+        "2,1,1,1,0,1,0,0,0\n"
+        "3,1,1,1,1,1,1,1,0\n"
+        "4,1,1,1,1,1,1,1,1\n"
+        "5,1,1,1,1,1,1,1,1\n"
+        "6,1,1,1,1,1,1,1,1\n"
+        "7,1,1,1,1,1,1,1,1\n"
+        "8,1,1,1,1,1,1,1,1\n"
+        "9,0,1,1,1,1,1,1,1\n"
+        "10,0,0,0,1,0,1,1,1\n"
+        "11,0,0,0,0,0,0,0,1\n",
+    ),
+    (
+        # every row's stage window is empty: three rows cannot span four stages
+        ["verify-topology", "--sources", "3", "--steps", "4"],
+        "source," + ",".join(f"d{d}" for d in range(16)) + "\n"
+        + "".join(f"{i}," + ",".join(["0"] * 16) + "\n" for i in (1, 2, 3)),
+    ),
+]
+
+
+def test_golden_output_bytes(tmp_path) -> None:
+    for index, (argv, expected) in enumerate(GOLDEN_OUTPUTS):
+        out = tmp_path / f"golden{index}.csv"
+        assert run_command(argv + ["--out", str(out)]) == 0, argv
+        assert out.read_bytes() == expected.encode(), argv

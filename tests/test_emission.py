@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from spdcmux import (
-    EmissionBatch,
-    HeraldReport,
     ParameterError,
     herald,
     herald_probabilities,
@@ -76,7 +74,11 @@ def test_herald_probabilities_match_pmf_tails() -> None:
 def test_sampler_is_reproducible() -> None:
     a = sample_cycle_emissions(50, 0.1, np.random.default_rng(123))
     b = sample_cycle_emissions(50, 0.1, np.random.default_rng(123))
-    assert np.array_equal(a.pair_counts, b.pair_counts)
+    assert np.array_equal(a, b)
+    # one read-only int64 array is the whole cycle record
+    assert a.dtype == np.int64 and a.shape == (50,)
+    with pytest.raises(ValueError):
+        a[0] = 5
 
 
 def test_sampler_consumes_one_uniform_per_source() -> None:
@@ -94,7 +96,7 @@ def test_sampler_consumes_one_uniform_per_source() -> None:
 def test_sampler_matches_pmf_frequencies() -> None:
     rng = np.random.default_rng(2024)
     draws = 200_000
-    counts = sample_cycle_emissions(draws, 0.3, rng).pair_counts
+    counts = sample_cycle_emissions(draws, 0.3, rng)
     for n, expected in ((0, pair_pmf(0, 0.3)), (1, pair_pmf(1, 0.3)), (2, pair_pmf(2, 0.3))):
         observed = np.mean(counts == n)
         se = math.sqrt(expected * (1.0 - expected) / draws)
@@ -113,31 +115,7 @@ def test_sampler_validates_arguments() -> None:
         sample_cycle_emissions(5, 0.1, "not a generator")  # type: ignore[arg-type]
 
 
-def test_emission_batch_validation_and_immutability() -> None:
-    batch = EmissionBatch(pair_counts=np.array([0, 1, 2]), mean_pairs=0.1)
-    assert batch.source_count == 3
-    with pytest.raises(ValueError):
-        batch.pair_counts[0] = 5
-    with pytest.raises(ParameterError):
-        EmissionBatch(pair_counts=np.array([0, -1]), mean_pairs=0.1)
-    with pytest.raises(ParameterError):
-        EmissionBatch(pair_counts=np.array([[0, 1]]), mean_pairs=0.1)
-    with pytest.raises(ParameterError):
-        EmissionBatch(pair_counts=np.array([0, 1]), mean_pairs=0.1, cycle_index=-1)
-
-
 def test_herald_thresholds_counts() -> None:
-    batch = EmissionBatch(pair_counts=np.array([0, 1, 3, 0, 2]), mean_pairs=0.2, cycle_index=7)
-    report = herald(batch)
-    assert report.cycle_index == 7
-    assert report.heralded.tolist() == [False, True, True, False, True]
-    assert report.multiplicity.tolist() == [0, 1, 3, 0, 2]
-    assert report.herald_count == 3
-    assert report.source_count == 5
-
-
-def test_herald_report_rejects_inconsistent_flags() -> None:
-    with pytest.raises(ParameterError):
-        HeraldReport(heralded=np.array([True, False]), multiplicity=np.array([0, 1]))
-    with pytest.raises(ParameterError):
-        HeraldReport(heralded=np.array([True]), multiplicity=np.array([1, 1]))
+    clicks = herald(np.array([0, 1, 3, 0, 2]))
+    assert clicks.dtype == bool
+    assert clicks.tolist() == [False, True, True, False, True]

@@ -1,6 +1,7 @@
 """Exact chain solution: transition structure, stationary rates, optimizer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ def test_herald_count_distribution_matches_scipy() -> None:
         reference = stats.binom.pmf(np.arange(source_count + 1), source_count, p)
         assert pmf == pytest.approx(reference, rel=1e-10, abs=1e-300)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_herald_count_distribution_large_bank() -> None:
+    # math.comb(2000, h) times a float overflows, and p**h goes subnormal
+    # in the far tail of a 500-source bank; neither may reach the pmf
+    pmf = herald_count_distribution(2000, herald_probabilities(0.0025).p_herald)
+    assert np.all(np.isfinite(pmf))
+    assert abs(pmf.sum() - 1.0) < 1e-12
+    rates = stationary_rates(_spec(2000, 4, 3, 0.0025))
+    assert all(math.isfinite(value) for value in rates)
+
+    p = herald_probabilities(0.03).p_herald
+    exact = math.comb(500, 211) * Fraction(p) ** 211 * (1 - Fraction(p)) ** 289
+    assert herald_count_distribution(500, p)[211] == pytest.approx(float(exact), rel=1e-10)
 
 
 def test_herald_count_distribution_validation() -> None:

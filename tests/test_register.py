@@ -2,14 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from spdcmux import (
-    DelayPath,
     ParameterError,
     RegisterTopology,
-    accessible_delays,
-    enumerate_delay_paths,
     step_count_bounds,
     verify_monotone_assignment,
 )
@@ -38,9 +36,13 @@ def _delays_by_subset_sum(source_count: int, step_count: int, source: int) -> se
     return out
 
 
+def _reachable(topo: RegisterTopology, source: int) -> set[int]:
+    """Delays row ``source`` (1-based) can reach, read from the access table."""
+    return set(np.flatnonzero(topo.access_table[source - 1]).tolist())
+
+
 def test_topology_basic_shape() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    assert topo.step_delays == (1, 2, 4)
     assert topo.delay_count == 8
     assert topo.max_delay == 7
 
@@ -55,16 +57,16 @@ def test_topology_validation() -> None:
 def test_known_rows_11x3() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     for source, expected in KNOWN_ROWS_11X3.items():
-        assert set(accessible_delays(topo, source).delays) == expected, source
+        assert _reachable(topo, source) == expected, source
 
 
 def test_interior_rows_see_every_delay() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     for source in range(4, 9):
-        assert set(accessible_delays(topo, source).delays) == set(range(8))
+        assert _reachable(topo, source) == set(range(8))
     wide = RegisterTopology(source_count=30, step_count=3)
     for source in range(4, 28):
-        assert set(accessible_delays(wide, source).delays) == set(range(8))
+        assert _reachable(wide, source) == set(range(8))
 
 
 def test_reachability_matches_subset_sum_reference() -> None:
@@ -72,15 +74,15 @@ def test_reachability_matches_subset_sum_reference() -> None:
         topo = RegisterTopology(source_count=source_count, step_count=step_count)
         for source in range(1, source_count + 1):
             expected = _delays_by_subset_sum(source_count, step_count, source)
-            assert set(accessible_delays(topo, source).delays) == expected
+            assert _reachable(topo, source) == expected
 
 
 def test_reachability_mirror_symmetry() -> None:
     # flipping the bank upside down complements every delay value
     topo = RegisterTopology(source_count=13, step_count=3)
     for source in range(1, 14):
-        forward = set(accessible_delays(topo, source).delays)
-        mirrored = {topo.max_delay - d for d in accessible_delays(topo, 14 - source).delays}
+        forward = _reachable(topo, source)
+        mirrored = {topo.max_delay - d for d in _reachable(topo, 14 - source)}
         assert forward == mirrored
 
 
@@ -93,60 +95,32 @@ def test_step_count_bounds_edges() -> None:
     assert step_count_bounds(topo, 9) == (1, 3)
     assert step_count_bounds(topo, 10) == (2, 3)
     assert step_count_bounds(topo, 11) == (3, 3)
+    with pytest.raises(ParameterError):
+        step_count_bounds(topo, 0)
+    with pytest.raises(ParameterError):
+        step_count_bounds(topo, 12)
 
 
 def test_shallow_banks_can_strand_rows() -> None:
     # fewer rows than stages + 1 leaves windows empty: the geometry both
     # forces stages on a row and forbids it from taking them
     topo = RegisterTopology(source_count=2, step_count=3)
-    assert accessible_delays(topo, 1).delays == frozenset()
-    assert accessible_delays(topo, 2).delays == frozenset()
+    assert _reachable(topo, 1) == set()
+    assert _reachable(topo, 2) == set()
 
 
 def test_access_table_agrees_with_delay_sets() -> None:
+    # cell by cell against the counting window: the delay's popcount (the
+    # number of stages it takes) must lie inside the row's window
     topo = RegisterTopology(source_count=9, step_count=3)
     table = topo.access_table
     assert table.shape == (9, 8)
     for source in range(1, 10):
-        reachable = accessible_delays(topo, source).delays
+        low, high = step_count_bounds(topo, source)
         for delay in range(8):
-            assert table[source - 1, delay] == (delay in reachable)
+            assert table[source - 1, delay] == (low <= delay.bit_count() <= high)
     with pytest.raises(ValueError):
         table[0, 0] = True
-
-
-def test_can_reach_bounds() -> None:
-    topo = RegisterTopology(source_count=11, step_count=3)
-    assert topo.can_reach(1, 0)
-    assert not topo.can_reach(1, 1)
-    assert not topo.can_reach(5, 8)
-    assert not topo.can_reach(5, -1)
-    with pytest.raises(ParameterError):
-        topo.can_reach(0, 0)
-    with pytest.raises(ParameterError):
-        topo.can_reach(12, 0)
-
-
-def test_enumerate_delay_paths_consistency() -> None:
-    topo = RegisterTopology(source_count=11, step_count=3)
-    for source in (1, 2, 5, 10, 11):
-        paths = enumerate_delay_paths(topo, source)
-        assert paths == tuple(sorted(paths))
-        assert {p.delay for p in paths} == set(accessible_delays(topo, source).delays)
-        for path in paths:
-            assert sum(path.steps) == path.delay
-            assert len(set(path.steps)) == len(path.steps)
-            assert all(step in topo.step_delays for step in path.steps)
-
-
-def test_enumerate_delay_paths_exact_small_case() -> None:
-    topo = RegisterTopology(source_count=11, step_count=3)
-    assert enumerate_delay_paths(topo, 2) == (
-        DelayPath(delay=0, steps=()),
-        DelayPath(delay=1, steps=(1,)),
-        DelayPath(delay=2, steps=(2,)),
-        DelayPath(delay=4, steps=(4,)),
-    )
 
 
 def test_monotone_assignment_check() -> None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spdcmux import (
-    EmissionBatch,
     ParameterError,
     RegisterTopology,
     StorageState,
@@ -17,16 +16,17 @@ from spdcmux import (
 
 
 def _report(source_count: int, multiplicities: dict[int, int]):
+    """Clicks and pair counts of one cycle, as the planners take them."""
     counts = np.zeros(source_count, dtype=np.int64)
     for source, mult in multiplicities.items():
         counts[source - 1] = mult
-    return herald(EmissionBatch(pair_counts=counts, mean_pairs=0.1))
+    return herald(counts), counts
 
 
 def _random_report(rng: np.random.Generator, source_count: int, p_fire: float):
     fired = rng.random(source_count) < p_fire
     counts = np.where(fired, rng.integers(1, 4, source_count), 0)
-    return herald(EmissionBatch(pair_counts=counts, mean_pairs=0.1))
+    return herald(counts), counts
 
 
 def test_storage_capacity_table() -> None:
@@ -58,7 +58,7 @@ def test_storage_state_validation() -> None:
 
 def test_empty_cycle_is_all_lacks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {}), StorageState.empty(4), 4)
+    plan = plan_cycle(topo, *_report(11, {}), StorageState.empty(4), 4)
     assert plan.lack_count == 4
     assert plan.filled_count == 0
     assert plan.multi_count == 0
@@ -70,7 +70,7 @@ def test_empty_cycle_is_all_lacks() -> None:
 
 def test_storage_drains_into_leading_slots() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {}), StorageState(stored=(1, 1, 2), capacity=4), 4)
+    plan = plan_cycle(topo, *_report(11, {}), StorageState(stored=(1, 1, 2), capacity=4), 4)
     assert [s.multiplicity for s in plan.slots] == [1, 1, 2, 0]
     assert all(s.from_storage for s in plan.slots[:3])
     assert plan.filled_count == 3
@@ -84,7 +84,7 @@ def test_overfull_storage_carries_forward() -> None:
     # beyond the first two shift down and wait another cycle
     topo = RegisterTopology(source_count=11, step_count=3)
     state = StorageState(stored=(1, 1, 1, 2, 1), capacity=6)
-    plan = plan_cycle(topo, _report(11, {}), state, 2)
+    plan = plan_cycle(topo, *_report(11, {}), state, 2)
     assert [s.multiplicity for s in plan.slots] == [1, 1]
     assert plan.storage_out.stored == (1, 2, 1)
     assert plan.conservation_ok()
@@ -92,7 +92,7 @@ def test_overfull_storage_carries_forward() -> None:
 
 def test_fresh_fill_follows_row_order() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {4: 1, 6: 2, 8: 1}), StorageState.empty(4), 4)
+    plan = plan_cycle(topo, *_report(11, {4: 1, 6: 2, 8: 1}), StorageState.empty(4), 4)
     assert [(s.source, s.multiplicity) for s in plan.slots] == [
         (4, 1),
         (6, 2),
@@ -109,7 +109,7 @@ def test_fresh_fill_follows_row_order() -> None:
 def test_surplus_goes_to_storage_positions_behind_train() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     report = _report(11, {4: 1, 5: 1, 6: 1, 7: 2, 8: 1, 9: 1})
-    plan = plan_cycle(topo, report, StorageState.empty(4), 4)
+    plan = plan_cycle(topo, *report, StorageState.empty(4), 4)
     assert plan.filled_count == 4
     assert plan.storage_out.stored == (1, 1)  # sources 8 and 9 parked at delays 4, 5
     assert plan.new_assignments == ((4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (9, 5))
@@ -123,7 +123,7 @@ def test_skipped_fast_row_is_discarded_not_stored() -> None:
     # because parking row 2 behind the train would cross assignment (6, 3)
     topo = RegisterTopology(source_count=11, step_count=3)
     state = StorageState(stored=(1, 1, 1), capacity=4)
-    plan = plan_cycle(topo, _report(11, {2: 1, 6: 1}), state, 4)
+    plan = plan_cycle(topo, *_report(11, {2: 1, 6: 1}), state, 4)
     assert plan.new_assignments == ((6, 3),)
     assert plan.discarded == 1
     assert plan.filled_count == 4
@@ -135,7 +135,7 @@ def test_skipped_fast_row_is_discarded_not_stored() -> None:
 def test_unreachable_slot_keeps_survivors_alive() -> None:
     # rows 9 and 10 cannot reach slot 0; the lack there must not consume them
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {9: 1, 10: 1}), StorageState.empty(2), 6)
+    plan = plan_cycle(topo, *_report(11, {9: 1, 10: 1}), StorageState.empty(2), 6)
     assert [(s.delay, s.source) for s in plan.slots if s.filled] == [(1, 9), (3, 10)]
     assert plan.lack_count == 4
     assert plan.discarded == 0
@@ -146,7 +146,7 @@ def test_storage_stops_at_first_unreachable_position() -> None:
     # row 11 only reaches delay 7, but with a 6-train the next storage
     # position is 6; storing at 7 would leave a hole, so row 11 is dropped
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {10: 1, 11: 1}), StorageState.empty(2), 6)
+    plan = plan_cycle(topo, *_report(11, {10: 1, 11: 1}), StorageState.empty(2), 6)
     assert [(s.delay, s.source) for s in plan.slots if s.filled] == [(3, 10)]
     assert plan.storage_out.level == 0
     assert plan.discarded == 1
@@ -164,9 +164,9 @@ def test_unconstrained_fill_matches_counting_formula() -> None:
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
         state = StorageState(stored=(1,) * level, capacity=capacity)
-        report = _random_report(rng, 9, float(rng.uniform(0.05, 0.6)))
-        plan = plan_cycle(topo, report, state, m, boundary_limits=False)
-        available = level + report.herald_count
+        clicks, counts = _random_report(rng, 9, float(rng.uniform(0.05, 0.6)))
+        plan = plan_cycle(topo, clicks, counts, state, m, boundary_limits=False)
+        available = level + int(np.count_nonzero(clicks))
         assert plan.filled_count == min(m, available)
         assert plan.storage_out.level == min(capacity, available - min(m, available))
         assert plan.discarded == available - plan.filled_count - plan.storage_out.level
@@ -184,8 +184,8 @@ def test_planner_is_blind_to_multiplicities() -> None:
         varied = np.where(fired, rng.integers(1, 5, 11), 0).astype(np.int64)
         level = int(rng.integers(0, 5))
         state = StorageState(stored=(1,) * level, capacity=4)
-        plan_a = plan_cycle(topo, herald(EmissionBatch(ones, 0.1)), state, 4)
-        plan_b = plan_cycle(topo, herald(EmissionBatch(varied, 0.1)), state, 4)
+        plan_a = plan_cycle(topo, herald(ones), ones, state, 4)
+        plan_b = plan_cycle(topo, herald(varied), varied, state, 4)
         assert plan_a.new_assignments == plan_b.new_assignments
         assert [s.source for s in plan_a.slots] == [s.source for s in plan_b.slots]
         assert plan_a.discarded == plan_b.discarded
@@ -202,13 +202,13 @@ def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
         state = StorageState(stored=(1,) * level, capacity=capacity)
-        report = _random_report(rng, source_count, float(rng.uniform(0.1, 0.8)))
-        greedy = plan_cycle(topo, report, state, m)
-        best = plan_cycle_optimal(topo, report, state, m)
+        clicks, counts = _random_report(rng, source_count, float(rng.uniform(0.1, 0.8)))
+        greedy = plan_cycle(topo, clicks, counts, state, m)
+        best = plan_cycle_optimal(topo, clicks, counts, state, m)
         assert greedy.filled_count <= best.filled_count
         if best.filled_count - greedy.filled_count > 1:
             wide_gaps.append(
-                (trial, source_count, m, level, report.multiplicity.tolist())
+                (trial, source_count, m, level, counts.tolist())
             )
     assert not wide_gaps, f"greedy trailed optimal by more than one slot: {wide_gaps}"
 
@@ -216,16 +216,16 @@ def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
 def test_optimal_planner_conserves_and_refuses_large_banks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     report = _report(11, {2: 1, 6: 2, 9: 1})
-    plan = plan_cycle_optimal(topo, report, StorageState(stored=(1,), capacity=4), 4)
+    plan = plan_cycle_optimal(topo, *report, StorageState(stored=(1,), capacity=4), 4)
     assert plan.conservation_ok()
     assert plan.filled_count >= 3
 
     big = RegisterTopology(source_count=21, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(big, _report(21, {}), StorageState.empty(4), 4)
+        plan_cycle_optimal(big, *_report(21, {}), StorageState.empty(4), 4)
     wide = RegisterTopology(source_count=12, step_count=4)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(wide, _report(12, {}), StorageState.empty(7), 9)
+        plan_cycle_optimal(wide, *_report(12, {}), StorageState.empty(7), 9)
 
 
 def test_optimal_recovers_fill_greedy_forfeits() -> None:
@@ -234,8 +234,8 @@ def test_optimal_recovers_fill_greedy_forfeits() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     state = StorageState(stored=(1, 1, 1), capacity=4)
     report = _report(11, {2: 1, 6: 1})
-    greedy = plan_cycle(topo, report, state, 4)
-    best = plan_cycle_optimal(topo, report, state, 4)
+    greedy = plan_cycle(topo, *report, state, 4)
+    best = plan_cycle_optimal(topo, *report, state, 4)
     assert greedy.filled_count == best.filled_count == 4
     assert best.storage_out.level == 1
     assert greedy.storage_out.level == 0
@@ -244,14 +244,14 @@ def test_optimal_recovers_fill_greedy_forfeits() -> None:
 def test_plan_cycle_validates_inputs() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, _report(10, {}), StorageState.empty(4), 4)
+        plan_cycle(topo, *_report(10, {}), StorageState.empty(4), 4)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, _report(11, {}), StorageState.empty(3), 4)
+        plan_cycle(topo, *_report(11, {}), StorageState.empty(3), 4)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, _report(11, {}), StorageState.empty(4), 9)
+        plan_cycle(topo, *_report(11, {}), StorageState.empty(4), 9)
 
 
 def test_slot_delays_are_consecutive_from_zero() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, _report(11, {5: 1}), StorageState(stored=(2,), capacity=4), 4)
+    plan = plan_cycle(topo, *_report(11, {5: 1}), StorageState(stored=(2,), capacity=4), 4)
     assert [s.delay for s in plan.slots] == [0, 1, 2, 3]

@@ -125,8 +125,8 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
     storage = StorageState.empty(config.capacity)
     lack = multi = filled = discarded = heralds = 0
     level_sum = 0
-    for cycle in range(config.cycles):
-        plan = run_cycle(config, storage, rng, cycle_index=cycle)
+    for _ in range(config.cycles):
+        plan = run_cycle(config, storage, rng)
         lack += plan.lack_count
         multi += plan.multi_count
         filled += plan.filled_count
