@@ -300,6 +300,8 @@ def _grid_values(args: argparse.Namespace) -> list[float]:
 def _apply_sweep_param(config: SimConfig, param: str, value: float) -> SimConfig:
     if param == "power":
         return replace(config, mean_pairs=value)
+    if not math.isfinite(value):
+        raise ParameterError(f"--param {param} needs finite grid values, got {value!r}")
     rounded = round(value)
     if abs(value - rounded) > 1e-9:
         raise ParameterError(f"--param {param} needs integer grid values, got {value!r}")

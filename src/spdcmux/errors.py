@@ -10,7 +10,7 @@ class ParameterError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solve fails to reach its tolerance."""
+    """Raised when the pump optimizer finds no crossing or its bisection stalls."""
 
 
 class ConservationError(RuntimeError):

@@ -111,16 +111,16 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
 def _chain_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix over storage levels plus expected lacks per level."""
     pmf = herald_count_distribution(spec.source_count, spec.p_herald)
+    heralds = np.arange(pmf.size)
     size = spec.capacity + 1
-    matrix = np.zeros((size, size))
-    lack_given_level = np.zeros(size)
+    matrix = np.empty((size, size))
+    lack_given_level = np.empty(size)
     for level in range(size):
-        for heralds, weight in enumerate(pmf):
-            available = level + heralds
-            filled = min(spec.multiple, available)
-            next_level = min(spec.capacity, available - filled)
-            matrix[level, next_level] += weight
-            lack_given_level[level] += weight * (spec.multiple - filled)
+        available = level + heralds
+        filled = np.minimum(spec.multiple, available)
+        next_level = np.minimum(spec.capacity, available - filled)
+        matrix[level] = np.bincount(next_level, weights=pmf, minlength=size)
+        lack_given_level[level] = pmf @ (spec.multiple - filled)
     return matrix, lack_given_level
 
 
@@ -130,37 +130,61 @@ def transition_matrix(spec: ChainSpec) -> np.ndarray:
     return matrix
 
 
-def stationary_distribution(
-    matrix: np.ndarray,
-    *,
-    tolerance: float = 1e-12,
-    max_iterations: int = 200_000,
-) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix by power iteration.
+def _reduce_to_stationary(matrix: np.ndarray) -> np.ndarray:
+    """Stationary vector by GTH state reduction, overwriting ``matrix``.
 
-    Raises
-    ------
-    ConvergenceError
-        If successive iterates do not settle within ``max_iterations``.
+    Levels are censored out from the top.  Eliminating level k folds its
+    way down (row k left of the diagonal, scaled by its sum, never by
+    ``1 - P[k, k]``) into the rows below, touching only the columns from
+    the first nonzero entry of row k: the band the chain can drop in one
+    cycle.  A level with no way down closes the chain above it, so the
+    levels below it get exactly zero.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ParameterError("transition matrix must be square")
     size = matrix.shape[0]
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_iterations):
-        nxt = pi @ matrix
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < tolerance:
-            return nxt
-        pi = nxt
-    raise ConvergenceError(
-        f"power iteration did not reach {tolerance} in {max_iterations} iterations"
-    )
+    exit_rate = np.empty(size)
+    floor = 0
+    for k in range(size - 1, 0, -1):
+        down = np.flatnonzero(matrix[k, :k])
+        if down.size == 0:
+            floor = k
+            break
+        band = down[0]
+        exit_rate[k] = matrix[k, band:k].sum()
+        matrix[:k, band:k] += np.outer(matrix[:k, k], matrix[k, band:k] / exit_rate[k])
+    pi = np.zeros(size)
+    pi[floor] = 1.0
+    for k in range(floor + 1, size):
+        inflow = pi[floor:k] @ matrix[floor:k, k]
+        # pi[k] = inflow / exit_rate[k]; keep it at most one by shrinking
+        # the levels below instead, so a steep climb underflows, not overflows
+        if inflow > exit_rate[k]:
+            pi[floor:k] *= exit_rate[k] / inflow
+            pi[k] = 1.0
+        else:
+            pi[k] = inflow / exit_rate[k]
+    return pi / pi.sum()
+
+
+def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix, left unmodified.
+
+    Solved directly by Grassmann-Taksar-Heyman (GTH) state reduction.  It
+    is subtraction-free, so small probabilities keep full relative
+    precision, and it has no iteration to converge.  Levels below one
+    whose way down underflowed to zero get exactly zero.
+    """
+    matrix = np.array(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ParameterError("transition matrix must be square and non-empty")
+    return _reduce_to_stationary(matrix)
 
 
 def stationary_rates(spec: ChainSpec) -> OracleRates:
     """Exact steady-state lack and multi-pair rates of the idealized bank.
+
+    The chain is solved in place by the subtraction-free GTH reduction of
+    :func:`stationary_distribution`; levels below one whose way down
+    underflowed get exactly zero.
 
     Parameters
     ----------
@@ -172,7 +196,7 @@ def stationary_rates(spec: ChainSpec) -> OracleRates:
         Rates per emitted slot plus the mean storage occupancy.
     """
     matrix, lack_given_level = _chain_tables(spec)
-    pi = stationary_distribution(matrix)
+    pi = _reduce_to_stationary(matrix)
     lack_rate = float(pi @ lack_given_level) / spec.multiple
     relative = spec.p_multi / spec.p_herald
     multi_rate = relative * (1.0 - lack_rate)

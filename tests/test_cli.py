@@ -282,6 +282,11 @@ def test_sweep_grid_misuse_fails_cleanly(capsys: pytest.CaptureFixture) -> None:
                         "--sources", "5", "--mean-pairs", "0.1", "--cycles", "100"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # non-finite grid values cannot be rounded to a bank size or a train length
+    for argv in (["--param", "size", "--multiple", "4"], ["--param", "multiple", "--sources", "5"]):
+        for value in ("nan", "inf"):
+            assert run_command(["sweep", *argv, "--values", value, "--mean-pairs", "0.05"]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_optimize_reports_balanced_point(capsys: pytest.CaptureFixture) -> None:

@@ -27,6 +27,10 @@ PINNED_MULTI = 0.02385061096094901
 PINNED_RELATIVE = 0.024299924672877035
 PINNED_MEAN_STORAGE = 2.9164029930868725
 
+# 2000 sources, multiple 16, 10 steps, mean 0.0081: a 1009-level chain near
+# critical load; dense GTH agrees to 1e-13, power iteration was 1.6e-4 off
+PINNED_DEEP_LACK = 3.0754635173e-10
+
 
 def _spec(source_count: int, multiple: int, step_count: int, mean: float) -> ChainSpec:
     return ChainSpec.from_mean_pairs(source_count, multiple, step_count, mean)
@@ -52,7 +56,9 @@ def test_herald_count_distribution_large_bank() -> None:
 
     p = herald_probabilities(0.03).p_herald
     exact = math.comb(500, 211) * Fraction(p) ** 211 * (1 - Fraction(p)) ** 289
-    assert herald_count_distribution(500, p)[211] == pytest.approx(float(exact), rel=1e-10)
+    assert herald_count_distribution(500, p)[211] == pytest.approx(
+        float(exact), rel=1e-10, abs=0.0
+    )
 
 
 def test_herald_count_distribution_validation() -> None:
@@ -90,20 +96,81 @@ def test_stationary_distribution_known_two_state_chain() -> None:
     matrix = np.array([[0.9, 0.1], [0.4, 0.6]])
     pi = stationary_distribution(matrix)
     assert pi == pytest.approx([0.8, 0.2], abs=1e-10)
+    assert np.array_equal(matrix, [[0.9, 0.1], [0.4, 0.6]])
 
 
 def test_stationary_distribution_is_a_fixed_point() -> None:
     matrix = transition_matrix(_spec(100, 4, 3, 0.049))
     pi = stationary_distribution(matrix)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(pi >= 0.0)
     assert np.max(np.abs(pi @ matrix - pi)) < 1e-10
 
 
 def test_stationary_distribution_failure_modes() -> None:
     with pytest.raises(ParameterError):
         stationary_distribution(np.ones((2, 3)))
-    with pytest.raises(ConvergenceError):
-        stationary_distribution(np.array([[0.9, 0.1], [0.4, 0.6]]), max_iterations=1)
+    with pytest.raises(ParameterError):
+        stationary_distribution(np.ones((0, 0)))
+
+
+def _exact_stationary_rates(spec: ChainSpec) -> tuple[Fraction, Fraction]:
+    """Lack rate and mean storage in exact rationals, from the float pmf on.
+
+    Builds the chain with the per-herald loop and solves it by plain
+    elimination with no floating point at all.
+    """
+    pmf = [Fraction(w) for w in herald_count_distribution(spec.source_count, spec.p_herald)]
+    size = spec.capacity + 1
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    lack = [Fraction(0)] * size
+    for level in range(size):
+        for heralds, weight in enumerate(pmf):
+            filled = min(spec.multiple, level + heralds)
+            matrix[level][min(spec.capacity, level + heralds - filled)] += weight
+            lack[level] += weight * (spec.multiple - filled)
+    for k in range(size - 1, 0, -1):
+        exit_rate = sum(matrix[k][:k])
+        for i in range(k):
+            matrix[i][k] /= exit_rate
+            if matrix[i][k]:
+                for j in range(k):
+                    matrix[i][j] += matrix[i][k] * matrix[k][j]
+    pi = [Fraction(1)]
+    for k in range(1, size):
+        pi.append(sum(pi[i] * matrix[i][k] for i in range(k)))
+    total = sum(pi)
+    lack_rate = sum(p * c for p, c in zip(pi, lack)) / (total * spec.multiple)
+    mean_storage = sum(level * p for level, p in enumerate(pi)) / total
+    return lack_rate, mean_storage
+
+
+def test_stationary_rates_match_exact_rationals() -> None:
+    for args in [(20, 4, 4, 0.3), (12, 2, 4, 0.25), (30, 4, 5, 0.2)]:
+        spec = _spec(*args)
+        lack_rate, mean_storage = _exact_stationary_rates(spec)
+        rates = stationary_rates(spec)
+        assert rates.lack_rate == pytest.approx(float(lack_rate), rel=1e-12, abs=0.0)
+        assert rates.mean_storage == pytest.approx(float(mean_storage), rel=1e-12, abs=0.0)
+    assert rates.lack_rate == pytest.approx(3.398435903e-11, rel=1e-9, abs=0.0)
+
+
+def test_stationary_rates_at_numeric_extremes() -> None:
+    # at mean 5 the chance of fewer than 4 heralds among 2000 sources
+    # underflows, so the full level has no way down and holds all the mass
+    rates = stationary_rates(_spec(2000, 4, 3, 5.0))
+    assert rates.lack_rate == 0.0
+    assert rates.mean_storage == 4.0
+
+    # the empty level has probability ~8e-378, below double range:
+    # back-substitution must rescale rather than overflow
+    pi = stationary_distribution(transition_matrix(_spec(60, 2, 10, 0.05)))
+    assert np.all(np.isfinite(pi))
+    assert np.all(pi >= 0.0)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    rates = stationary_rates(_spec(2000, 16, 10, 0.0081))
+    assert rates.lack_rate == pytest.approx(PINNED_DEEP_LACK, rel=1e-9, abs=0.0)
 
 
 def test_rates_with_no_storage_reduce_to_binomial_expectation() -> None:
@@ -129,7 +196,10 @@ def test_single_source_never_stores() -> None:
         rates = stationary_rates(spec)
         assert rates.lack_rate == pytest.approx(math.exp(-0.4), rel=1e-10)
         assert rates.multi_rate == pytest.approx(spec.p_multi, rel=1e-10)
-        assert rates.mean_storage == pytest.approx(0.0, abs=1e-12)
+        assert rates.mean_storage == 0.0
+    # nor can three sources outrun an eight-photon train: every stored
+    # level is transient and gets exactly zero
+    assert stationary_rates(_spec(3, 8, 4, 0.4)).mean_storage == 0.0
 
 
 def test_pinned_rates_for_reference_bank() -> None:
