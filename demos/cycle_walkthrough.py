@@ -9,7 +9,7 @@ hot so that interesting cycles come up quickly.
 
 import numpy as np
 
-from spdcmux import SimConfig, StorageState, run_cycle
+from spdcmux import SimConfig, run_cycle
 
 config = SimConfig(
     source_count=11,
@@ -19,25 +19,26 @@ config = SimConfig(
     seed=8,
 )
 rng = np.random.default_rng(config.seed)
-storage = StorageState.empty(config.capacity)
+storage = ()
 
 print(f"bank of {config.source_count}, train of {config.multiple}, "
       f"storage capacity {config.capacity}")
 print()
 
 for cycle in range(8):
-    level_in = storage.level
     plan = run_cycle(config, storage, rng)
+    # the leading slots drain storage; each routed row names its delay
+    source_at = {delay: source for source, delay in plan.new_assignments}
     slots = []
-    for slot in plan.slots:
-        if not slot.filled:
+    for delay, multiplicity in enumerate(plan.slots):
+        if not multiplicity:
             slots.append("lack")
-        elif slot.from_storage:
+        elif delay < len(storage):
             slots.append("store")
         else:
-            slots.append(f"row{slot.source}")
-    print(f"cycle {cycle}: heralds={plan.herald_count}  storage {level_in}"
-          f" -> {plan.storage_out.level}")
+            slots.append(f"row{source_at[delay]}")
+    print(f"cycle {cycle}: heralds={plan.herald_count}  storage {len(storage)}"
+          f" -> {len(plan.storage_out)}")
     print(f"  train: [{', '.join(slots)}]")
     if plan.new_assignments:
         routed = ", ".join(f"row {s} -> delay {d}" for s, d in plan.new_assignments)

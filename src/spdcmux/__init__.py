@@ -32,8 +32,6 @@ from .register import (
 )
 from .scheduler import (
     CyclePlan,
-    SlotFill,
-    StorageState,
     plan_cycle,
     plan_cycle_optimal,
     storage_capacity,
@@ -66,8 +64,6 @@ __all__ = [
     "RegisterTopology",
     "SimConfig",
     "SimMetrics",
-    "SlotFill",
-    "StorageState",
     "apply_feedback",
     "derive_point_seed",
     "herald",

@@ -23,15 +23,23 @@ def check_source_count(source_count: int) -> int:
     return source_count
 
 
+# deepest register accepted anywhere: tables and chains grow as 2**K, and
+# K=12 already means a 4096-delay table and a chain of up to 4096 levels
+MAX_STEP_COUNT = 12
+MAX_CAPACITY = 2**MAX_STEP_COUNT - 1
+
+
 def check_step_count(step_count: int) -> int:
-    if step_count < 1:
-        raise ParameterError(f"step count must be at least 1, got {step_count}")
+    if step_count != int(step_count) or not 1 <= step_count <= MAX_STEP_COUNT:
+        raise ParameterError(
+            f"step count must be an integer in [1, {MAX_STEP_COUNT}], got {step_count!r}"
+        )
     return step_count
 
 
 def check_capacity(capacity: int) -> int:
-    if capacity < 0:
-        raise ParameterError(f"capacity cannot be negative, got {capacity}")
+    if not 0 <= capacity <= MAX_CAPACITY:
+        raise ParameterError(f"capacity must be in [0, {MAX_CAPACITY}], got {capacity}")
     return capacity
 
 

@@ -96,6 +96,8 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
 
     Computed in log space, so large banks neither overflow the binomial
     coefficient nor lose the tail to subnormal powers of ``p_herald``.
+    The rounding of the log terms leaves the sum ~1e-12 off one at S in
+    the thousands, so the pmf is divided by its sum.
     """
     s = check_source_count(source_count)
     p = check_p_herald(p_herald)
@@ -105,7 +107,8 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
         log_factorial[s] - log_factorial - log_factorial[::-1]
         + h * math.log(p) + (s - h) * math.log1p(-p)
     )
-    return np.exp(log_pmf)
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum()
 
 
 def _chain_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -13,21 +13,25 @@ delays.  The planner below builds monotone plans directly by walking the
 heralded rows and the target delays in lockstep, committing the fastest
 usable row to the earliest open target.  A row that gets walked past is
 gone for the cycle; there is no later target it could legally take.
+
+Storage is a plain tuple of pair multiplicities, position 0 first.  A
+router sees only the clicked rows and the open delays, which follow from
+the storage level; the multiplicities are looked up afterwards, so they
+cannot influence a routing choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, check_capacity, check_step_count
+from .errors import ParameterError, check_step_count
 from .register import RegisterTopology
 
 __all__ = [
     "CyclePlan",
-    "SlotFill",
-    "StorageState",
     "plan_cycle",
     "plan_cycle_optimal",
     "storage_capacity",
@@ -37,6 +41,13 @@ __all__ = [
 # sizes where that stays instant
 _OPTIMAL_MAX_SOURCES = 20
 _OPTIMAL_MAX_MULTIPLE = 8
+
+# (reachability table or None, clicked rows, open slot delays, storage delays)
+# -> ((row, delay) assignments in delay order, discarded count)
+Router = Callable[
+    [np.ndarray | None, list[int], range, range],
+    tuple[list[tuple[int, int]], int],
+]
 
 
 def storage_capacity(step_count: int, multiple: int) -> int:
@@ -51,61 +62,16 @@ def storage_capacity(step_count: int, multiple: int) -> int:
 
 
 @dataclass(frozen=True)
-class StorageState:
-    """Photons parked in the register between cycles.
-
-    ``stored[k]`` is the pair multiplicity of the photon at storage
-    position k.  Position 0 is closest to the output and drains first.
-    """
-
-    stored: tuple[int, ...]
-    capacity: int
-
-    def __post_init__(self) -> None:
-        check_capacity(self.capacity)
-        stored = tuple(int(v) for v in self.stored)
-        if len(stored) > self.capacity:
-            raise ParameterError(
-                f"{len(stored)} stored photons exceed capacity {self.capacity}"
-            )
-        if any(v < 1 for v in stored):
-            raise ParameterError("stored multiplicities must be at least 1")
-        object.__setattr__(self, "stored", stored)
-
-    @classmethod
-    def empty(cls, capacity: int) -> "StorageState":
-        return cls(stored=(), capacity=capacity)
-
-    @property
-    def level(self) -> int:
-        return len(self.stored)
-
-
-@dataclass(frozen=True)
-class SlotFill:
-    """Contents of one output slot.
-
-    ``multiplicity`` 0 marks a lack (the slot goes out empty).  ``source``
-    is the 1-based row a fresh photon came from, or None for photons
-    emitted out of storage and for empty slots.
-    """
-
-    delay: int
-    multiplicity: int
-    source: int | None = None
-    from_storage: bool = False
-
-    @property
-    def filled(self) -> bool:
-        return self.multiplicity > 0
-
-
-@dataclass(frozen=True)
 class CyclePlan:
-    """Complete routing decision for one cycle."""
+    """Complete routing decision for one cycle.
 
-    slots: tuple[SlotFill, ...]
-    storage_out: StorageState
+    ``slots[j]`` is the pair multiplicity leaving in output slot j, 0 for
+    a lack.  ``storage_out[k]`` is the multiplicity parked at storage
+    position k for the next cycle, position 0 closest to the output.
+    """
+
+    slots: tuple[int, ...]
+    storage_out: tuple[int, ...]
     new_assignments: tuple[tuple[int, int], ...]
     discarded: int
     herald_count: int
@@ -117,7 +83,7 @@ class CyclePlan:
 
     @property
     def filled_count(self) -> int:
-        return sum(1 for s in self.slots if s.filled)
+        return sum(1 for v in self.slots if v)
 
     @property
     def lack_count(self) -> int:
@@ -126,41 +92,19 @@ class CyclePlan:
     @property
     def multi_count(self) -> int:
         """Filled slots carrying more than one pair."""
-        return sum(1 for s in self.slots if s.multiplicity >= 2)
+        return sum(1 for v in self.slots if v >= 2)
 
     def conservation_ok(self) -> bool:
         """Every herald and every stored photon is emitted, re-stored or discarded."""
-        placed = self.filled_count + self.storage_out.level + self.discarded
+        placed = self.filled_count + len(self.storage_out) + self.discarded
         return self.herald_count + self.stored_in_level == placed
-
-
-def _check_plan_args(
-    topology: RegisterTopology,
-    clicks: np.ndarray,
-    counts: np.ndarray,
-    storage_in: StorageState,
-    multiple: int,
-) -> int:
-    if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
-        raise ParameterError(
-            f"clicks {clicks.shape} and pair counts {counts.shape} must both "
-            f"cover the topology's {topology.source_count} sources"
-        )
-    m = int(multiple)
-    expected = storage_capacity(topology.step_count, m)
-    if storage_in.capacity != expected:
-        raise ParameterError(
-            f"storage capacity {storage_in.capacity} does not match register "
-            f"span {expected} for multiple {m}"
-        )
-    return m
 
 
 def plan_cycle(
     topology: RegisterTopology,
     clicks: np.ndarray,
     counts: np.ndarray,
-    storage_in: StorageState,
+    storage_in: tuple[int, ...],
     multiple: int,
     *,
     boundary_limits: bool = True,
@@ -176,82 +120,23 @@ def plan_cycle(
     position nobody can reach, since stored photons must sit contiguously
     behind the train.
 
-    The planner routes on ``clicks`` alone; ``counts`` (whose nonzero
-    entries must be exactly the clicks) is only indexed to copy pair
-    multiplicities into slots and storage for accounting, so they never
-    influence a routing choice.
+    ``storage_in`` holds the stored pair multiplicities, position 0
+    first.  Routing depends on ``clicks`` and the storage level alone;
+    ``counts`` (whose nonzero entries must be exactly the clicks) and the
+    stored multiplicities are only copied into the plan for accounting.
 
     Returns
     -------
     CyclePlan
     """
-    m = _check_plan_args(topology, clicks, counts, storage_in, multiple)
-    capacity = storage_in.capacity
-    table = topology.access_table
-
-    emit_count = min(storage_in.level, m)
-    emitted = storage_in.stored[:emit_count]
-    carried = storage_in.stored[emit_count:]
-
-    slots = [
-        SlotFill(delay=j, multiplicity=emitted[j], from_storage=True)
-        for j in range(emit_count)
-    ]
-
-    queue = [int(i) + 1 for i in np.flatnonzero(clicks)]
-    pointer = 0
-    discarded = 0
-    assignments: list[tuple[int, int]] = []
-
-    def _next_eligible(target_delay: int) -> int | None:
-        for p in range(pointer, len(queue)):
-            if not boundary_limits or table[queue[p] - 1, target_delay]:
-                return p
-        return None
-
-    for j in range(emit_count, m):
-        pick = _next_eligible(j)
-        if pick is None:
-            # lack: nobody left can reach this slot, but the survivors may
-            # still reach later targets, so the pointer stays put
-            slots.append(SlotFill(delay=j, multiplicity=0))
-            continue
-        source = queue[pick]
-        discarded += pick - pointer
-        pointer = pick + 1
-        assignments.append((source, j))
-        slots.append(
-            SlotFill(delay=j, multiplicity=int(counts[source - 1]), source=source)
-        )
-
-    new_stored: list[int] = []
-    while len(carried) + len(new_stored) < capacity and pointer < len(queue):
-        target = m + len(carried) + len(new_stored)
-        pick = _next_eligible(target)
-        if pick is None:
-            break  # storage must stay contiguous: first unreachable position ends it
-        source = queue[pick]
-        discarded += pick - pointer
-        pointer = pick + 1
-        assignments.append((source, target))
-        new_stored.append(int(counts[source - 1]))
-    discarded += len(queue) - pointer
-
-    return CyclePlan(
-        slots=tuple(slots),
-        storage_out=StorageState(stored=carried + tuple(new_stored), capacity=capacity),
-        new_assignments=tuple(assignments),
-        discarded=discarded,
-        herald_count=len(queue),
-        stored_in_level=storage_in.level,
-    )
+    return _plan(_route_greedy, topology, clicks, counts, storage_in, multiple, boundary_limits)
 
 
 def plan_cycle_optimal(
     topology: RegisterTopology,
     clicks: np.ndarray,
     counts: np.ndarray,
-    storage_in: StorageState,
+    storage_in: tuple[int, ...],
     multiple: int,
     *,
     boundary_limits: bool = True,
@@ -263,73 +148,113 @@ def plan_cycle_optimal(
     restriction, then tops up storage greedily.  Useful as a ceiling for
     what any feasible policy could fill.  Restricted to small banks.
     """
-    m = _check_plan_args(topology, clicks, counts, storage_in, multiple)
-    if topology.source_count > _OPTIMAL_MAX_SOURCES or m > _OPTIMAL_MAX_MULTIPLE:
+    if topology.source_count > _OPTIMAL_MAX_SOURCES or multiple > _OPTIMAL_MAX_MULTIPLE:
         raise ParameterError(
             "optimal planner supports at most "
             f"{_OPTIMAL_MAX_SOURCES} sources and multiple {_OPTIMAL_MAX_MULTIPLE}, "
-            f"got {topology.source_count} and {m}"
+            f"got {topology.source_count} and {multiple}"
         )
-    capacity = storage_in.capacity
-    table = topology.access_table
+    return _plan(_route_optimal, topology, clicks, counts, storage_in, multiple, boundary_limits)
 
-    emit_count = min(storage_in.level, m)
-    emitted = storage_in.stored[:emit_count]
-    carried = storage_in.stored[emit_count:]
-    open_slots = list(range(emit_count, m))
 
-    queue = [int(i) + 1 for i in np.flatnonzero(clicks)]
+def _plan(
+    route: Router,
+    topology: RegisterTopology,
+    clicks: np.ndarray,
+    counts: np.ndarray,
+    storage_in: tuple[int, ...],
+    multiple: int,
+    boundary_limits: bool,
+) -> CyclePlan:
+    """Check the arguments, let ``route`` place the clicked rows, then look up multiplicities."""
+    if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
+        raise ParameterError(
+            f"clicks {clicks.shape} and pair counts {counts.shape} must both "
+            f"cover the topology's {topology.source_count} sources"
+        )
+    capacity = storage_capacity(topology.step_count, multiple)
+    m = int(multiple)
+    storage_in = tuple(storage_in)
+    if len(storage_in) > capacity:
+        raise ParameterError(
+            f"{len(storage_in)} stored photons exceed capacity {capacity}"
+        )
+    if any(v < 1 for v in storage_in):
+        raise ParameterError("stored multiplicities must be at least 1")
 
-    matched: dict[int, int] = {}  # slot delay -> source
-    if open_slots and queue:
-        eligible = np.zeros((len(open_slots), len(queue)), dtype=bool)
-        for r, j in enumerate(open_slots):
-            for c, source in enumerate(queue):
-                if not boundary_limits or table[source - 1, j]:
-                    eligible[r, c] = True
-        for c, r in enumerate(_maximum_matching(eligible)):
-            if r >= 0:
-                matched[open_slots[r]] = queue[c]
+    emit_count = min(len(storage_in), m)
+    carried = storage_in[emit_count:]
+    rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
+    assignments, discarded = route(
+        topology.access_table if boundary_limits else None,
+        rows,
+        range(emit_count, m),
+        range(m + len(carried), m + capacity),
+    )
 
-    slots = [
-        SlotFill(delay=j, multiplicity=emitted[j], from_storage=True)
-        for j in range(emit_count)
-    ]
-    assignments: list[tuple[int, int]] = []
-    for j in open_slots:
-        source = matched.get(j)
-        if source is None:
-            slots.append(SlotFill(delay=j, multiplicity=0))
-        else:
-            assignments.append((source, j))
-            slots.append(
-                SlotFill(delay=j, multiplicity=int(counts[source - 1]), source=source)
-            )
-
-    leftovers = [s for s in queue if s not in matched.values()]
-    new_stored: list[int] = []
-    while len(carried) + len(new_stored) < capacity and leftovers:
-        target = m + len(carried) + len(new_stored)
-        pick = None
-        for p, candidate in enumerate(leftovers):
-            if not boundary_limits or table[candidate - 1, target]:
-                pick = p
-                break
-        if pick is None:
-            break
-        source = leftovers.pop(pick)
-        assignments.append((source, target))
-        new_stored.append(int(counts[source - 1]))
-
-    discarded = len(queue) - len(assignments)
+    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
     return CyclePlan(
-        slots=tuple(slots),
-        storage_out=StorageState(stored=carried + tuple(new_stored), capacity=capacity),
+        slots=storage_in[:emit_count] + tuple(fresh.get(j, 0) for j in range(emit_count, m)),
+        storage_out=carried + tuple(fresh[d] for _, d in assignments if d >= m),
         new_assignments=tuple(assignments),
         discarded=discarded,
-        herald_count=len(queue),
-        stored_in_level=storage_in.level,
+        herald_count=len(rows),
+        stored_in_level=len(storage_in),
     )
+
+
+def _route_greedy(
+    table: np.ndarray | None, rows: list[int], slot_delays: range, storage_delays: range
+) -> tuple[list[tuple[int, int]], int]:
+    """Monotone greedy walk: fastest eligible row to earliest open target."""
+    assignments: list[tuple[int, int]] = []
+    pointer = 0
+    discarded = 0
+
+    def take(delay: int) -> bool:
+        nonlocal pointer, discarded
+        for p in range(pointer, len(rows)):
+            if table is None or table[rows[p] - 1, delay]:
+                discarded += p - pointer
+                pointer = p + 1
+                assignments.append((rows[p], delay))
+                return True
+        return False
+
+    for delay in slot_delays:
+        # a lack: nobody left can reach this slot, but the survivors may
+        # still reach later targets, so the pointer stays put
+        take(delay)
+    for delay in storage_delays:
+        if not take(delay):
+            break  # storage must stay contiguous: first unreachable position ends it
+    return assignments, discarded + len(rows) - pointer
+
+
+def _route_optimal(
+    table: np.ndarray | None, rows: list[int], slot_delays: range, storage_delays: range
+) -> tuple[list[tuple[int, int]], int]:
+    """Maximum matching of rows to open slots, then greedy contiguous storage."""
+
+    def reaches(row: int, delay: int) -> bool:
+        return table is None or bool(table[row - 1, delay])
+
+    matched: dict[int, int] = {}  # slot delay -> row
+    if slot_delays and rows:
+        eligible = np.array([[reaches(r, j) for r in rows] for j in slot_delays], dtype=bool)
+        for c, r in enumerate(_maximum_matching(eligible)):
+            if r >= 0:
+                matched[slot_delays[r]] = rows[c]
+    assignments = [(matched[j], j) for j in slot_delays if j in matched]
+
+    leftovers = [r for r in rows if r not in matched.values()]
+    for delay in storage_delays:
+        pick = next((r for r in leftovers if reaches(r, delay)), None)
+        if pick is None:
+            break
+        leftovers.remove(pick)
+        assignments.append((pick, delay))
+    return assignments, len(leftovers)
 
 
 def _maximum_matching(eligible: np.ndarray) -> list[int]:

@@ -24,7 +24,7 @@ from .errors import (
     check_source_count,
 )
 from .register import _cached_topology
-from .scheduler import CyclePlan, StorageState, plan_cycle, storage_capacity
+from .scheduler import CyclePlan, plan_cycle, storage_capacity
 
 __all__ = [
     "BoundaryMode",
@@ -183,13 +183,16 @@ class SimMetrics:
 
 def run_cycle(
     config: SimConfig,
-    storage_in: StorageState,
+    storage_in: tuple[int, ...],
     rng: np.random.Generator,
 ) -> CyclePlan:
-    """Simulate a single cycle: feedback, emission, heralding, routing."""
+    """Simulate a single cycle: feedback, emission, heralding, routing.
+
+    ``storage_in`` holds the stored pair multiplicities, position 0 first.
+    """
     topology = _cached_topology(config.source_count, config.step_count)
     mean = apply_feedback(
-        config.feedback, storage_in.level, storage_in.capacity, config.mean_pairs
+        config.feedback, len(storage_in), config.capacity, config.mean_pairs
     )
     counts = sample_cycle_emissions(config.source_count, mean, rng)
     clicks = herald(counts)
@@ -220,7 +223,7 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     SimMetrics
     """
     rng = np.random.default_rng(config.seed)
-    storage = StorageState.empty(config.capacity)
+    storage: tuple[int, ...] = ()
 
     lack = 0
     multi = 0
@@ -239,9 +242,9 @@ def run_simulation(config: SimConfig) -> SimMetrics:
         discarded += plan.discarded
         heralds += plan.herald_count
         storage = plan.storage_out
-        level_sum += storage.level
+        level_sum += len(storage)
 
-    if heralds != filled + storage.level + discarded:
+    if heralds != filled + len(storage) + discarded:
         raise ConservationError("photon conservation violated across the run totals")
 
     return SimMetrics(
@@ -252,7 +255,7 @@ def run_simulation(config: SimConfig) -> SimMetrics:
         filled_count=filled,
         discarded_count=discarded,
         herald_count=heralds,
-        final_storage_level=storage.level,
+        final_storage_level=len(storage),
         mean_storage_level=level_sum / config.cycles if config.cycles else math.nan,
     )
 

@@ -15,7 +15,6 @@ from spdcmux import (
     ParameterError,
     RegisterTopology,
     SimConfig,
-    StorageState,
     herald,
     plan_cycle,
     run_cycle,
@@ -131,7 +130,7 @@ def _batched_rates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-batch lack and multi rates from one continuous run."""
     rng = np.random.default_rng(config.seed)
-    storage = StorageState.empty(config.capacity)
+    storage = ()
     lack_batches = np.zeros(batch_count)
     multi_batches = np.zeros(batch_count)
     slots = batch_cycles * config.multiple
@@ -198,12 +197,12 @@ def test_a6_per_cycle_conservation() -> None:
         source_count=100, multiple=4, mean_pairs=0.1, cycles=100_000, seed=7
     )
     rng = np.random.default_rng(config.seed)
-    storage = StorageState.empty(config.capacity)
+    storage = ()
     violations = 0
     for _ in range(config.cycles):
         plan = run_cycle(config, storage, rng)
-        inflow = plan.herald_count + storage.level
-        outflow = plan.filled_count + plan.storage_out.level + plan.discarded
+        inflow = plan.herald_count + len(storage)
+        outflow = plan.filled_count + len(plan.storage_out) + plan.discarded
         if inflow != outflow:
             violations += 1
         storage = plan.storage_out
@@ -256,7 +255,7 @@ def test_a8_monotone_routing() -> None:
         capacity = storage_capacity(3, multiple)
         for _ in range(10_000):
             level = int(rng.integers(0, capacity + 1))
-            state = StorageState(stored=(1,) * level, capacity=capacity)
+            state = (1,) * level
             fired = rng.random(11) < 0.3
             counts = np.where(fired, rng.integers(1, 4, 11), 0).astype(np.int64)
             clicks = herald(counts)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -392,6 +393,29 @@ def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFix
     assert capsys.readouterr().err == "error: photon conservation violated at cycle 0\n"
 
 
+def test_register_depth_is_bounded_before_allocation(capsys: pytest.CaptureFixture) -> None:
+    # 2**40 delays, or a dense chain over 2**16 levels (32 GiB), must be
+    # refused by the argument check before any table or matrix exists
+    device = ["--sources", "5", "--multiple", "4", "--mean-pairs", "0.05"]
+    commands = [
+        ["simulate", *device, "--steps", "40", "--cycles", "10"],
+        ["verify-topology", "--sources", "5", "--steps", "40"],
+        ["oracle", *device, "--steps", "40"],
+        ["oracle", *device, "--steps", "16"],
+    ]
+    tracemalloc.start()
+    try:
+        for argv in commands:
+            tracemalloc.reset_peak()
+            code = run_command(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert code == 1, argv
+            assert capsys.readouterr().err.startswith("error: step count"), argv
+            assert peak < 2**20, (argv, peak)
+    finally:
+        tracemalloc.stop()
+
+
 def test_module_entry_points_run_the_cli() -> None:
     for module in ("spdcmux", "spdcmux.cli"):
         done = _python("-m", module, "verify-topology", "--sources", "3", "--steps", "1")
@@ -460,3 +484,12 @@ def test_golden_output_bytes(tmp_path) -> None:
         out = tmp_path / f"golden{index}.csv"
         assert run_command(argv + ["--out", str(out)]) == 0, argv
         assert out.read_bytes() == expected.encode(), argv
+
+
+def test_demo_output_bytes() -> None:
+    # the two fast demos, whose stdout is pinned byte for byte
+    root = Path(__file__).resolve().parents[1]
+    for name in ("cycle_walkthrough", "register_reachability"):
+        done = _python(str(root / "demos" / f"{name}.py"))
+        assert done.returncode == 0, (name, done.stderr)
+        assert done.stdout == (root / "tests" / "golden" / f"{name}.txt").read_text(), name

@@ -52,6 +52,8 @@ def test_topology_validation() -> None:
         RegisterTopology(source_count=0, step_count=3)
     with pytest.raises(ParameterError):
         RegisterTopology(source_count=5, step_count=0)
+    with pytest.raises(ParameterError):
+        RegisterTopology(source_count=5, step_count=13)
 
 
 def test_known_rows_11x3() -> None:

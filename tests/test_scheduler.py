@@ -6,7 +6,6 @@ import pytest
 from spdcmux import (
     ParameterError,
     RegisterTopology,
-    StorageState,
     herald,
     plan_cycle,
     plan_cycle_optimal,
@@ -42,40 +41,43 @@ def test_storage_capacity_validation() -> None:
         storage_capacity(3, 9)
     with pytest.raises(ParameterError):
         storage_capacity(0, 1)
+    with pytest.raises(ParameterError):
+        storage_capacity(13, 1)
 
 
-def test_storage_state_validation() -> None:
-    state = StorageState(stored=(1, 2), capacity=4)
-    assert state.level == 2
-    assert StorageState.empty(3).level == 0
-    with pytest.raises(ParameterError):
-        StorageState(stored=(1,) * 5, capacity=4)
-    with pytest.raises(ParameterError):
-        StorageState(stored=(0,), capacity=4)
-    with pytest.raises(ParameterError):
-        StorageState(stored=(), capacity=-1)
+def test_planners_validate_storage() -> None:
+    # storage is a plain tuple of multiplicities, so both planners check
+    # it fits the span behind the train and holds only real photons
+    topo = RegisterTopology(source_count=11, step_count=3)
+    for planner in (plan_cycle, plan_cycle_optimal):
+        assert planner(topo, *_report(11, {}), [1, 2], 4).stored_in_level == 2
+        assert planner(topo, *_report(11, {}), (1,) * 4, 4).storage_out == ()
+        with pytest.raises(ParameterError):
+            planner(topo, *_report(11, {}), (1,) * 5, 4)
+        with pytest.raises(ParameterError):
+            planner(topo, *_report(11, {}), (0,), 4)
 
 
 def test_empty_cycle_is_all_lacks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {}), StorageState.empty(4), 4)
+    plan = plan_cycle(topo, *_report(11, {}), (), 4)
     assert plan.lack_count == 4
     assert plan.filled_count == 0
     assert plan.multi_count == 0
     assert plan.discarded == 0
-    assert plan.storage_out.level == 0
+    assert plan.storage_out == ()
     assert plan.new_assignments == ()
     assert plan.conservation_ok()
 
 
 def test_storage_drains_into_leading_slots() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {}), StorageState(stored=(1, 1, 2), capacity=4), 4)
-    assert [s.multiplicity for s in plan.slots] == [1, 1, 2, 0]
-    assert all(s.from_storage for s in plan.slots[:3])
+    plan = plan_cycle(topo, *_report(11, {}), (1, 1, 2), 4)
+    assert plan.slots == (1, 1, 2, 0)
+    assert plan.new_assignments == ()
     assert plan.filled_count == 3
     assert plan.multi_count == 1
-    assert plan.storage_out.level == 0
+    assert plan.storage_out == ()
     assert plan.conservation_ok()
 
 
@@ -83,22 +85,16 @@ def test_overfull_storage_carries_forward() -> None:
     # a 2-photon train with a 3-step register stores up to 6; the photons
     # beyond the first two shift down and wait another cycle
     topo = RegisterTopology(source_count=11, step_count=3)
-    state = StorageState(stored=(1, 1, 1, 2, 1), capacity=6)
-    plan = plan_cycle(topo, *_report(11, {}), state, 2)
-    assert [s.multiplicity for s in plan.slots] == [1, 1]
-    assert plan.storage_out.stored == (1, 2, 1)
+    plan = plan_cycle(topo, *_report(11, {}), (1, 1, 1, 2, 1), 2)
+    assert plan.slots == (1, 1)
+    assert plan.storage_out == (1, 2, 1)
     assert plan.conservation_ok()
 
 
 def test_fresh_fill_follows_row_order() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {4: 1, 6: 2, 8: 1}), StorageState.empty(4), 4)
-    assert [(s.source, s.multiplicity) for s in plan.slots] == [
-        (4, 1),
-        (6, 2),
-        (8, 1),
-        (None, 0),
-    ]
+    plan = plan_cycle(topo, *_report(11, {4: 1, 6: 2, 8: 1}), (), 4)
+    assert plan.slots == (1, 2, 1, 0)
     assert plan.new_assignments == ((4, 0), (6, 1), (8, 2))
     assert plan.lack_count == 1
     assert plan.multi_count == 1
@@ -109,9 +105,9 @@ def test_fresh_fill_follows_row_order() -> None:
 def test_surplus_goes_to_storage_positions_behind_train() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     report = _report(11, {4: 1, 5: 1, 6: 1, 7: 2, 8: 1, 9: 1})
-    plan = plan_cycle(topo, *report, StorageState.empty(4), 4)
-    assert plan.filled_count == 4
-    assert plan.storage_out.stored == (1, 1)  # sources 8 and 9 parked at delays 4, 5
+    plan = plan_cycle(topo, *report, (), 4)
+    assert plan.slots == (1, 1, 1, 2)
+    assert plan.storage_out == (1, 1)  # sources 8 and 9 parked at delays 4, 5
     assert plan.new_assignments == ((4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (9, 5))
     assert plan.discarded == 0
     assert plan.conservation_ok()
@@ -122,12 +118,11 @@ def test_skipped_fast_row_is_discarded_not_stored() -> None:
     # which row 2 cannot reach; row 6 takes it and row 2 must be dropped,
     # because parking row 2 behind the train would cross assignment (6, 3)
     topo = RegisterTopology(source_count=11, step_count=3)
-    state = StorageState(stored=(1, 1, 1), capacity=4)
-    plan = plan_cycle(topo, *_report(11, {2: 1, 6: 1}), state, 4)
+    plan = plan_cycle(topo, *_report(11, {2: 1, 6: 1}), (1, 1, 1), 4)
     assert plan.new_assignments == ((6, 3),)
     assert plan.discarded == 1
     assert plan.filled_count == 4
-    assert plan.storage_out.level == 0
+    assert plan.storage_out == ()
     assert verify_monotone_assignment(plan.new_assignments)
     assert plan.conservation_ok()
 
@@ -135,8 +130,9 @@ def test_skipped_fast_row_is_discarded_not_stored() -> None:
 def test_unreachable_slot_keeps_survivors_alive() -> None:
     # rows 9 and 10 cannot reach slot 0; the lack there must not consume them
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {9: 1, 10: 1}), StorageState.empty(2), 6)
-    assert [(s.delay, s.source) for s in plan.slots if s.filled] == [(1, 9), (3, 10)]
+    plan = plan_cycle(topo, *_report(11, {9: 1, 10: 1}), (), 6)
+    assert plan.new_assignments == ((9, 1), (10, 3))
+    assert plan.slots == (0, 1, 0, 1, 0, 0)
     assert plan.lack_count == 4
     assert plan.discarded == 0
     assert verify_monotone_assignment(plan.new_assignments)
@@ -146,9 +142,9 @@ def test_storage_stops_at_first_unreachable_position() -> None:
     # row 11 only reaches delay 7, but with a 6-train the next storage
     # position is 6; storing at 7 would leave a hole, so row 11 is dropped
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {10: 1, 11: 1}), StorageState.empty(2), 6)
-    assert [(s.delay, s.source) for s in plan.slots if s.filled] == [(3, 10)]
-    assert plan.storage_out.level == 0
+    plan = plan_cycle(topo, *_report(11, {10: 1, 11: 1}), (), 6)
+    assert plan.new_assignments == ((10, 3),)
+    assert plan.storage_out == ()
     assert plan.discarded == 1
     assert plan.conservation_ok()
 
@@ -163,33 +159,40 @@ def test_unconstrained_fill_matches_counting_formula() -> None:
         m = int(rng.integers(1, 9))
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
-        state = StorageState(stored=(1,) * level, capacity=capacity)
         clicks, counts = _random_report(rng, 9, float(rng.uniform(0.05, 0.6)))
-        plan = plan_cycle(topo, clicks, counts, state, m, boundary_limits=False)
+        plan = plan_cycle(topo, clicks, counts, (1,) * level, m, boundary_limits=False)
         available = level + int(np.count_nonzero(clicks))
         assert plan.filled_count == min(m, available)
-        assert plan.storage_out.level == min(capacity, available - min(m, available))
-        assert plan.discarded == available - plan.filled_count - plan.storage_out.level
+        assert len(plan.storage_out) == min(capacity, available - min(m, available))
+        assert plan.discarded == available - plan.filled_count - len(plan.storage_out)
         assert plan.conservation_ok()
         assert verify_monotone_assignment(plan.new_assignments)
 
 
 def test_planner_is_blind_to_multiplicities() -> None:
-    # same herald pattern, different pair counts: identical routing
+    # same herald pattern and storage level, different pair counts in the
+    # bank and in storage: identical routing, multiplicities looked up
     rng = np.random.default_rng(7)
+    stored_rng = np.random.default_rng(8)
     topo = RegisterTopology(source_count=11, step_count=3)
     for _ in range(100):
         fired = rng.random(11) < 0.4
         ones = np.where(fired, 1, 0).astype(np.int64)
         varied = np.where(fired, rng.integers(1, 5, 11), 0).astype(np.int64)
         level = int(rng.integers(0, 5))
-        state = StorageState(stored=(1,) * level, capacity=4)
-        plan_a = plan_cycle(topo, herald(ones), ones, state, 4)
-        plan_b = plan_cycle(topo, herald(varied), varied, state, 4)
-        assert plan_a.new_assignments == plan_b.new_assignments
-        assert [s.source for s in plan_a.slots] == [s.source for s in plan_b.slots]
-        assert plan_a.discarded == plan_b.discarded
-        assert plan_a.storage_out.level == plan_b.storage_out.level
+        stored = tuple(int(v) for v in stored_rng.integers(1, 5, level))
+        for planner in (plan_cycle, plan_cycle_optimal):
+            plan_a = planner(topo, herald(ones), ones, (1,) * level, 4)
+            plan_b = planner(topo, herald(varied), varied, stored, 4)
+            assert plan_a.new_assignments == plan_b.new_assignments
+            assert plan_a.discarded == plan_b.discarded
+            assert len(plan_a.storage_out) == len(plan_b.storage_out)
+            source_at = {d: s for s, d in plan_b.new_assignments}
+            fresh = [
+                int(varied[source_at[d] - 1]) if d in source_at else 0 for d in range(level, 8)
+            ]
+            assert plan_b.slots == stored + tuple(fresh[: 4 - level])
+            assert plan_b.storage_out == tuple(fresh[4 - level :][: len(plan_b.storage_out)])
 
 
 def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
@@ -201,7 +204,7 @@ def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
         topo = RegisterTopology(source_count=source_count, step_count=3)
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
-        state = StorageState(stored=(1,) * level, capacity=capacity)
+        state = (1,) * level
         clicks, counts = _random_report(rng, source_count, float(rng.uniform(0.1, 0.8)))
         greedy = plan_cycle(topo, clicks, counts, state, m)
         best = plan_cycle_optimal(topo, clicks, counts, state, m)
@@ -216,42 +219,44 @@ def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
 def test_optimal_planner_conserves_and_refuses_large_banks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     report = _report(11, {2: 1, 6: 2, 9: 1})
-    plan = plan_cycle_optimal(topo, *report, StorageState(stored=(1,), capacity=4), 4)
+    plan = plan_cycle_optimal(topo, *report, (1,), 4)
     assert plan.conservation_ok()
     assert plan.filled_count >= 3
 
     big = RegisterTopology(source_count=21, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(big, *_report(21, {}), StorageState.empty(4), 4)
+        plan_cycle_optimal(big, *_report(21, {}), (), 4)
     wide = RegisterTopology(source_count=12, step_count=4)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(wide, *_report(12, {}), StorageState.empty(7), 9)
+        plan_cycle_optimal(wide, *_report(12, {}), (), 9)
 
 
 def test_optimal_recovers_fill_greedy_forfeits() -> None:
     # the drop of row 2 in the monotone policy is a real cost: the
     # unrestricted matcher parks it behind the train instead
     topo = RegisterTopology(source_count=11, step_count=3)
-    state = StorageState(stored=(1, 1, 1), capacity=4)
     report = _report(11, {2: 1, 6: 1})
-    greedy = plan_cycle(topo, *report, state, 4)
-    best = plan_cycle_optimal(topo, *report, state, 4)
+    greedy = plan_cycle(topo, *report, (1, 1, 1), 4)
+    best = plan_cycle_optimal(topo, *report, (1, 1, 1), 4)
     assert greedy.filled_count == best.filled_count == 4
-    assert best.storage_out.level == 1
-    assert greedy.storage_out.level == 0
+    assert best.storage_out == (1,)
+    assert greedy.storage_out == ()
 
 
 def test_plan_cycle_validates_inputs() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, *_report(10, {}), StorageState.empty(4), 4)
+        plan_cycle(topo, *_report(10, {}), (), 4)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, *_report(11, {}), StorageState.empty(3), 4)
+        # 7 stored photons fit behind a 1-train (capacity 7), not a 2-train
+        plan_cycle(topo, *_report(11, {}), (1,) * 7, 2)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, *_report(11, {}), StorageState.empty(4), 9)
+        plan_cycle(topo, *_report(11, {}), (), 9)
 
 
 def test_slot_delays_are_consecutive_from_zero() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {5: 1}), StorageState(stored=(2,), capacity=4), 4)
-    assert [s.delay for s in plan.slots] == [0, 1, 2, 3]
+    # slot j leaves at delay j: the stored photon takes 0, row 5 the next one
+    plan = plan_cycle(topo, *_report(11, {5: 1}), (2,), 4)
+    assert plan.slots == (2, 1, 0, 0)
+    assert plan.new_assignments == ((5, 1),)

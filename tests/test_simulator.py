@@ -11,7 +11,6 @@ from spdcmux import (
     FeedbackPolicy,
     ParameterError,
     SimConfig,
-    StorageState,
     apply_feedback,
     derive_point_seed,
     herald_probabilities,
@@ -78,6 +77,8 @@ def test_sim_config_validation() -> None:
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=9, mean_pairs=0.05)  # exceeds 2**3
     with pytest.raises(ParameterError):
+        SimConfig(source_count=10, multiple=2, mean_pairs=0.05, step_count=2.5)
+    with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.0)
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=-1)
@@ -122,7 +123,7 @@ def test_vanishing_pump_starves_the_train() -> None:
 def test_manual_cycle_loop_reproduces_run_simulation() -> None:
     config = SimConfig(source_count=15, multiple=4, mean_pairs=0.15, cycles=3_000, seed=11)
     rng = np.random.default_rng(config.seed)
-    storage = StorageState.empty(config.capacity)
+    storage = ()
     lack = multi = filled = discarded = heralds = 0
     level_sum = 0
     for _ in range(config.cycles):
@@ -133,7 +134,7 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
         discarded += plan.discarded
         heralds += plan.herald_count
         storage = plan.storage_out
-        level_sum += storage.level
+        level_sum += len(storage)
 
     metrics = run_simulation(config)
     assert metrics.lack_count == lack
@@ -141,7 +142,7 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
     assert metrics.filled_count == filled
     assert metrics.discarded_count == discarded
     assert metrics.herald_count == heralds
-    assert metrics.final_storage_level == storage.level
+    assert metrics.final_storage_level == len(storage)
     assert metrics.mean_storage_level == pytest.approx(level_sum / config.cycles)
 
 
