@@ -16,7 +16,7 @@ config = SimConfig(
     multiple=4,
     mean_pairs=0.25,
     step_count=3,
-    seed=8,
+    seed=13,
 )
 rng = np.random.default_rng(config.seed)
 storage = ()

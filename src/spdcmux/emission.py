@@ -9,7 +9,10 @@ pairs" and nothing finer.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -74,17 +77,20 @@ def sample_cycle_emissions(
 ) -> np.ndarray:
     """Draw one cycle of Poisson pair counts for the whole source bank.
 
-    Uses inversion by sequential search so that exactly one uniform variate
-    is consumed per source, in source order.  That makes the draw count a
-    fixed function of the configuration, which keeps seeded runs replayable
-    even if the generator is shared with other consumers.
+    Uses inversion so that exactly one uniform variate is consumed per
+    source, in source order.  That makes the draw count a fixed function
+    of the configuration, which keeps seeded runs replayable even if the
+    generator is shared with other consumers.  Only sources whose uniform
+    lies above ``exp(-mean_pairs)`` fired; they alone are inverted, against
+    a cumulative table built once per pump value.
 
     Parameters
     ----------
     source_count : int
         Number of sources in the bank, at least 1.
     mean_pairs : float
-        Mean pairs per source per cycle.
+        Mean pairs per source per cycle, small enough that
+        ``exp(-mean_pairs)`` is a normal float (up to about 708).
     rng : numpy.random.Generator
         Seeded generator supplying the uniforms.
 
@@ -98,25 +104,41 @@ def sample_cycle_emissions(
     if not isinstance(rng, np.random.Generator):
         raise ParameterError("rng must be a numpy.random.Generator")
 
+    cdf = _pair_count_cdf(mean)
     u = rng.random(int(source_count))
     counts = np.zeros(int(source_count), dtype=np.int64)
-    term = math.exp(-mean)
-    cumulative = term
-    n = 0
-    pending = u > cumulative
-    while pending.any():
-        n += 1
-        term *= mean / n
-        if term <= 0.0:
-            # cumulative sum saturated in floats; the remaining tail mass
-            # is below resolution, park the stragglers at the current count
-            counts[pending] = n
-            break
-        cumulative += term
-        counts[pending] = n
-        pending = u > cumulative
+    fired = (u > cdf[0]).nonzero()[0]
+    # the count is the first n with u <= cdf[n], or len(cdf) past its end
+    counts[fired] = cdf.searchsorted(u[fired])
     counts.flags.writeable = False
     return counts
+
+
+@lru_cache(maxsize=128)
+def _pair_count_cdf(mean: float) -> np.ndarray:
+    """Running Poisson sums P(count <= n) for n = 0, 1, ... at one pump value.
+
+    The terms follow the recurrence ``term *= mean / n`` and are added in
+    order, so every entry is the same float a sequential search would
+    compare against.  The table stops before the first term that
+    underflows to zero; a uniform above its last entry gets the count
+    ``len(table)``, as the tail mass is below float resolution.
+    """
+    term = math.exp(-mean)
+    if term < sys.float_info.min:
+        # a subnormal or vanishing first term skews the whole table
+        raise ParameterError(
+            f"mean pair number {mean!r} is too large to sample: exp(-mean) is not a normal float"
+        )
+    cumulative = [term]
+    for n in itertools.count(1):
+        term *= mean / n
+        if term <= 0.0:
+            break
+        cumulative.append(cumulative[-1] + term)
+    table = np.array(cumulative)
+    table.flags.writeable = False
+    return table
 
 
 def herald(counts: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ cannot influence a routing choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,10 +43,10 @@ __all__ = [
 _OPTIMAL_MAX_SOURCES = 20
 _OPTIMAL_MAX_MULTIPLE = 8
 
-# (reachability table or None, clicked rows, open slot delays, storage delays)
+# (reachability masks or None, clicked rows, open slot delays, storage delays)
 # -> ((row, delay) assignments in delay order, discarded count)
 Router = Callable[
-    [np.ndarray | None, list[int], range, range],
+    [tuple[int, ...] | None, list[int], range, range],
     tuple[list[tuple[int, int]], int],
 ]
 
@@ -83,16 +84,16 @@ class CyclePlan:
 
     @property
     def filled_count(self) -> int:
-        return sum(1 for v in self.slots if v)
+        return self.multiple - self.lack_count
 
     @property
     def lack_count(self) -> int:
-        return self.multiple - self.filled_count
+        return self.slots.count(0)
 
     @property
     def multi_count(self) -> int:
         """Filled slots carrying more than one pair."""
-        return sum(1 for v in self.slots if v >= 2)
+        return self.filled_count - self.slots.count(1)
 
     def conservation_ok(self) -> bool:
         """Every herald and every stored photon is emitted, re-stored or discarded."""
@@ -179,23 +180,30 @@ def _plan(
         raise ParameterError(
             f"{len(storage_in)} stored photons exceed capacity {capacity}"
         )
-    if any(v < 1 for v in storage_in):
+    if min(storage_in, default=1) < 1:
         raise ParameterError("stored multiplicities must be at least 1")
 
     emit_count = min(len(storage_in), m)
     carried = storage_in[emit_count:]
-    rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
+    rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
     assignments, discarded = route(
-        topology.access_table if boundary_limits else None,
+        _reach_masks(topology) if boundary_limits else None,
         rows,
         range(emit_count, m),
         range(m + len(carried), m + capacity),
     )
 
-    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
+    multiplicities = counts[[row - 1 for row, _ in assignments]].tolist()
+    slots = [*storage_in[:emit_count], *[0] * (m - emit_count)]
+    stored = list(carried)
+    for (_, delay), mult in zip(assignments, multiplicities):
+        if delay < m:
+            slots[delay] = mult
+        else:
+            stored.append(mult)
     return CyclePlan(
-        slots=storage_in[:emit_count] + tuple(fresh.get(j, 0) for j in range(emit_count, m)),
-        storage_out=carried + tuple(fresh[d] for _, d in assignments if d >= m),
+        slots=tuple(slots),
+        storage_out=tuple(stored),
         new_assignments=tuple(assignments),
         discarded=discarded,
         herald_count=len(rows),
@@ -203,41 +211,50 @@ def _plan(
     )
 
 
+@lru_cache(maxsize=64)
+def _reach_masks(topology: RegisterTopology) -> tuple[int, ...]:
+    """``access_table`` as one int per row: bit d of entry i - 1 is set when row i reaches delay d."""
+    packed = np.packbits(topology.access_table, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def _route_greedy(
-    table: np.ndarray | None, rows: list[int], slot_delays: range, storage_delays: range
+    reach: tuple[int, ...] | None, rows: list[int], slot_delays: range, storage_delays: range
 ) -> tuple[list[tuple[int, int]], int]:
     """Monotone greedy walk: fastest eligible row to earliest open target."""
+    if reach is None:
+        # every row reaches every delay: rows fill the targets in order
+        assignments = list(zip(rows, [*slot_delays, *storage_delays]))
+        return assignments, len(rows) - len(assignments)
     assignments: list[tuple[int, int]] = []
     pointer = 0
     discarded = 0
-
-    def take(delay: int) -> bool:
-        nonlocal pointer, discarded
+    for delay in [*slot_delays, *storage_delays]:
+        if pointer == len(rows):
+            break
+        bit = 1 << delay
         for p in range(pointer, len(rows)):
-            if table is None or table[rows[p] - 1, delay]:
+            if reach[rows[p] - 1] & bit:
                 discarded += p - pointer
                 pointer = p + 1
                 assignments.append((rows[p], delay))
-                return True
-        return False
-
-    for delay in slot_delays:
-        # a lack: nobody left can reach this slot, but the survivors may
-        # still reach later targets, so the pointer stays put
-        take(delay)
-    for delay in storage_delays:
-        if not take(delay):
-            break  # storage must stay contiguous: first unreachable position ends it
+                break
+        else:
+            # nobody left reaches this target.  A slot stays a lack and the
+            # survivors may still reach later targets, so the pointer stays
+            # put; storage must stay contiguous, so it ends there
+            if delay in storage_delays:
+                break
     return assignments, discarded + len(rows) - pointer
 
 
 def _route_optimal(
-    table: np.ndarray | None, rows: list[int], slot_delays: range, storage_delays: range
+    reach: tuple[int, ...] | None, rows: list[int], slot_delays: range, storage_delays: range
 ) -> tuple[list[tuple[int, int]], int]:
     """Maximum matching of rows to open slots, then greedy contiguous storage."""
 
     def reaches(row: int, delay: int) -> bool:
-        return table is None or bool(table[row - 1, delay])
+        return reach is None or bool(reach[row - 1] >> delay & 1)
 
     matched: dict[int, int] = {}  # slot delay -> row
     if slot_delays and rows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -116,8 +117,11 @@ class SimConfig:
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
         check_mean_pairs(self.mean_pairs)
-        if self.cycles < 0:
-            raise ParameterError(f"cycle count cannot be negative, got {self.cycles}")
+        if not float(self.cycles).is_integer() or self.cycles < 0:
+            raise ParameterError(
+                f"cycle count must be a non-negative integer, got {self.cycles!r}"
+            )
+        object.__setattr__(self, "cycles", int(self.cycles))
         if self.seed != int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.feedback, (str, FeedbackMode)):
@@ -132,7 +136,7 @@ class SimConfig:
         except ValueError as exc:
             raise ParameterError(f"unknown boundary mode {self.boundary!r}") from exc
 
-    @property
+    @cached_property
     def capacity(self) -> int:
         return storage_capacity(self.step_count, self.multiple)
 
@@ -232,13 +236,17 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     heralds = 0
     level_sum = 0
 
+    m = int(config.multiple)
     for cycle in range(config.cycles):
         plan = run_cycle(config, storage, rng)
         if not plan.conservation_ok():
             raise ConservationError(f"photon conservation violated at cycle {cycle}")
-        lack += plan.lack_count
-        multi += plan.multi_count
-        filled += plan.filled_count
+        # one count per slot kind: empty slots are lacks, the rest are
+        # filled, and filled slots that do not hold exactly one pair are multi
+        lacks = plan.slots.count(0)
+        lack += lacks
+        filled += m - lacks
+        multi += m - lacks - plan.slots.count(1)
         discarded += plan.discarded
         heralds += plan.herald_count
         storage = plan.storage_out

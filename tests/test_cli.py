@@ -377,6 +377,23 @@ def test_overflow_exits_one(capsys: pytest.CaptureFixture) -> None:
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unsampleable_pump_exits_one(capsys: pytest.CaptureFixture) -> None:
+    # exp(-800) underflows, so every source would read exactly one pair
+    code = run_command(
+        ["simulate", "--sources", "20", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "800", "--cycles", "200", "--seed", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mean pair number 800.0 is too large")
+    # boost doubles a samplable base pump past the limit on the first cycle
+    code = run_command(
+        ["simulate", "--sources", "20", "--multiple", "4", "--mean-pairs", "400",
+         "--feedback", "boost", "--cycles", "10"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mean pair number 800.0 is too large")
+
+
 def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFixture) -> None:
     real_plan_cycle = simulator.plan_cycle
 
@@ -454,6 +471,25 @@ GOLDEN_OUTPUTS = [
          "--mean-pairs", "0.01", "--cycles", "500", "--seed", "42",
          "--feedback", "turbo_boost"],
         HEADER + "\n0.01,0.008125,0.007375,0.00743541,7935,48,6.224,monte_carlo,42,500\n",
+    ),
+    (
+        ["simulate", "--sources", "100", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "0.03", "--cycles", "5000", "--seed", "42",
+         "--feedback", "boost", "--boundary", "constrained"],
+        HEADER + "\n0.03,0.0101,0.02395,0.0241944,19798,3252,2.7088,monte_carlo,42,5000\n",
+    ),
+    (
+        # a pump where one and several pairs are both common
+        ["simulate", "--sources", "20", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "1.5", "--cycles", "500", "--seed", "42",
+         "--boundary", "unconstrained"],
+        HEADER + "\n1.5,0,0.566,0.566,2000,5729,4,monte_carlo,42,500\n",
+    ),
+    (
+        # a pump deep in the Poisson tail: counts run to ~50 pairs
+        ["simulate", "--sources", "20", "--multiple", "4", "--steps", "3",
+         "--mean-pairs", "30", "--cycles", "500", "--seed", "42"],
+        HEADER + "\n30,0,1,1,2000,7996,4,monte_carlo,42,500\n",
     ),
     (
         ["verify-topology", "--sources", "11", "--steps", "3"],

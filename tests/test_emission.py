@@ -93,6 +93,71 @@ def test_sampler_consumes_one_uniform_per_source() -> None:
     assert follow_on == reference.random()
 
 
+def _sequential_search_counts(u: np.ndarray, mean: float) -> np.ndarray:
+    """The sampler's original inversion, kept as the reference: walk the
+    Poisson terms one count at a time until every uniform is covered."""
+    counts = np.zeros(u.size, dtype=np.int64)
+    term = math.exp(-mean)
+    cumulative = term
+    n = 0
+    pending = u > cumulative
+    while pending.any():
+        n += 1
+        term *= mean / n
+        if term <= 0.0:
+            counts[pending] = n
+            break
+        cumulative += term
+        counts[pending] = n
+        pending = u > cumulative
+    return counts
+
+
+def _running_sums(mean: float) -> list[float]:
+    """The cumulative values the reference loop compares the uniforms with."""
+    term = math.exp(-mean)
+    sums = [term]
+    for n in range(1, 5000):
+        term *= mean / n
+        if term <= 0.0:
+            break
+        sums.append(sums[-1] + term)
+    return sums
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose ``random(n)`` hands out chosen uniforms."""
+
+    def __init__(self, uniforms: np.ndarray) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = uniforms
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def test_inversion_matches_sequential_search() -> None:
+    # every edge of the table: 0, each running sum exactly, the floats on
+    # either side of it, the largest uniform below 1, and random draws
+    rng = np.random.default_rng(31)
+    means = [*np.geomspace(1e-6, 708.0, 37), 0.049, 0.3, 1.0, 30.0, 700.0]
+    for mean in means:
+        sums = np.array(_running_sums(float(mean)))
+        u = np.concatenate(
+            [
+                [0.0, 1.0 - 2.0**-53],
+                sums,
+                np.nextafter(sums, 0.0),
+                np.nextafter(sums, 1.0),
+                rng.random(200),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = sample_cycle_emissions(u.size, float(mean), _FixedUniforms(u))
+        assert np.array_equal(got, _sequential_search_counts(u, float(mean))), mean
+
+
 def test_sampler_matches_pmf_frequencies() -> None:
     rng = np.random.default_rng(2024)
     draws = 200_000
@@ -113,6 +178,11 @@ def test_sampler_validates_arguments() -> None:
         sample_cycle_emissions(5, -0.1, rng)
     with pytest.raises(ParameterError):
         sample_cycle_emissions(5, 0.1, "not a generator")  # type: ignore[arg-type]
+    # past ~708.4 exp(-mean) is subnormal or zero and inversion would be biased
+    for mean in (708.5, 745.2, 800.0):
+        with pytest.raises(ParameterError, match="too large to sample"):
+            sample_cycle_emissions(5, mean, rng)
+    assert sample_cycle_emissions(5, 708.0, rng).min() > 500
 
 
 def test_herald_thresholds_counts() -> None:

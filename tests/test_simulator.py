@@ -82,6 +82,10 @@ def test_sim_config_validation() -> None:
         SimConfig(source_count=10, multiple=4, mean_pairs=0.0)
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=-1)
+    for cycles in (2.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=cycles)
+    assert SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=3.0).cycles == 3
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, seed=-3)
     with pytest.raises(ParameterError):
