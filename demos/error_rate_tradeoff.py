@@ -5,25 +5,33 @@ where the two error rates match, and confirms it with a Monte Carlo run.
 If matplotlib is importable the curves are also saved as a PNG.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from spdcmux import (
-    ChainSpec,
-    SimConfig,
-    optimized_power,
-    run_simulation,
-    stationary_rates,
-)
+from spdcmux import SimConfig, optimized_power, run_simulation, stationary_rates
 
 SOURCES = 100
 MULTIPLE = 4
 STEPS = 3
 
+# one bank description for both engines: the boundary-free bank the
+# optimizer balances, run at each pump below
+bank = SimConfig(
+    source_count=SOURCES,
+    multiple=MULTIPLE,
+    mean_pairs=0.05,
+    step_count=STEPS,
+    cycles=50_000,
+    seed=12,
+    boundary="unconstrained",
+)
+
 means = np.linspace(0.01, 0.12, 23)
 lacks = []
 multis = []
 for mean in means:
-    rates = stationary_rates(ChainSpec.from_mean_pairs(SOURCES, MULTIPLE, STEPS, mean))
+    rates = stationary_rates(replace(bank, mean_pairs=float(mean)))
     lacks.append(rates.lack_rate)
     multis.append(rates.multi_rate)
 
@@ -33,19 +41,12 @@ for mean, lack, multi in zip(means, lacks, multis):
     print(f"{mean:.3f}   {lack:.5f}    {multi:.5f}{marker}")
 
 optimum = optimized_power(SOURCES, MULTIPLE, STEPS)
-balanced = stationary_rates(ChainSpec.from_mean_pairs(SOURCES, MULTIPLE, STEPS, optimum))
+config = replace(bank, mean_pairs=optimum)
+balanced = stationary_rates(config)
 print()
 print(f"balanced pump: mean {optimum:.6f} pairs per cycle")
 print(f"both error rates there: {balanced.lack_rate:.5f}")
 
-config = SimConfig(
-    source_count=SOURCES,
-    multiple=MULTIPLE,
-    mean_pairs=optimum,
-    cycles=50_000,
-    seed=12,
-    boundary="unconstrained",
-)
 metrics = run_simulation(config)
 print()
 print(f"Monte Carlo at the optimum ({config.cycles} cycles, unconstrained):")

@@ -17,7 +17,6 @@ from .emission import (
 )
 from .errors import ConservationError, ConvergenceError, ParameterError
 from .oracle import (
-    ChainSpec,
     OracleRates,
     herald_count_distribution,
     optimized_power,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMode",
-    "ChainSpec",
     "ConservationError",
     "ConvergenceError",
     "CyclePlan",

@@ -6,12 +6,15 @@ simulate
     One Monte Carlo run, one CSV row.
 oracle
     Exact steady-state rates for the same configuration, one CSV row.
+    The boundary defaults to unconstrained here.
 sweep
     Scan pump power, train multiple or bank size over a grid and emit
-    one row per grid point and engine.
+    one row per grid point and engine; both engines describe the same
+    bank, boundary and feedback included.
 optimize
-    Solve for the pump power where lack and multi-pair rates balance,
-    optionally confirming with a Monte Carlo run.
+    Solve for the pump power where lack and multi-pair rates balance in
+    the unconstrained bank without feedback, optionally confirming with
+    a Monte Carlo run.
 verify-topology
     Dump the delay reachability table of a bank as 0/1 cells.
 
@@ -37,9 +40,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .emission import herald_probabilities
 from .errors import ConservationError, ConvergenceError, ParameterError
-from .oracle import ChainSpec, optimized_power, stationary_rates
+from .oracle import MAX_CONSTRAINED_STEP_COUNT, optimized_power, stationary_rates
 from .register import RegisterTopology
 from .simulator import (
     BoundaryMode,
@@ -216,16 +218,10 @@ def _monte_carlo_row(config: SimConfig, param: float) -> SweepRow:
 
 def _oracle_row(config: SimConfig, param: float) -> SweepRow:
     """Exact-chain counterpart of a run: rates are stationary, counts are
-    stationary expectations over the same number of cycles.  Boundary and
-    feedback settings do not enter the chain."""
-    spec = ChainSpec.from_mean_pairs(
-        config.source_count, config.multiple, config.step_count, config.mean_pairs
-    )
-    rates = stationary_rates(spec)
-    fill_rate = 1.0 - rates.lack_rate
-    filled = fill_rate * config.multiple * config.cycles
-    inflow = config.source_count * spec.p_herald * config.cycles
-    discarded = max(0.0, inflow - fill_rate * config.multiple * config.cycles)
+    stationary expectations over the same number of cycles."""
+    rates = stationary_rates(config)
+    filled = (1.0 - rates.lack_rate) * config.multiple * config.cycles
+    discarded = max(0.0, rates.mean_heralds * config.cycles - filled)
     return SweepRow(
         param=param,
         lack_rate=rates.lack_rate,
@@ -271,7 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
-    config = _gather_config(args)
+    config = _gather_config(args, defaults={"boundary": BoundaryMode.UNCONSTRAINED.value})
     return emit_csv([_oracle_row(config, config.mean_pairs)])
 
 
@@ -401,7 +397,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exact steady-state rates for one configuration")
+    p = sub.add_parser(
+        "oracle",
+        help="exact steady-state rates for one configuration",
+        description=(
+            "Exact steady-state rates of the storage-level chain, boundary and "
+            "feedback included.  The boundary defaults to unconstrained; a "
+            f"constrained chain takes at most {MAX_CONSTRAINED_STEP_COUNT} register steps."
+        ),
+    )
     _add_device_arguments(p)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_oracle)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check_mean_pairs, check_source_count
+from .errors import ParameterError, check_mean_pairs, check_source_count, is_whole
 
 __all__ = [
     "HeraldProbabilities",
@@ -43,7 +43,7 @@ def pair_pmf(count: int, mean_pairs: float) -> float:
     float
         ``mean_pairs**count * exp(-mean_pairs) / count!``
     """
-    if count != int(count) or count < 0:
+    if not is_whole(count) or count < 0:
         raise ParameterError(f"pair count must be a non-negative integer, got {count!r}")
     mean = check_mean_pairs(mean_pairs)
     n = int(count)

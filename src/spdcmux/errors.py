@@ -17,10 +17,20 @@ class ConservationError(RuntimeError):
     """Raised when a cycle plan loses or invents a photon."""
 
 
+def is_whole(value: object) -> bool:
+    """True for a finite number with no fractional part, False for anything else."""
+    try:
+        return float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def check_source_count(source_count: int) -> int:
-    if source_count < 1:
-        raise ParameterError(f"source count must be at least 1, got {source_count}")
-    return source_count
+    if not is_whole(source_count) or source_count < 1:
+        raise ParameterError(
+            f"source count must be an integer of at least 1, got {source_count!r}"
+        )
+    return int(source_count)
 
 
 # deepest register accepted anywhere: tables and chains grow as 2**K, and
@@ -30,7 +40,7 @@ MAX_CAPACITY = 2**MAX_STEP_COUNT - 1
 
 
 def check_step_count(step_count: int) -> int:
-    if step_count != int(step_count) or not 1 <= step_count <= MAX_STEP_COUNT:
+    if not is_whole(step_count) or not 1 <= step_count <= MAX_STEP_COUNT:
         raise ParameterError(
             f"step count must be an integer in [1, {MAX_STEP_COUNT}], got {step_count!r}"
         )

@@ -1,39 +1,50 @@
 """Exact steady-state rates via a storage-level Markov chain.
 
-For a bank where every row can reach every register position, the only
-state that matters between cycles is how many photons sit in storage.
-Heralds per cycle are binomial, the train fills greedily, surplus goes
-to storage up to capacity, and the rest is discarded.  That gives a
-small (capacity + 1)-state chain whose stationary distribution yields
-the exact lack rate; the multi-pair rate follows because routing is
-blind to multiplicities, so every filled slot carries a multi-pair event
-with the same conditional probability p_multi / p_herald.
+Between cycles the only state that matters is how many photons sit in
+storage.  The level fixes the pump under feedback and the open targets
+(delays level .. 2**K - 1: the slots the stored photons leave empty,
+then the storage positions behind the photons still stored), and routing
+is blind to pair multiplicities.  So the level is a (capacity + 1)-state
+Markov chain of the very ``SimConfig`` the Monte Carlo runs, and its
+stationary distribution gives the exact lack rate.
 
-Edge rows of a real bank see restricted reachability, which this chain
-ignores; it is the idealized interior-dominated limit and the natural
-cross-check for the Monte Carlo engine run without boundary limits.
+Clicks are independent across rows, so a cycle from a given level is a
+table over click patterns, built once per bank and reweighted per pump:
+
+* interior rows reach every delay, so only how many of them clicked
+  matters, and past the number of open targets not even that.  In a
+  constrained bank these are rows K+1 .. S-K; without boundary limits
+  every row is interior;
+* the K edge rows at either end of a constrained bank keep their click
+  bits.  With an interior click the greedy walk splits in three: the top
+  rows until the first interior row takes a target, the interior run,
+  then the bottom rows alone.  With none, the edge rows walk jointly.  A
+  bank of fewer than 2K rows has no interior: every pattern walks whole.
+
+Stored photons are never discarded, so every photon kept in a cycle,
+slotted or stored, leaves in some slot.  Routing never sees
+multiplicities, so each kept photon carries a multi-pair event with the
+probability p_multi / p_herald of the pump that heralded it.  That gives
+the exact multi-pair rate, pump feedback included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .emission import herald_probabilities
-from .errors import (
-    ConvergenceError,
-    ParameterError,
-    check_capacity,
-    check_p_herald,
-    check_source_count,
-)
-from .scheduler import storage_capacity
+from .emission import HeraldProbabilities, herald_probabilities
+from .errors import ConvergenceError, ParameterError, check_p_herald, check_source_count
+from .register import _cached_topology
+from .scheduler import _reach_masks, _route_greedy
+from .simulator import BoundaryMode, SimConfig, apply_feedback
 
 __all__ = [
-    "ChainSpec",
+    "MAX_CONSTRAINED_STEP_COUNT",
     "OracleRates",
     "herald_count_distribution",
     "optimized_power",
@@ -42,53 +53,19 @@ __all__ = [
     "transition_matrix",
 ]
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Parameters of the storage-level chain."""
-
-    source_count: int
-    multiple: int
-    capacity: int
-    p_herald: float
-    p_multi: float
-
-    def __post_init__(self) -> None:
-        check_source_count(self.source_count)
-        if self.multiple < 1:
-            raise ParameterError(f"multiple must be at least 1, got {self.multiple}")
-        check_capacity(self.capacity)
-        check_p_herald(self.p_herald)
-        if not 0.0 <= self.p_multi < self.p_herald:
-            raise ParameterError("p_multi must lie in [0, p_herald)")
-
-    @classmethod
-    def from_mean_pairs(
-        cls,
-        source_count: int,
-        multiple: int,
-        step_count: int,
-        mean_pairs: float,
-    ) -> "ChainSpec":
-        """Build the chain for a concrete device configuration."""
-        capacity = storage_capacity(step_count, multiple)
-        probs = herald_probabilities(mean_pairs)
-        return cls(
-            source_count=source_count,
-            multiple=int(multiple),
-            capacity=capacity,
-            p_herald=probs.p_herald,
-            p_multi=probs.p_multi,
-        )
+# a constrained chain walks all 4**K edge-row click patterns from every
+# level; at K=5 that takes about 0.3 s, and every further stage multiplies it by 8
+MAX_CONSTRAINED_STEP_COUNT = 5
 
 
 class OracleRates(NamedTuple):
-    """Steady-state error rates and storage occupancy."""
+    """Steady-state error rates, storage occupancy and herald flow."""
 
     lack_rate: float
     multi_rate: float
     relative_multi_rate: float
     mean_storage: float
+    mean_heralds: float
 
 
 def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
@@ -111,25 +88,222 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _chain_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix over storage levels plus expected lacks per level."""
-    pmf = herald_count_distribution(spec.source_count, spec.p_herald)
-    heralds = np.arange(pmf.size)
-    size = spec.capacity + 1
+class _Outcomes(NamedTuple):
+    """Pump-independent outcomes of one cycle from every storage level.
+
+    Record r: from storage level ``level[r]``, ``count[r]`` click patterns
+    of the edge rows with ``edge_clicks[r]`` clicks, together with
+    ``interior_clicks[r]`` interior clicks (or at least that many where
+    ``at_least[r]`` is 1), leave storage at ``next_level[r]`` with
+    ``lacks[r]`` empty slots.  The filled slots and the storage change,
+    less the stored photons that left, are the new photons kept, slotted
+    or stored: ``multiple - lacks + next_level - level``.
+    """
+
+    edge_rows: int
+    interior_rows: int
+    level: np.ndarray
+    edge_clicks: np.ndarray
+    interior_clicks: np.ndarray
+    at_least: np.ndarray
+    next_level: np.ndarray
+    lacks: np.ndarray
+    count: np.ndarray
+
+
+def _click_patterns(rows: list[int]) -> list[list[int]]:
+    """Every subset of ``rows`` that can click together, in row order."""
+    return [
+        [row for bit, row in enumerate(rows) if pattern >> bit & 1]
+        for pattern in range(2 ** len(rows))
+    ]
+
+
+@lru_cache(maxsize=4)
+def _outcome_table(
+    source_count: int, step_count: int, multiple: int, constrained: bool
+) -> _Outcomes:
+    """Enumerate one cycle from every level; see the module docstring."""
+    if constrained and step_count > MAX_CONSTRAINED_STEP_COUNT:
+        raise ParameterError(
+            f"the constrained chain supports at most {MAX_CONSTRAINED_STEP_COUNT} "
+            f"register steps, got {step_count}"
+        )
+    span = 2**step_count
+    size = span - multiple + 1
+    top: list[int] = []
+    bottom: list[int] = []
+    reach = None
+    if constrained:
+        reach = _reach_masks(_cached_topology(source_count, step_count))
+        if source_count >= 2 * step_count:
+            top = list(range(1, step_count + 1))
+            bottom = list(range(source_count - step_count + 1, source_count + 1))
+        else:
+            top = list(range(1, source_count + 1))
+    interior = source_count - len(top) - len(bottom)
+    first_interior = len(top) + 1
+
+    def walk(rows: list[int], start: int) -> tuple[int, int]:
+        """Slots and storage positions the greedy walk fills from delay ``start`` on."""
+        if not rows:
+            return 0, 0
+        assignments, _ = _route_greedy(
+            reach, rows, range(min(start, multiple), multiple), range(max(start, multiple), span)
+        )
+        slots = sum(delay < multiple for _, delay in assignments)
+        return slots, len(assignments) - slots
+
+    def handover(rows: list[int], level: int) -> int:
+        """Delay at which the first interior row takes over from the clicked top rows."""
+        if not rows:
+            return level  # the first open target
+        assignments, _ = _route_greedy(
+            reach,
+            [*rows, first_interior],
+            range(min(level, multiple), multiple),
+            range(max(level, multiple), span),
+        )
+        return next((delay for row, delay in assignments if row == first_interior), span)
+
+    top_sets = _click_patterns(top)
+    bottom_sets = _click_patterns(bottom)
+    edge_sets = _click_patterns(top + bottom)
+    top_clicks = np.array([len(rows) for rows in top_sets])
+    bottom_clicks = np.array([len(rows) for rows in bottom_sets])
+    edge_clicks = np.array([len(rows) for rows in edge_sets])
+    # the bottom rows walk alone from wherever the interior run stopped
+    after = np.array([[walk(rows, start) for rows in bottom_sets] for start in range(span + 1)])
+
+    # records per level: every joint walk, then (top, interior, bottom) triples
+    runs = [min(interior, span - level) for level in range(size)]
+    starts = np.cumsum([0] + [len(edge_sets) + len(top_sets) * n * len(bottom_sets) for n in runs])
+    table = np.empty((6, starts[-1]), dtype=np.int16)
+
+    def put(start, level, clicks, inner, at_least, slots, stored) -> int:
+        """Write columns level, edge clicks, interior clicks, at least, next level
+        and lacks from record ``start`` on; returns the record after the last."""
+        lead = min(level, multiple)  # stored photons leaving in the leading slots
+        columns = np.broadcast_arrays(
+            level, clicks, inner, at_least, level - lead + stored, multiple - lead - slots
+        )
+        for row, column in zip(table, columns):
+            row[start:start + column.size].reshape(column.shape)[...] = column
+        return start + columns[0].size
+
+    for level, run in enumerate(runs):
+        # no interior click: the edge rows walk jointly
+        joint = np.array([walk(rows, level) for rows in edge_sets])
+        start = put(starts[level], level, edge_clicks, 0, False, joint[:, 0], joint[:, 1])
+        if not run:
+            continue
+        # interior clicks past the open targets change nothing
+        clicks = np.arange(1, run + 1)
+        first = np.array([handover(rows, level) for rows in top_sets])
+        stop = np.minimum(first[:, None] + clicks, span)
+        rest = after[stop]
+        put(
+            start,
+            level,
+            top_clicks[:, None, None] + bottom_clicks,
+            clicks[:, None],
+            (interior > run) & (clicks == run)[:, None],
+            (np.minimum(stop, multiple) - min(level, multiple))[:, :, None] + rest[..., 0],
+            np.maximum(stop - max(level, multiple), 0)[:, :, None] + rest[..., 1],
+        )
+    count = np.broadcast_to(np.int16(1), table.shape[1:])
+    if top or bottom:
+        # merge records that differ only in which edge rows clicked
+        dims = (size, len(top) + len(bottom) + 1, min(interior, span) + 1, 2, size, multiple + 1)
+        keys, count = np.unique(np.ravel_multi_index(table, dims), return_counts=True)
+        table = np.array(np.unravel_index(keys, dims), dtype=np.int16)
+    # shared by every caller of the cache
+    table.flags.writeable = count.flags.writeable = False
+    level, edge, inner, at_least, next_level, lacks = table
+    return _Outcomes(
+        edge_rows=len(top) + len(bottom),
+        interior_rows=interior,
+        level=level,
+        edge_clicks=edge,
+        interior_clicks=inner,
+        at_least=at_least,
+        next_level=next_level,
+        lacks=lacks,
+        count=count,
+    )
+
+
+def _chain_tables(
+    config: SimConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[HeraldProbabilities]]:
+    """Transition matrix, expected lacks and kept photons per level, and each level's pump."""
+    table = _outcome_table(
+        config.source_count,
+        config.step_count,
+        config.multiple,
+        config.boundary is BoundaryMode.CONSTRAINED,
+    )
+    size = config.capacity + 1
+    means = [
+        apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
+        for level in range(size)
+    ]
+    # one herald pmf per distinct pump value, not per level
+    pumps = {mean: index for index, mean in enumerate(dict.fromkeys(means))}
+    width = min(table.interior_rows, 2**config.step_count) + 1
+    edge = np.arange(table.edge_rows + 1)
+    edge_weight = np.empty((len(pumps), edge.size))
+    interior_weight = np.empty((len(pumps), 2 * width))
+    for mean, index in pumps.items():
+        p = check_p_herald(herald_probabilities(mean).p_herald)
+        # one given pattern of c clicks among the edge rows
+        edge_weight[index] = np.exp(edge * math.log(p) + (table.edge_rows - edge) * math.log1p(-p))
+        pmf = (
+            herald_count_distribution(table.interior_rows, p)
+            if table.interior_rows
+            else np.ones(1)
+        )
+        tail = np.cumsum(pmf[::-1])[::-1]  # P(at least n interior clicks)
+        interior_weight[index] = np.concatenate((pmf[:width], tail[:width]))
+
+    pump_of_level = np.array([pumps[mean] for mean in means])
     matrix = np.empty((size, size))
-    lack_given_level = np.empty(size)
-    for level in range(size):
-        available = level + heralds
-        filled = np.minimum(spec.multiple, available)
-        next_level = np.minimum(spec.capacity, available - filled)
-        matrix[level] = np.bincount(next_level, weights=pmf, minlength=size)
-        lack_given_level[level] = pmf @ (spec.multiple - filled)
-    return matrix, lack_given_level
+    lacks = np.empty(size)
+    kept = np.empty(size)
+    starts = np.searchsorted(table.level, np.arange(size + 1))
+    low = 0
+    while low < size:
+        # blocks of whole levels bound the temporaries: 2**16 matrix cells
+        # and, unless one level has more, 2**14 records
+        high = min(
+            size,
+            low + max(1, 2**16 // size),
+            max(low + 1, int(np.searchsorted(starts, starts[low] + 2**14, "right")) - 1),
+        )
+        part = slice(starts[low], starts[high])
+        pump = pump_of_level[table.level[part]] if len(pumps) > 1 else 0
+        weight = edge_weight[pump, table.edge_clicks[part]]
+        weight *= interior_weight[pump, table.interior_clicks[part] + width * table.at_least[part]]
+        weight *= table.count[part]
+        level, next_level, lack = table.level[part], table.next_level[part], table.lacks[part]
+        rows = level - low
+        cells = np.bincount(
+            rows * np.int64(size) + next_level, weights=weight, minlength=(high - low) * size
+        )
+        matrix[low:high] = cells.reshape(high - low, size)
+        lacks[low:high] = np.bincount(rows, weights=weight * lack, minlength=high - low)
+        kept[low:high] = np.bincount(
+            rows,
+            weights=weight * (config.multiple - lack + next_level - level),
+            minlength=high - low,
+        )
+        low = high
+    return matrix, lacks, kept, [herald_probabilities(mean) for mean in means]
 
 
-def transition_matrix(spec: ChainSpec) -> np.ndarray:
+def transition_matrix(config: SimConfig) -> np.ndarray:
     """One-cycle transition matrix of the storage level."""
-    matrix, _ = _chain_tables(spec)
+    matrix, _, _, _ = _chain_tables(config)
     return matrix
 
 
@@ -182,33 +356,41 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     return _reduce_to_stationary(matrix)
 
 
-def stationary_rates(spec: ChainSpec) -> OracleRates:
-    """Exact steady-state lack and multi-pair rates of the idealized bank.
+def stationary_rates(config: SimConfig) -> OracleRates:
+    """Exact steady-state rates of the bank ``config`` describes.
 
-    The chain is solved in place by the subtraction-free GTH reduction of
-    :func:`stationary_distribution`; levels below one whose way down
-    underflowed get exactly zero.
+    Boundary limits and pump feedback enter the chain exactly as they
+    enter a Monte Carlo run of the same config; only ``cycles`` and
+    ``seed`` play no part.  The chain is solved in place by the
+    subtraction-free GTH reduction of :func:`stationary_distribution`.
 
     Parameters
     ----------
-    spec : ChainSpec
+    config : SimConfig
 
     Returns
     -------
     OracleRates
-        Rates per emitted slot plus the mean storage occupancy.
+        Rates per emitted slot, the multi-pair fraction of filled slots,
+        the mean storage occupancy and the mean heralds per cycle.
+
+    Raises
+    ------
+    ParameterError
+        For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    matrix, lack_given_level = _chain_tables(spec)
+    matrix, lacks, kept, pumps = _chain_tables(config)
     pi = _reduce_to_stationary(matrix)
-    lack_rate = float(pi @ lack_given_level) / spec.multiple
-    relative = spec.p_multi / spec.p_herald
-    multi_rate = relative * (1.0 - lack_rate)
-    mean_storage = float(pi @ np.arange(spec.capacity + 1))
+    lack_rate = float(pi @ lacks) / config.multiple
+    relative = np.array([pump.p_multi / pump.p_herald for pump in pumps])
+    multi_rate = float(pi @ (relative * kept)) / config.multiple
+    fill_rate = 1.0 - lack_rate
     return OracleRates(
         lack_rate=lack_rate,
         multi_rate=multi_rate,
-        relative_multi_rate=relative,
-        mean_storage=mean_storage,
+        relative_multi_rate=multi_rate / fill_rate if fill_rate > 0.0 else math.nan,
+        mean_storage=float(pi @ np.arange(pi.size)),
+        mean_heralds=config.source_count * float(pi @ [pump.p_herald for pump in pumps]),
     )
 
 
@@ -226,12 +408,13 @@ def optimized_power(
 ) -> float:
     """Pump level where the lack rate equals the multi-pair rate.
 
-    Lack falls and multi-pair rises monotonically with pump power, so the
-    two curves cross exactly once; the crossing is the operating point
-    that minimises the larger of the two errors.  Solved by bisection on
-    lack - multi, starting from the bracket (1e-6, 1] and doubling the
-    upper end while both rates still sit on the same side (small banks
-    can push the crossing above one mean pair per cycle).
+    Solved on the chain of the bank without boundary limits or pump
+    feedback.  Lack falls and multi-pair rises monotonically with pump
+    power, so the two curves cross exactly once; the crossing is the
+    operating point that minimises the larger of the two errors.  Solved
+    by bisection on lack - multi, starting from the bracket (1e-6, 1] and
+    doubling the upper end while both rates still sit on the same side
+    (small banks can push the crossing above one mean pair per cycle).
 
     Returns
     -------
@@ -244,12 +427,18 @@ def optimized_power(
         If no sign change is found below the bracket cap or bisection
         stalls without reaching ``tolerance``.
     """
-    if tolerance <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
+    bank = SimConfig(
+        source_count=source_count,
+        multiple=multiple,
+        mean_pairs=1.0,
+        step_count=step_count,
+        boundary=BoundaryMode.UNCONSTRAINED,
+    )
 
     def gap(mean: float) -> float:
-        spec = ChainSpec.from_mean_pairs(source_count, multiple, step_count, mean)
-        rates = stationary_rates(spec)
+        rates = stationary_rates(replace(bank, mean_pairs=mean))
         return rates.lack_rate - rates.multi_rate
 
     low, high = 1e-6, 1.0

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, check_source_count, check_step_count
+from .errors import ParameterError, check_source_count, check_step_count, is_whole
 
 __all__ = [
     "RegisterTopology",
@@ -76,7 +76,7 @@ class RegisterTopology:
 
 
 def _check_source(topology: RegisterTopology, source: int) -> int:
-    if source != int(source) or not 1 <= source <= topology.source_count:
+    if not is_whole(source) or not 1 <= source <= topology.source_count:
         raise ParameterError(
             f"source index must be in [1, {topology.source_count}], got {source!r}"
         )

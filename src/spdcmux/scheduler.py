@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, check_step_count
+from .errors import ParameterError, check_step_count, is_whole
 from .register import RegisterTopology
 
 __all__ = [
@@ -55,7 +55,7 @@ def storage_capacity(step_count: int, multiple: int) -> int:
     """Free register span behind an m-photon train: ``2**step_count - multiple``."""
     check_step_count(step_count)
     span = 2**step_count
-    if multiple != int(multiple) or not 1 <= multiple <= span:
+    if not is_whole(multiple) or not 1 <= multiple <= span:
         raise ParameterError(
             f"multiple must be an integer in [1, {span}], got {multiple!r}"
         )

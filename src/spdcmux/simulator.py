@@ -23,6 +23,7 @@ from .errors import (
     check_capacity,
     check_mean_pairs,
     check_source_count,
+    is_whole,
 )
 from .register import _cached_topology
 from .scheduler import CyclePlan, plan_cycle, storage_capacity
@@ -117,13 +118,15 @@ class SimConfig:
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
         check_mean_pairs(self.mean_pairs)
-        if not float(self.cycles).is_integer() or self.cycles < 0:
+        if not is_whole(self.cycles) or self.cycles < 0:
             raise ParameterError(
                 f"cycle count must be a non-negative integer, got {self.cycles!r}"
             )
-        object.__setattr__(self, "cycles", int(self.cycles))
-        if self.seed != int(self.seed) or self.seed < 0:
+        if not is_whole(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # whole floats become ints, so format_config writes what parse_config reads
+        for name in ("source_count", "step_count", "multiple", "cycles", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if isinstance(self.feedback, (str, FeedbackMode)):
             try:
                 object.__setattr__(self, "feedback", FeedbackPolicy(mode=self.feedback))

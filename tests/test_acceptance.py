@@ -6,12 +6,13 @@ of any failing test.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from spdcmux import (
     BoundaryMode,
-    ChainSpec,
+    FeedbackPolicy,
     ParameterError,
     RegisterTopology,
     SimConfig,
@@ -107,21 +108,18 @@ def _random_chain_configs(count: int) -> list[SimConfig]:
         multiple = int(rng.integers(max(1, span - 4), span + 1))
         source_count = int(rng.integers(2, 21))
         mean = float(rng.uniform(0.02, 0.3))
-        spec = ChainSpec.from_mean_pairs(source_count, multiple, step_count, mean)
-        lack = stationary_rates(spec).lack_rate
+        config = SimConfig(
+            source_count=source_count,
+            multiple=multiple,
+            mean_pairs=mean,
+            step_count=step_count,
+            cycles=100_000,
+            boundary=BoundaryMode.UNCONSTRAINED,
+        )
+        lack = stationary_rates(config).lack_rate
         if not 5e-4 <= lack <= 0.9:
             continue  # keep both error rates resolvable at 100k cycles
-        configs.append(
-            SimConfig(
-                source_count=source_count,
-                multiple=multiple,
-                mean_pairs=mean,
-                step_count=step_count,
-                cycles=100_000,
-                seed=int(rng.integers(0, 2**31)),
-                boundary=BoundaryMode.UNCONSTRAINED,
-            )
-        )
+        configs.append(replace(config, seed=int(rng.integers(0, 2**31))))
     return configs
 
 
@@ -146,35 +144,81 @@ def _batched_rates(
     return lack_batches, multi_batches
 
 
+def _chain_deviations(config: SimConfig, batch_count: int, batch_cycles: int) -> list[str]:
+    """Rates of one batched run that miss the exact chain by more than 4 standard errors."""
+    exact = stationary_rates(config)
+    lack_b, multi_b = _batched_rates(config, batch_count, batch_cycles)
+    floor = 2.0 / (batch_count * batch_cycles * config.multiple)
+    deviations = []
+    for name, batches, target in (
+        ("lack", lack_b, exact.lack_rate),
+        ("multi", multi_b, exact.multi_rate),
+    ):
+        observed = batches.mean()
+        se = batches.std(ddof=1) / np.sqrt(len(batches))
+        tolerance = max(4.0 * se, floor)
+        if abs(observed - target) > tolerance:
+            deviations.append(
+                f"S={config.source_count} m={config.multiple} "
+                f"K={config.step_count} mean={config.mean_pairs:.4f} "
+                f"{config.boundary.value} {config.feedback.mode.value} {name}: "
+                f"|{observed:.6f}-{target:.6f}|>{tolerance:.2e}"
+            )
+    return deviations
+
+
 def test_a4_monte_carlo_agrees_with_chain() -> None:
     # 20 randomized small unconstrained banks, 100k cycles each, measured
     # rates within 4 standard errors of the exact chain solution
     configs = _random_chain_configs(20)
     failures = []
     for config in configs:
-        spec = ChainSpec.from_mean_pairs(
-            config.source_count, config.multiple, config.step_count, config.mean_pairs
-        )
-        exact = stationary_rates(spec)
-        lack_b, multi_b = _batched_rates(config, batch_count=100, batch_cycles=1_000)
-        total_slots = 100_000 * config.multiple
-        floor = 2.0 / total_slots
-        for name, batches, target in (
-            ("lack", lack_b, exact.lack_rate),
-            ("multi", multi_b, exact.multi_rate),
-        ):
-            observed = batches.mean()
-            se = batches.std(ddof=1) / np.sqrt(len(batches))
-            tolerance = max(4.0 * se, floor)
-            if abs(observed - target) > tolerance:
-                failures.append(
-                    f"S={config.source_count} m={config.multiple} "
-                    f"K={config.step_count} mean={config.mean_pairs:.4f} {name}: "
-                    f"|{observed:.6f}-{target:.6f}|>{tolerance:.2e}"
-                )
+        failures += _chain_deviations(config, batch_count=100, batch_cycles=1_000)
     ok = not failures
     detail = f"20 configs, 40 rate comparisons, deviations={failures or 'none'}"
     _verdict("A4 chain agreement", ok, detail)
+    assert ok, detail
+
+
+# fixed banks covering both boundary settings and every feedback mode,
+# including a constrained bank too short to have interior rows
+EDGE_AND_FEEDBACK_CONFIGS = [
+    SimConfig(source_count=100, multiple=4, mean_pairs=0.049, seed=3),
+    SimConfig(source_count=11, multiple=4, mean_pairs=0.25, seed=4),
+    SimConfig(source_count=5, multiple=9, mean_pairs=0.5, step_count=4, seed=5),
+    SimConfig(source_count=30, multiple=8, mean_pairs=0.2, step_count=4, seed=6, feedback="boost"),
+    SimConfig(
+        source_count=20, multiple=4, mean_pairs=0.1, seed=7,
+        feedback=FeedbackPolicy("turbo_boost", 2.0),
+    ),
+    SimConfig(
+        source_count=100, multiple=4, mean_pairs=0.03, seed=8,
+        boundary="unconstrained", feedback="boost",
+    ),
+    SimConfig(
+        source_count=20, multiple=4, mean_pairs=0.15, seed=9,
+        boundary="unconstrained", feedback="turbo_boost",
+    ),
+    SimConfig(
+        source_count=40, multiple=16, mean_pairs=0.3, step_count=5, seed=10,
+        feedback="turbo_boost",
+    ),
+]
+
+
+def test_a4_chain_agreement_with_edges_and_feedback() -> None:
+    # the A4 rule on banks with edge-row limits or pump feedback, which
+    # the exact chain now models: 40k cycles each, in 100 batches
+    failures = []
+    for config in EDGE_AND_FEEDBACK_CONFIGS:
+        failures += _chain_deviations(config, batch_count=100, batch_cycles=400)
+    ok = not failures
+    detail = (
+        f"{len(EDGE_AND_FEEDBACK_CONFIGS)} configs, "
+        f"{2 * len(EDGE_AND_FEEDBACK_CONFIGS)} rate comparisons, "
+        f"deviations={failures or 'none'}"
+    )
+    _verdict("A4 chain agreement, edges and feedback", ok, detail)
     assert ok, detail
 
 

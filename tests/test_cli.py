@@ -20,7 +20,7 @@ from spdcmux import (
     stationary_rates,
 )
 from spdcmux.cli import SweepRow, emit_csv, format_config, parse_config, run_command
-from spdcmux.oracle import ChainSpec
+from spdcmux.oracle import MAX_CONSTRAINED_STEP_COUNT
 
 HEADER = (
     "param,lack_rate,multi_rate,relative_multi_rate,"
@@ -111,6 +111,8 @@ def test_format_config_round_trips() -> None:
             feedback="boost",
             boundary="unconstrained",
         ),
+        # whole floats are stored as ints, which the parser reads back
+        SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0),
     ):
         assert parse_config(format_config(config)) == config
 
@@ -205,11 +207,56 @@ def test_oracle_subcommand_matches_library(capsys: pytest.CaptureFixture) -> Non
     )
     assert code == 0
     row = _rows(capsys.readouterr().out)[0]
-    rates = stationary_rates(ChainSpec.from_mean_pairs(100, 4, 3, 0.049))
+    rates = stationary_rates(
+        SimConfig(source_count=100, multiple=4, mean_pairs=0.049, boundary="unconstrained")
+    )
     assert row[7] == "oracle"
     assert float(row[1]) == pytest.approx(rates.lack_rate, abs=1e-6)
     assert float(row[2]) == pytest.approx(rates.multi_rate, abs=1e-6)
     assert float(row[6]) == pytest.approx(rates.mean_storage, abs=1e-4)
+
+
+def test_oracle_reads_boundary_and_feedback(capsys: pytest.CaptureFixture) -> None:
+    # the oracle defaults to the unconstrained bank, and models edge-row
+    # limits and pump feedback when asked to
+    device = ["oracle", "--sources", "100", "--multiple", "4", "--mean-pairs", "0.03"]
+    for extra, lack in (
+        ([], "0.267073"),
+        (["--boundary", "constrained"], "0.276742"),
+        (["--feedback", "turbo_boost"], "0.0206465"),
+    ):
+        assert run_command(device + extra) == 0, extra
+        assert _rows(capsys.readouterr().out)[0][1] == lack, extra
+
+
+def test_oracle_row_bookkeeping_follows_the_chain(capsys: pytest.CaptureFixture) -> None:
+    # relative multi is multi per filled slot, and discards are the
+    # stationary herald flow less the filled slots, under feedback too
+    device = ["--sources", "20", "--multiple", "4", "--mean-pairs", "0.15",
+              "--feedback", "turbo_boost", "--cycles", "1000"]
+    assert run_command(["oracle", *device]) == 0
+    row = [float(cell) for cell in _rows(capsys.readouterr().out)[0][:7]]
+    config = SimConfig(source_count=20, multiple=4, mean_pairs=0.15, cycles=1000,
+                       feedback="turbo_boost", boundary="unconstrained")
+    rates = stationary_rates(config)
+    filled = (1.0 - rates.lack_rate) * 4 * 1000
+    assert row[3] == pytest.approx(rates.multi_rate / (1.0 - rates.lack_rate), rel=1e-5)
+    assert row[4] == pytest.approx(filled, rel=1e-5)
+    assert row[5] == pytest.approx(rates.mean_heralds * 1000 - filled, rel=1e-5)
+
+
+def test_constrained_oracle_depth_limit_exits_one(capsys: pytest.CaptureFixture) -> None:
+    steps = str(MAX_CONSTRAINED_STEP_COUNT + 1)
+    argv = ["--sources", "100", "--multiple", "4", "--mean-pairs", "0.05",
+            "--boundary", "constrained"]
+    for command in (["oracle", *argv, "--steps", steps],
+                    ["sweep", *argv, "--register-steps", steps, "--param", "power",
+                     "--values", "0.05", "--engine", "oracle"]):
+        assert run_command(command) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the constrained chain supports at most "
+                                       f"{MAX_CONSTRAINED_STEP_COUNT} register steps"), command
 
 
 def test_sweep_values_with_both_engines(capsys: pytest.CaptureFixture) -> None:
@@ -229,6 +276,10 @@ def test_sweep_values_with_both_engines(capsys: pytest.CaptureFixture) -> None:
     rows = _rows(capsys.readouterr().out)
     assert len(rows) == 4
     assert [r[7] for r in rows] == ["monte_carlo", "oracle", "monte_carlo", "oracle"]
+    # both rows of a pair describe the same (default, constrained) bank
+    for row, mean in ((rows[1], 0.03), (rows[3], 0.06)):
+        exact = stationary_rates(SimConfig(source_count=11, multiple=4, mean_pairs=mean))
+        assert float(row[1]) == pytest.approx(exact.lack_rate, rel=1e-5)
     assert float(rows[0][0]) == pytest.approx(0.03)
     assert float(rows[2][0]) == pytest.approx(0.06)
     # every grid point runs on its own derived stream

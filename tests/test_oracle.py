@@ -1,6 +1,10 @@
 """Exact chain solution: transition structure, stationary rates, optimizer."""
 
+import itertools
 import math
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +13,25 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from spdcmux import (
-    ChainSpec,
+    BoundaryMode,
     ConvergenceError,
+    FeedbackPolicy,
+    HeraldProbabilities,
+    OracleRates,
     ParameterError,
+    RegisterTopology,
+    SimConfig,
+    apply_feedback,
     herald_count_distribution,
     herald_probabilities,
     optimized_power,
+    oracle,
+    plan_cycle,
     stationary_distribution,
     stationary_rates,
     transition_matrix,
 )
+from spdcmux.oracle import MAX_CONSTRAINED_STEP_COUNT
 
 # regression pins for the exact chain at 100 sources, multiple 4, 3 steps,
 # mean 0.049; solved once to full precision and frozen
@@ -32,8 +45,14 @@ PINNED_MEAN_STORAGE = 2.9164029930868725
 PINNED_DEEP_LACK = 3.0754635173e-10
 
 
-def _spec(source_count: int, multiple: int, step_count: int, mean: float) -> ChainSpec:
-    return ChainSpec.from_mean_pairs(source_count, multiple, step_count, mean)
+def _spec(source_count: int, multiple: int, step_count: int, mean: float) -> SimConfig:
+    return SimConfig(
+        source_count=source_count,
+        multiple=multiple,
+        mean_pairs=mean,
+        step_count=step_count,
+        boundary="unconstrained",
+    )
 
 
 def test_herald_count_distribution_matches_scipy() -> None:
@@ -83,7 +102,7 @@ def test_transition_matrix_hand_case() -> None:
     # single herald is emitted and only a double can store, from level 1
     # the stored photon is emitted and any herald at all re-stocks
     spec = _spec(2, 1, 1, 0.3)
-    p = spec.p_herald
+    p = herald_probabilities(0.3).p_herald
     b0, b1, b2 = (1 - p) ** 2, 2 * p * (1 - p), p**2
     matrix = transition_matrix(spec)
     assert matrix[0, 0] == pytest.approx(b0 + b1, rel=1e-12)
@@ -114,21 +133,54 @@ def test_stationary_distribution_failure_modes() -> None:
         stationary_distribution(np.ones((0, 0)))
 
 
-def _exact_stationary_rates(spec: ChainSpec) -> tuple[Fraction, Fraction]:
-    """Lack rate and mean storage in exact rationals, from the float pmf on.
+def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
+    return herald_probabilities(
+        apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
+    )
 
-    Builds the chain with the per-herald loop and solves it by plain
-    elimination with no floating point at all.
+
+def _herald_count_outcomes(config: SimConfig, level: int):
+    """(weight, next level, lacks, kept) per herald count of an unconstrained
+    bank, with weights taken exactly from the float pmf."""
+    m, capacity = config.multiple, config.capacity
+    pmf = herald_count_distribution(config.source_count, _level_pump(config, level).p_herald)
+    for heralds, weight in enumerate(pmf):
+        filled = min(m, level + heralds)
+        kept = min(heralds, m + capacity - level)
+        yield Fraction(weight), min(capacity, level + heralds - filled), m - filled, kept
+
+
+def _click_pattern_outcomes(config: SimConfig, level: int):
+    """(weight, next level, lacks, kept) per click pattern of a constrained
+    bank, each pattern routed by plan_cycle and weighted in exact rationals."""
+    topology = RegisterTopology(config.source_count, config.step_count)
+    p = Fraction(_level_pump(config, level).p_herald)
+    for bits in itertools.product((0, 1), repeat=config.source_count):
+        clicks = np.array(bits, dtype=bool)
+        plan = plan_cycle(topology, clicks, clicks.astype(np.int64), (1,) * level, config.multiple)
+        clicked = sum(bits)
+        weight = p**clicked * (1 - p) ** (config.source_count - clicked)
+        yield weight, len(plan.storage_out), plan.lack_count, len(plan.new_assignments)
+
+
+def _exact_stationary_rates(config: SimConfig, outcomes) -> tuple[Fraction, Fraction, Fraction]:
+    """Lack rate, multi rate and mean storage in exact rationals.
+
+    ``outcomes(config, level)`` lists one cycle from ``level``; the chain
+    is solved by plain elimination with no floating point at all, and each
+    kept photon counts at the relative multi rate of its level's pump.
     """
-    pmf = [Fraction(w) for w in herald_count_distribution(spec.source_count, spec.p_herald)]
-    size = spec.capacity + 1
+    size = config.capacity + 1
     matrix = [[Fraction(0)] * size for _ in range(size)]
     lack = [Fraction(0)] * size
+    multi = [Fraction(0)] * size
     for level in range(size):
-        for heralds, weight in enumerate(pmf):
-            filled = min(spec.multiple, level + heralds)
-            matrix[level][min(spec.capacity, level + heralds - filled)] += weight
-            lack[level] += weight * (spec.multiple - filled)
+        pump = _level_pump(config, level)
+        relative = Fraction(pump.p_multi) / Fraction(pump.p_herald)
+        for weight, next_level, lacks, kept in outcomes(config, level):
+            matrix[level][next_level] += weight
+            lack[level] += weight * lacks
+            multi[level] += weight * kept * relative
     for k in range(size - 1, 0, -1):
         exit_rate = sum(matrix[k][:k])
         for i in range(k):
@@ -139,20 +191,185 @@ def _exact_stationary_rates(spec: ChainSpec) -> tuple[Fraction, Fraction]:
     pi = [Fraction(1)]
     for k in range(1, size):
         pi.append(sum(pi[i] * matrix[i][k] for i in range(k)))
-    total = sum(pi)
-    lack_rate = sum(p * c for p, c in zip(pi, lack)) / (total * spec.multiple)
-    mean_storage = sum(level * p for level, p in enumerate(pi)) / total
-    return lack_rate, mean_storage
+    total = sum(pi) * config.multiple
+    lack_rate = sum(p * c for p, c in zip(pi, lack)) / total
+    multi_rate = sum(p * c for p, c in zip(pi, multi)) / total
+    mean_storage = sum(level * p for level, p in enumerate(pi)) * config.multiple / total
+    return lack_rate, multi_rate, mean_storage
+
+
+def _assert_matches_exact(config: SimConfig, outcomes) -> OracleRates:
+    lack_rate, multi_rate, mean_storage = _exact_stationary_rates(config, outcomes)
+    rates = stationary_rates(config)
+    assert rates.lack_rate == pytest.approx(float(lack_rate), rel=1e-12, abs=0.0)
+    assert rates.multi_rate == pytest.approx(float(multi_rate), rel=1e-12, abs=0.0)
+    assert rates.mean_storage == pytest.approx(float(mean_storage), rel=1e-12, abs=0.0)
+    return rates
 
 
 def test_stationary_rates_match_exact_rationals() -> None:
     for args in [(20, 4, 4, 0.3), (12, 2, 4, 0.25), (30, 4, 5, 0.2)]:
-        spec = _spec(*args)
-        lack_rate, mean_storage = _exact_stationary_rates(spec)
-        rates = stationary_rates(spec)
-        assert rates.lack_rate == pytest.approx(float(lack_rate), rel=1e-12, abs=0.0)
-        assert rates.mean_storage == pytest.approx(float(mean_storage), rel=1e-12, abs=0.0)
+        rates = _assert_matches_exact(_spec(*args), _herald_count_outcomes)
     assert rates.lack_rate == pytest.approx(3.398435903e-11, rel=1e-9, abs=0.0)
+
+
+def test_constrained_and_feedback_rates_match_exact_rationals() -> None:
+    # a constrained bank with interior rows, every one of its 2**9 click
+    # patterns routed by plan_cycle
+    constrained = SimConfig(source_count=9, multiple=4, mean_pairs=0.3, step_count=3)
+    _assert_matches_exact(constrained, _click_pattern_outcomes)
+    # a pump that changes with every storage level
+    turbo = replace(_spec(20, 4, 3, 0.1), feedback=FeedbackPolicy("turbo_boost", 1.5))
+    _assert_matches_exact(turbo, _herald_count_outcomes)
+    # both at once, in a bank too short to have interior rows
+    boosted = SimConfig(
+        source_count=7, multiple=9, mean_pairs=0.4, step_count=4, feedback="boost"
+    )
+    _assert_matches_exact(boosted, _click_pattern_outcomes)
+
+
+def test_kept_photon_multi_rate_identity() -> None:
+    # with a fixed pump every kept photon leaves at one relative multi
+    # rate, and in the steady state kept photons equal filled slots
+    for boundary in ("constrained", "unconstrained"):
+        for args in [(100, 4, 3, 0.049), (11, 4, 3, 0.25), (30, 8, 4, 0.2), (9, 4, 3, 0.3)]:
+            config = replace(_spec(*args), boundary=boundary)
+            probs = herald_probabilities(config.mean_pairs)
+            relative = probs.p_multi / probs.p_herald
+            rates = stationary_rates(config)
+            assert abs(rates.multi_rate - relative * (1.0 - rates.lack_rate)) <= 1e-15
+            assert rates.relative_multi_rate == pytest.approx(relative, rel=1e-12)
+            assert rates.mean_heralds == pytest.approx(
+                config.source_count * probs.p_herald, rel=1e-12
+            )
+
+
+def _edge_rows(config: SimConfig) -> list[int]:
+    """Rows whose click bits the outcome table keeps."""
+    s, k = config.source_count, config.step_count
+    if config.boundary is BoundaryMode.UNCONSTRAINED:
+        return []
+    if s < 2 * k:
+        return list(range(1, s + 1))
+    return [*range(1, k + 1), *range(s - k + 1, s + 1)]
+
+
+def _brute_force_table(config: SimConfig) -> Counter:
+    """The outcome table from plan_cycle, one walk per click pattern.
+
+    Every pattern of the edge rows is combined with every interior click
+    count, the interior clicks placed on randomly chosen rows (the only
+    choice when there is at most one interior row).  Counts at or past
+    the number of open targets must all give one outcome.
+    """
+    topology = RegisterTopology(config.source_count, config.step_count)
+    edge = _edge_rows(config)
+    interior = [row for row in range(1, config.source_count + 1) if row not in edge]
+    rng = np.random.default_rng(11)
+    outcomes: dict[tuple, set] = {}
+    for level in range(config.capacity + 1):
+        targets = 2**config.step_count - level
+        for bits in itertools.product((0, 1), repeat=len(edge)):
+            for n in range(len(interior) + 1):
+                rows = [row for row, bit in zip(edge, bits) if bit]
+                rows += rng.choice(interior, size=n, replace=False).tolist()
+                clicks = np.zeros(config.source_count, dtype=bool)
+                clicks[np.array(rows, dtype=int) - 1] = True
+                plan = plan_cycle(
+                    topology, clicks, clicks.astype(np.int64), (1,) * level, config.multiple,
+                    boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
+                )
+                at_least = len(interior) > targets and n >= targets
+                key = (level, bits, min(n, targets), at_least)
+                outcomes.setdefault(key, set()).add(
+                    (len(plan.storage_out), plan.lack_count, len(plan.new_assignments))
+                )
+    table = Counter()
+    for (level, bits, n, at_least), found in outcomes.items():
+        assert len(found) == 1, (level, bits, n, found)
+        table[(level, sum(bits), n, at_least, *found.pop())] += 1
+    return table
+
+
+def test_outcome_table_matches_every_click_pattern() -> None:
+    configs = [
+        SimConfig(source_count=8, multiple=4, mean_pairs=0.1, step_count=4),  # S = 2K
+        SimConfig(source_count=6, multiple=1, mean_pairs=0.1, step_count=3),  # S = 2K
+        SimConfig(source_count=9, multiple=6, mean_pairs=0.1, step_count=4),  # S = 2K + 1
+        SimConfig(source_count=7, multiple=3, mean_pairs=0.1, step_count=3),  # S = 2K + 1
+        SimConfig(source_count=5, multiple=9, mean_pairs=0.1, step_count=4),  # S < 2K
+        SimConfig(source_count=3, multiple=2, mean_pairs=0.1, step_count=2),  # S < 2K
+        SimConfig(source_count=24, multiple=2, mean_pairs=0.1, step_count=3),
+        SimConfig(source_count=24, multiple=5, mean_pairs=0.1, step_count=3),
+        SimConfig(
+            source_count=12, multiple=3, mean_pairs=0.1, step_count=3, boundary="unconstrained"
+        ),
+    ]
+    for config in configs:
+        table = oracle._outcome_table(
+            config.source_count,
+            config.step_count,
+            config.multiple,
+            config.boundary is BoundaryMode.CONSTRAINED,
+        )
+        assert table.edge_rows == len(_edge_rows(config))
+        kept = config.multiple - table.lacks + table.next_level - table.level
+        records = Counter()
+        for record in zip(
+            table.level, table.edge_clicks, table.interior_clicks, table.at_least,
+            table.next_level, table.lacks, kept, table.count,
+        ):
+            *key, count = (int(value) for value in record)
+            key[3] = bool(key[3])
+            records[tuple(key)] += count
+        assert records == _brute_force_table(config), config
+
+
+def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the table is pump-independent, so a pump sweep reweights one table,
+    # and the herald pmf is built once per distinct pump value
+    pumps: list[float] = []
+    real = oracle.herald_count_distribution
+
+    def recording(source_count: int, p_herald: float) -> np.ndarray:
+        pumps.append(p_herald)
+        return real(source_count, p_herald)
+
+    monkeypatch.setattr(oracle, "herald_count_distribution", recording)
+    oracle._outcome_table.cache_clear()
+    config = _spec(100, 4, 3, 0.049)
+    for mean in (0.03, 0.049, 0.06):
+        stationary_rates(replace(config, mean_pairs=mean))
+    assert oracle._outcome_table.cache_info().misses == 1
+    assert pumps == [herald_probabilities(mean).p_herald for mean in (0.03, 0.049, 0.06)]
+    assert oracle._outcome_table(100, 3, 4, False).edge_rows == 0
+
+    for mode, distinct in (("boost", 2), ("turbo_boost", config.capacity + 1)):
+        pumps.clear()
+        stationary_rates(replace(config, feedback=mode))
+        expected = {
+            herald_probabilities(
+                apply_feedback(FeedbackPolicy(mode), level, config.capacity, 0.049)
+            ).p_herald
+            for level in range(config.capacity + 1)
+        }
+        assert len(pumps) == len(expected) == distinct
+        assert set(pumps) == expected
+
+
+def test_constrained_chain_depth_is_bounded_before_allocation() -> None:
+    deep = SimConfig(
+        source_count=100, multiple=4, mean_pairs=0.05, step_count=MAX_CONSTRAINED_STEP_COUNT + 1
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"at most {MAX_CONSTRAINED_STEP_COUNT}"):
+            stationary_rates(deep)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    # the unconstrained chain of the same bank has no such limit
+    assert stationary_rates(replace(deep, boundary="unconstrained")).lack_rate < 1.0
 
 
 def test_stationary_rates_at_numeric_extremes() -> None:
@@ -176,14 +393,15 @@ def test_stationary_rates_at_numeric_extremes() -> None:
 def test_rates_with_no_storage_reduce_to_binomial_expectation() -> None:
     # full-span train: zero capacity, one state, lack is a pure binomial sum
     spec = _spec(6, 4, 2, 0.3)
+    probs = herald_probabilities(0.3)
     assert spec.capacity == 0
     h = np.arange(7)
-    pmf = stats.binom.pmf(h, 6, spec.p_herald)
+    pmf = stats.binom.pmf(h, 6, probs.p_herald)
     expected_lack = float(pmf @ (4 - np.minimum(4, h))) / 4
     rates = stationary_rates(spec)
     assert rates.lack_rate == pytest.approx(expected_lack, rel=1e-10)
     assert rates.multi_rate == pytest.approx(
-        (spec.p_multi / spec.p_herald) * (1 - expected_lack), rel=1e-10
+        (probs.p_multi / probs.p_herald) * (1 - expected_lack), rel=1e-10
     )
     assert rates.mean_storage == 0.0
 
@@ -195,7 +413,7 @@ def test_single_source_never_stores() -> None:
         spec = _spec(1, 1, step_count, 0.4)
         rates = stationary_rates(spec)
         assert rates.lack_rate == pytest.approx(math.exp(-0.4), rel=1e-10)
-        assert rates.multi_rate == pytest.approx(spec.p_multi, rel=1e-10)
+        assert rates.multi_rate == pytest.approx(herald_probabilities(0.4).p_multi, rel=1e-10)
         assert rates.mean_storage == 0.0
     # nor can three sources outrun an eight-photon train: every stored
     # level is transient and gets exactly zero
@@ -240,24 +458,30 @@ def test_more_storage_means_fewer_lacks() -> None:
 
 
 def test_chain_spec_validation() -> None:
+    # the chain reads a SimConfig, so these are the bad chains it can still
+    # be asked for: no sources, a train longer than the register, a register
+    # past the depth limit, and a pump whose click probability rounds to one
     with pytest.raises(ParameterError):
-        ChainSpec(source_count=0, multiple=1, capacity=1, p_herald=0.1, p_multi=0.01)
+        stationary_rates(_spec(0, 1, 1, 0.1))
     with pytest.raises(ParameterError):
-        ChainSpec(source_count=5, multiple=1, capacity=-1, p_herald=0.1, p_multi=0.01)
+        stationary_rates(_spec(5, 3, 1, 0.1))
     with pytest.raises(ParameterError):
-        ChainSpec(source_count=5, multiple=1, capacity=2**12, p_herald=0.1, p_multi=0.01)
+        stationary_rates(_spec(5, 1, 13, 0.1))
     with pytest.raises(ParameterError):
-        ChainSpec(source_count=5, multiple=1, capacity=1, p_herald=1.0, p_multi=0.01)
-    with pytest.raises(ParameterError):
-        ChainSpec(source_count=5, multiple=1, capacity=1, p_herald=0.1, p_multi=0.2)
+        stationary_rates(_spec(5, 1, 1, 40.0))
 
 
-def test_chain_spec_from_mean_pairs_wiring() -> None:
-    spec = _spec(100, 4, 3, 0.049)
+def test_chain_pump_wiring() -> None:
+    config = _spec(100, 4, 3, 0.049)
     probs = herald_probabilities(0.049)
-    assert spec.capacity == 4
-    assert spec.p_herald == probs.p_herald
-    assert spec.p_multi == probs.p_multi
+    rates = stationary_rates(config)
+    assert config.capacity == 4
+    assert rates.mean_heralds == pytest.approx(100 * probs.p_herald, rel=1e-15)
+    assert rates.relative_multi_rate == pytest.approx(probs.p_multi / probs.p_herald, rel=1e-12)
+    # boost pumps harder below full storage: more heralds, fewer lacks
+    boosted = stationary_rates(replace(config, feedback="boost"))
+    assert rates.mean_heralds < boosted.mean_heralds < 100 * herald_probabilities(0.098).p_herald
+    assert boosted.lack_rate < rates.lack_rate
 
 
 def test_optimized_power_balances_the_two_error_rates() -> None:
@@ -281,5 +505,6 @@ def test_optimized_power_failure_modes() -> None:
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
         optimized_power(1, 2, 1)
-    with pytest.raises(ParameterError):
-        optimized_power(100, 4, 3, tolerance=0.0)
+    for tolerance in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            optimized_power(100, 4, 3, tolerance=tolerance)

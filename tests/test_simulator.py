@@ -92,6 +92,17 @@ def test_sim_config_validation() -> None:
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, boundary="sideways")
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, feedback="warp")
+    # non-integer and non-finite counts name the argument they came in as
+    for source_count in (2.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="source count"):
+            SimConfig(source_count=source_count, multiple=2, mean_pairs=0.3)
+    for name in ("multiple", "step_count", "seed"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=name.replace("_", " ")):
+                SimConfig(**{"source_count": 10, "multiple": 2, "mean_pairs": 0.3, name: value})
+    whole = SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0)
+    assert [whole.source_count, whole.multiple, whole.step_count, whole.seed] == [10, 2, 3, 4]
+    assert all(type(value) is int for value in (whole.source_count, whole.multiple, whole.seed))
 
 
 def test_same_config_reproduces_identical_metrics() -> None:
