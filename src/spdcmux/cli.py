@@ -453,8 +453,9 @@ def run_command(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code.
 
     Usage mistakes exit 2 (argparse convention), domain and numeric
-    failures (including a float overflow and a photon conservation
-    violation) exit 1 with a message on stderr, success exits 0.
+    failures (including a float overflow, an allocation the memory limit
+    refuses and a photon conservation violation) exit 1 with a message on
+    stderr, success exits 0.
     """
     parser = _build_parser()
     try:
@@ -470,7 +471,7 @@ def run_command(argv: Sequence[str]) -> int:
         else:
             sys.stdout.write(text)
     except (
-        ParameterError, ConvergenceError, ConservationError, OverflowError, OSError
+        ParameterError, ConvergenceError, ConservationError, OverflowError, MemoryError, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

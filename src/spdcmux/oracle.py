@@ -8,18 +8,27 @@ is blind to pair multiplicities.  So the level is a (capacity + 1)-state
 Markov chain of the very ``SimConfig`` the Monte Carlo runs, and its
 stationary distribution gives the exact lack rate.
 
-Clicks are independent across rows, so a cycle from a given level is a
-table over click patterns, built once per bank and reweighted per pump:
+Clicks are independent across rows.  In a constrained bank rows K+1 ..
+S-K reach every delay (they are interior) and the K rows at either end
+are edge rows; a bank of at most 2K rows is all edge rows, and without
+boundary limits every row is interior.  A cycle from level l is composed
+of three walks, tabulated once per bank and reweighted per pump:
 
-* interior rows reach every delay, so only how many of them clicked
-  matters, and past the number of open targets not even that.  In a
-  constrained bank these are rows K+1 .. S-K; without boundary limits
-  every row is interior;
-* the K edge rows at either end of a constrained bank keep their click
-  bits.  With an interior click the greedy walk splits in three: the top
-  rows until the first interior row takes a target, the interior run,
-  then the bottom rows alone.  With none, the edge rows walk jointly.  A
-  bank of fewer than 2K rows has no interior: every pattern walks whole.
+* with no interior click the edge rows walk jointly: one record per
+  (level, edge pattern);
+* otherwise the greedy walk splits.  The clicked top rows fill targets
+  l .. l+i-1 with no gap before the first interior row takes one (so
+  i <= K), and the c interior clicks run on to stop at delay
+  s = min(l + i + c, 2**K).  A table counts top patterns per (level,
+  top clicks, i);
+* from s on the bottom rows walk alone and the level drops out: they
+  fill some slots and j storage positions, so the next level is
+  max(s - m, 0) + j.  A table counts bottom patterns per (s, bottom
+  clicks, j) and sums their lacks and kept photons.
+
+Per pump, the run is the interior herald pmf shifted by l + i, read
+through a sliding window without a copy, weighted by the top table and
+folded through the bottom table into the matrix columns.
 
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
@@ -37,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emission import HeraldProbabilities, herald_probabilities
+from .emission import herald_probabilities
 from .errors import ConvergenceError, ParameterError, check_p_herald, check_source_count
 from .register import _cached_topology
 from .scheduler import _reach_masks, _route_greedy
@@ -54,7 +63,8 @@ __all__ = [
 ]
 
 # a constrained chain walks all 4**K edge-row click patterns from every
-# level; at K=5 that takes about 0.3 s, and every further stage multiplies it by 8
+# level; at K=5 that takes about 0.15 s on a 2-core machine, and every further
+# stage multiplies it by 8
 MAX_CONSTRAINED_STEP_COUNT = 5
 
 
@@ -88,27 +98,24 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-class _Outcomes(NamedTuple):
-    """Pump-independent outcomes of one cycle from every storage level.
+class _Walks(NamedTuple):
+    """Pump-independent walk tables of one bank; see the module docstring.
 
-    Record r: from storage level ``level[r]``, ``count[r]`` click patterns
-    of the edge rows with ``edge_clicks[r]`` clicks, together with
-    ``interior_clicks[r]`` interior clicks (or at least that many where
-    ``at_least[r]`` is 1), leave storage at ``next_level[r]`` with
-    ``lacks[r]`` empty slots.  The filled slots and the storage change,
-    less the stored photons that left, are the new photons kept, slotted
-    or stored: ``multiple - lacks + next_level - level``.
+    Axis 1 of each table is the number of clicks among the rows walking.
+    ``joint[level, n, j]`` and ``bottom[stop, n, j]`` count the patterns
+    of the edge rows walking from ``level`` and of the bottom rows walking
+    from delay ``stop`` that fill j storage positions; ``joint_sums`` and
+    ``bottom_sums`` hold their summed lacks and kept photons.
+    ``top[level, n, i]`` counts the top-row patterns that fill i targets
+    before the first interior row takes one.
     """
 
-    edge_rows: int
     interior_rows: int
-    level: np.ndarray
-    edge_clicks: np.ndarray
-    interior_clicks: np.ndarray
-    at_least: np.ndarray
-    next_level: np.ndarray
-    lacks: np.ndarray
-    count: np.ndarray
+    joint: np.ndarray
+    joint_sums: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    bottom_sums: np.ndarray
 
 
 def _click_patterns(rows: list[int]) -> list[list[int]]:
@@ -120,190 +127,147 @@ def _click_patterns(rows: list[int]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=4)
-def _outcome_table(
-    source_count: int, step_count: int, multiple: int, constrained: bool
-) -> _Outcomes:
-    """Enumerate one cycle from every level; see the module docstring."""
+def _walks(source_count: int, step_count: int, multiple: int, constrained: bool) -> _Walks:
+    """Tabulate the three walks of one bank; see the module docstring."""
     if constrained and step_count > MAX_CONSTRAINED_STEP_COUNT:
         raise ParameterError(
             f"the constrained chain supports at most {MAX_CONSTRAINED_STEP_COUNT} "
             f"register steps, got {step_count}"
         )
     span = 2**step_count
-    size = span - multiple + 1
-    top: list[int] = []
-    bottom: list[int] = []
     reach = None
+    edge: list[int] = []
     if constrained:
         reach = _reach_masks(_cached_topology(source_count, step_count))
-        if source_count >= 2 * step_count:
-            top = list(range(1, step_count + 1))
-            bottom = list(range(source_count - step_count + 1, source_count + 1))
-        else:
-            top = list(range(1, source_count + 1))
-    interior = source_count - len(top) - len(bottom)
-    first_interior = len(top) + 1
+        # rows K+1 .. S-K reach every delay
+        edge = [
+            row for row in range(1, source_count + 1)
+            if not step_count < row <= source_count - step_count
+        ]
+    interior = source_count - len(edge)
+    top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
 
-    def walk(rows: list[int], start: int) -> tuple[int, int]:
-        """Slots and storage positions the greedy walk fills from delay ``start`` on."""
-        if not rows:
-            return 0, 0
-        assignments, _ = _route_greedy(
-            reach, rows, range(min(start, multiple), multiple), range(max(start, multiple), span)
-        )
-        slots = sum(delay < multiple for _, delay in assignments)
-        return slots, len(assignments) - slots
+    def tally(rows: list[int], starts: int, then: tuple[int, ...] = ()) -> np.ndarray:
+        """Columns start, clicks, targets filled and storage positions filled
+        by every click pattern of ``rows``, ahead of rows ``then``, walking
+        greedily from each delay below ``starts``."""
+        patterns = _click_patterns(rows)
+        columns = []
+        for start in range(starts):
+            targets = range(min(start, multiple), multiple), range(max(start, multiple), span)
+            for pattern in patterns:
+                taken, _ = _route_greedy(reach, [*pattern, *then], *targets)
+                delays = [delay for row, delay in taken if row not in then]
+                stored = sum(delay >= multiple for delay in delays)
+                columns.append((start, len(pattern), len(delays), stored))
+        return np.array(columns).T
 
-    def handover(rows: list[int], level: int) -> int:
-        """Delay at which the first interior row takes over from the clicked top rows."""
-        if not rows:
-            return level  # the first open target
-        assignments, _ = _route_greedy(
-            reach,
-            [*rows, first_interior],
-            range(min(level, multiple), multiple),
-            range(max(level, multiple), span),
-        )
-        return next((delay for row, delay in assignments if row == first_interior), span)
+    def walk(rows: list[int], starts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Patterns per (start, clicks, positions stored), summed lacks and kept."""
+        start, clicks, kept, stored = tally(rows, starts)
+        counts = np.zeros((starts, len(rows) + 1, len(rows) + 1), dtype=np.int64)
+        np.add.at(counts, (start, clicks, stored), 1)
+        sums = np.zeros((starts, len(rows) + 1, 2), dtype=np.int64)
+        lacks = np.maximum(multiple - start, 0) - kept + stored
+        np.add.at(sums, (start, clicks), np.stack((lacks, kept), axis=1))
+        return counts, sums
 
-    top_sets = _click_patterns(top)
-    bottom_sets = _click_patterns(bottom)
-    edge_sets = _click_patterns(top + bottom)
-    top_clicks = np.array([len(rows) for rows in top_sets])
-    bottom_clicks = np.array([len(rows) for rows in bottom_sets])
-    edge_clicks = np.array([len(rows) for rows in edge_sets])
-    # the bottom rows walk alone from wherever the interior run stopped
-    after = np.array([[walk(rows, start) for rows in bottom_sets] for start in range(span + 1)])
+    size = span - multiple + 1
+    # the first interior row stands in for the run
+    level, clicks, filled, _ = tally(top, size, (len(top) + 1,))
+    top_table = np.zeros((size, len(top) + 1, len(top) + 1), dtype=np.int64)
+    np.add.at(top_table, (level, clicks, filled), 1)
+    walks = _Walks(interior, *walk(edge, size), top_table, *walk(bottom, span + 1))
+    for table in walks[1:]:
+        table.flags.writeable = False  # shared by every caller of the cache
+    return walks
 
-    # records per level: every joint walk, then (top, interior, bottom) triples
-    runs = [min(interior, span - level) for level in range(size)]
-    starts = np.cumsum([0] + [len(edge_sets) + len(top_sets) * n * len(bottom_sets) for n in runs])
-    table = np.empty((6, starts[-1]), dtype=np.int16)
 
-    def put(start, level, clicks, inner, at_least, slots, stored) -> int:
-        """Write columns level, edge clicks, interior clicks, at least, next level
-        and lacks from record ``start`` on; returns the record after the last."""
-        lead = min(level, multiple)  # stored photons leaving in the leading slots
-        columns = np.broadcast_arrays(
-            level, clicks, inner, at_least, level - lead + stored, multiple - lead - slots
-        )
-        for row, column in zip(table, columns):
-            row[start:start + column.size].reshape(column.shape)[...] = column
-        return start + columns[0].size
-
-    for level, run in enumerate(runs):
-        # no interior click: the edge rows walk jointly
-        joint = np.array([walk(rows, level) for rows in edge_sets])
-        start = put(starts[level], level, edge_clicks, 0, False, joint[:, 0], joint[:, 1])
-        if not run:
-            continue
-        # interior clicks past the open targets change nothing
-        clicks = np.arange(1, run + 1)
-        first = np.array([handover(rows, level) for rows in top_sets])
-        stop = np.minimum(first[:, None] + clicks, span)
-        rest = after[stop]
-        put(
-            start,
-            level,
-            top_clicks[:, None, None] + bottom_clicks,
-            clicks[:, None],
-            (interior > run) & (clicks == run)[:, None],
-            (np.minimum(stop, multiple) - min(level, multiple))[:, :, None] + rest[..., 0],
-            np.maximum(stop - max(level, multiple), 0)[:, :, None] + rest[..., 1],
-        )
-    count = np.broadcast_to(np.int16(1), table.shape[1:])
-    if top or bottom:
-        # merge records that differ only in which edge rows clicked
-        dims = (size, len(top) + len(bottom) + 1, min(interior, span) + 1, 2, size, multiple + 1)
-        keys, count = np.unique(np.ravel_multi_index(table, dims), return_counts=True)
-        table = np.array(np.unravel_index(keys, dims), dtype=np.int16)
-    # shared by every caller of the cache
-    table.flags.writeable = count.flags.writeable = False
-    level, edge, inner, at_least, next_level, lacks = table
-    return _Outcomes(
-        edge_rows=len(top) + len(bottom),
-        interior_rows=interior,
-        level=level,
-        edge_clicks=edge,
-        interior_clicks=inner,
-        at_least=at_least,
-        next_level=next_level,
-        lacks=lacks,
-        count=count,
-    )
+def _weigh(table: np.ndarray, p: float) -> np.ndarray:
+    """Sum a walk table over its click counts n, a pattern weighing p**n (1-p)**(rows-n)."""
+    n = np.arange(table.shape[1])
+    weight = np.exp(n * math.log(p) + (n[-1] - n) * math.log1p(-p))
+    return np.einsum("n,xnj->xj", weight, table)
 
 
 def _chain_tables(
     config: SimConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[HeraldProbabilities]]:
-    """Transition matrix, expected lacks and kept photons per level, and each level's pump."""
-    table = _outcome_table(
-        config.source_count,
-        config.step_count,
-        config.multiple,
-        config.boundary is BoundaryMode.CONSTRAINED,
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transition matrix, expected lacks and kept photons per level, and
+    each level's p_herald and p_multi / p_herald."""
+    constrained = config.boundary is BoundaryMode.CONSTRAINED
+    walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
+    m = config.multiple
+    span = 2**config.step_count
     size = config.capacity + 1
     means = [
         apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
         for level in range(size)
     ]
-    # one herald pmf per distinct pump value, not per level
-    pumps = {mean: index for index, mean in enumerate(dict.fromkeys(means))}
-    width = min(table.interior_rows, 2**config.step_count) + 1
-    edge = np.arange(table.edge_rows + 1)
-    edge_weight = np.empty((len(pumps), edge.size))
-    interior_weight = np.empty((len(pumps), 2 * width))
-    for mean, index in pumps.items():
-        p = check_p_herald(herald_probabilities(mean).p_herald)
-        # one given pattern of c clicks among the edge rows
-        edge_weight[index] = np.exp(edge * math.log(p) + (table.edge_rows - edge) * math.log1p(-p))
-        pmf = (
-            herald_count_distribution(table.interior_rows, p)
-            if table.interior_rows
-            else np.ones(1)
-        )
-        tail = np.cumsum(pmf[::-1])[::-1]  # P(at least n interior clicks)
-        interior_weight[index] = np.concatenate((pmf[:width], tail[:width]))
-
-    pump_of_level = np.array([pumps[mean] for mean in means])
     matrix = np.empty((size, size))
-    lacks = np.empty(size)
-    kept = np.empty(size)
-    starts = np.searchsorted(table.level, np.arange(size + 1))
-    low = 0
-    while low < size:
-        # blocks of whole levels bound the temporaries: 2**16 matrix cells
-        # and, unless one level has more, 2**14 records
-        high = min(
-            size,
-            low + max(1, 2**16 // size),
-            max(low + 1, int(np.searchsorted(starts, starts[low] + 2**14, "right")) - 1),
-        )
-        part = slice(starts[low], starts[high])
-        pump = pump_of_level[table.level[part]] if len(pumps) > 1 else 0
-        weight = edge_weight[pump, table.edge_clicks[part]]
-        weight *= interior_weight[pump, table.interior_clicks[part] + width * table.at_least[part]]
-        weight *= table.count[part]
-        level, next_level, lack = table.level[part], table.next_level[part], table.lacks[part]
-        rows = level - low
-        cells = np.bincount(
-            rows * np.int64(size) + next_level, weights=weight, minlength=(high - low) * size
-        )
-        matrix[low:high] = cells.reshape(high - low, size)
-        lacks[low:high] = np.bincount(rows, weights=weight * lack, minlength=high - low)
-        kept[low:high] = np.bincount(
-            rows,
-            weights=weight * (config.multiple - lack + next_level - level),
-            minlength=high - low,
-        )
-        low = high
-    return matrix, lacks, kept, [herald_probabilities(mean) for mean in means]
+    sums = np.empty((size, 2))  # expected lacks and kept photons
+    p_herald, relative = np.empty((2, size))
+    offsets = np.arange(walks.top.shape[2])
+    # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
+    # shifted[level, s, i] = run[s - level - i] at stops s = 0 .. span-1 is a view
+    lead = span + offsets.size - 1
+    padded = np.zeros(lead + span)
+    run = padded[lead:]
+    windows = np.lib.stride_tricks.sliding_window_view
+    shifted = windows(windows(padded, span)[::-1], offsets.size, axis=0)
+    # blocks of whole levels bound the temporaries at 2**16 cells
+    block = max(1, 2**16 // (span + 1))
+    # runs of levels under one pump: a monotone feedback repeats no pump
+    cuts = [level for level in range(1, size) if means[level] != means[level - 1]]
+    for first, last in zip([0, *cuts], [*cuts, size]):
+        probs = herald_probabilities(means[first])
+        p = check_p_herald(probs.p_herald)
+        p_herald[first:last] = p
+        relative[first:last] = probs.p_multi / p
+        rows = walks.interior_rows
+        interior = herald_count_distribution(rows, p) if rows else np.ones(1)
+        stored = _weigh(walks.bottom, p)[:, :size]  # [stop, j]
+        bottom_sums = _weigh(walks.bottom_sums, p)
+        # at least one interior click: tail[n] = P(max(n, 1) or more) for
+        # n <= span, and running sums of run[c] and c run[c] over c < n
+        run[1:interior.size] = interior[1:span]
+        rest = np.cumsum(interior[:0:-1])[::-1]
+        tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
+        below = np.concatenate(([0.0], np.cumsum(run)))
+        weighted_below = np.concatenate(([0.0], np.cumsum(np.arange(span) * run)))
+        for low in range(first, last, block):
+            high = min(last, low + block)
+            level = np.arange(low, high)[:, None]
+            cells = matrix[low:high]
+            # the top rows hand over after i targets; stops[level, s] is the
+            # chance that the interior run then stops at delay s
+            top = _weigh(walks.top[low:high], p)
+            stops = np.empty((high - low, span + 1))
+            np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
+            left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
+            stops[:, span] = (top * tail[left]).sum(axis=1)
+            # from s the bottom rows store j photons: the next level is max(s - m, 0) + j
+            np.multiply(stops[:, m + 1:], stored[m + 1:, 0], out=cells[:, 1:])
+            cells[:, 0] = 0.0
+            for j in range(1, stored.shape[1]):
+                cells[:, j + 1:] += stops[:, m + 1:span + 1 - j] * stored[m + 1:span + 1 - j, j]
+            cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
+            sums[low:high] = stops @ bottom_sums
+            # the top rows and the run keep s - level photons
+            sums[low:high, 1] += (
+                top * (offsets * below[left] + weighted_below[left] + (span - level) * tail[left])
+            ).sum(axis=1)
+            # no interior click: the edge rows walk jointly from the level
+            joint = interior[0] * _weigh(walks.joint[low:high], p)
+            columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
+            np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
+            sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], p)
+    return matrix, sums[:, 0], sums[:, 1], p_herald, relative
 
 
 def transition_matrix(config: SimConfig) -> np.ndarray:
     """One-cycle transition matrix of the storage level."""
-    matrix, _, _, _ = _chain_tables(config)
+    matrix, *_ = _chain_tables(config)
     return matrix
 
 
@@ -379,10 +343,9 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     ParameterError
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    matrix, lacks, kept, pumps = _chain_tables(config)
+    matrix, lacks, kept, p_herald, relative = _chain_tables(config)
     pi = _reduce_to_stationary(matrix)
     lack_rate = float(pi @ lacks) / config.multiple
-    relative = np.array([pump.p_multi / pump.p_herald for pump in pumps])
     multi_rate = float(pi @ (relative * kept)) / config.multiple
     fill_rate = 1.0 - lack_rate
     return OracleRates(
@@ -390,7 +353,7 @@ def stationary_rates(config: SimConfig) -> OracleRates:
         multi_rate=multi_rate,
         relative_multi_rate=multi_rate / fill_rate if fill_rate > 0.0 else math.nan,
         mean_storage=float(pi @ np.arange(pi.size)),
-        mean_heralds=config.source_count * float(pi @ [pump.p_herald for pump in pumps]),
+        mean_heralds=config.source_count * float(pi @ p_herald),
     )
 
 

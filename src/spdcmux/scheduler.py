@@ -22,6 +22,7 @@ cannot influence a routing choice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -224,7 +225,7 @@ def _route_greedy(
     """Monotone greedy walk: fastest eligible row to earliest open target."""
     if reach is None:
         # every row reaches every delay: rows fill the targets in order
-        assignments = list(zip(rows, [*slot_delays, *storage_delays]))
+        assignments = list(zip(rows, itertools.chain(slot_delays, storage_delays)))
         return assignments, len(rows) - len(assignments)
     assignments: list[tuple[int, int]] = []
     pointer = 0

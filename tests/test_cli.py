@@ -2,6 +2,7 @@
 
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ def _rows(text: str) -> list[list[str]]:
     return [line.split(",") for line in lines[1:]]
 
 
-def _python(*argv: str) -> subprocess.CompletedProcess:
+def _python(*argv: str, preexec_fn=None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports spdcmux from the tree under test."""
     src = str(Path(simulator.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -44,6 +45,7 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -426,6 +428,23 @@ def test_overflow_exits_one(capsys: pytest.CaptureFixture) -> None:
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_of_memory_exits_one() -> None:
+    # three million rows by 4096 delays is an 11.4 GiB reachability table,
+    # which a 1 GiB address space refuses
+    def limit_address_space() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    bank = ["--sources", "3000000", "--steps", "12"]
+    for argv in (
+        ["simulate", *bank, "--multiple", "4", "--mean-pairs", "0.01", "--cycles", "1"],
+        ["verify-topology", *bank],
+    ):
+        result = _python("-m", "spdcmux", *argv, preexec_fn=limit_address_space)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: "), result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_unsampleable_pump_exits_one(capsys: pytest.CaptureFixture) -> None:

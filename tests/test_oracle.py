@@ -1,5 +1,6 @@
 """Exact chain solution: transition structure, stationary rates, optimizer."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -245,7 +246,7 @@ def test_kept_photon_multi_rate_identity() -> None:
 
 
 def _edge_rows(config: SimConfig) -> list[int]:
-    """Rows whose click bits the outcome table keeps."""
+    """Rows whose click bits the walk tables keep."""
     s, k = config.source_count, config.step_count
     if config.boundary is BoundaryMode.UNCONSTRAINED:
         return []
@@ -254,13 +255,14 @@ def _edge_rows(config: SimConfig) -> list[int]:
     return [*range(1, k + 1), *range(s - k + 1, s + 1)]
 
 
-def _brute_force_table(config: SimConfig) -> Counter:
-    """The outcome table from plan_cycle, one walk per click pattern.
+def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]:
+    """Click patterns per (level, interior clicks, edge clicks, next level),
+    and their summed lacks and kept photons per (level, interior clicks,
+    edge clicks), one plan_cycle walk per edge pattern and interior count.
 
-    Every pattern of the edge rows is combined with every interior click
-    count, the interior clicks placed on randomly chosen rows (the only
-    choice when there is at most one interior row).  Counts at or past
-    the number of open targets must all give one outcome.
+    The interior clicks sit on randomly chosen rows (the only choice when
+    there is at most one interior row).  Counts at or past the number of
+    open targets must all give one outcome, and count once.
     """
     topology = RegisterTopology(config.source_count, config.step_count)
     edge = _edge_rows(config)
@@ -279,16 +281,49 @@ def _brute_force_table(config: SimConfig) -> Counter:
                     topology, clicks, clicks.astype(np.int64), (1,) * level, config.multiple,
                     boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
                 )
-                at_least = len(interior) > targets and n >= targets
-                key = (level, bits, min(n, targets), at_least)
-                outcomes.setdefault(key, set()).add(
+                outcomes.setdefault((level, min(n, targets), bits), set()).add(
                     (len(plan.storage_out), plan.lack_count, len(plan.new_assignments))
                 )
-    table = Counter()
-    for (level, bits, n, at_least), found in outcomes.items():
-        assert len(found) == 1, (level, bits, n, found)
-        table[(level, sum(bits), n, at_least, *found.pop())] += 1
-    return table
+    counts, lacks, kept = Counter(), Counter(), Counter()
+    for (level, n, bits), found in outcomes.items():
+        assert len(found) == 1, (level, n, bits, found)
+        next_level, lack, keep = found.pop()
+        counts[(level, n, sum(bits), next_level)] += 1
+        lacks[(level, n, sum(bits))] += lack
+        kept[(level, n, sum(bits))] += keep
+    return counts, lacks, kept
+
+
+def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]:
+    """The same three tallies composed from the oracle's walk tables: the
+    joint walk without interior clicks, else the top rows' handover, the
+    interior run to its stop s, and the bottom rows' walk from s."""
+    walks = oracle._walks(
+        config.source_count,
+        config.step_count,
+        config.multiple,
+        config.boundary is BoundaryMode.CONSTRAINED,
+    )
+    m, span = config.multiple, 2**config.step_count
+    counts, lacks, kept = Counter(), Counter(), Counter()
+    for level in range(config.capacity + 1):
+        for e, j in itertools.product(*map(range, walks.joint.shape[1:])):
+            counts[(level, 0, e, max(level - m, 0) + j)] += int(walks.joint[level, e, j])
+        for e in range(walks.joint.shape[1]):
+            lacks[(level, 0, e)] += int(walks.joint_sums[level, e, 0])
+            kept[(level, 0, e)] += int(walks.joint_sums[level, e, 1])
+        for n in range(1, min(walks.interior_rows, span - level) + 1):
+            for t, i in itertools.product(*map(range, walks.top.shape[1:])):
+                stop = min(level + i + n, span)
+                tops = int(walks.top[level, t, i])
+                for b, j in itertools.product(*map(range, walks.bottom.shape[1:])):
+                    patterns = tops * int(walks.bottom[stop, b, j])
+                    counts[(level, n, t + b, max(stop - m, 0) + j)] += patterns
+                    kept[(level, n, t + b)] += patterns * (stop - level)
+                for b in range(walks.bottom.shape[1]):
+                    lacks[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 0])
+                    kept[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 1])
+    return +counts, +lacks, +kept
 
 
 def test_outcome_table_matches_every_click_pattern() -> None:
@@ -306,28 +341,19 @@ def test_outcome_table_matches_every_click_pattern() -> None:
         ),
     ]
     for config in configs:
-        table = oracle._outcome_table(
+        walks = oracle._walks(
             config.source_count,
             config.step_count,
             config.multiple,
             config.boundary is BoundaryMode.CONSTRAINED,
         )
-        assert table.edge_rows == len(_edge_rows(config))
-        kept = config.multiple - table.lacks + table.next_level - table.level
-        records = Counter()
-        for record in zip(
-            table.level, table.edge_clicks, table.interior_clicks, table.at_least,
-            table.next_level, table.lacks, kept, table.count,
-        ):
-            *key, count = (int(value) for value in record)
-            key[3] = bool(key[3])
-            records[tuple(key)] += count
-        assert records == _brute_force_table(config), config
+        assert walks.joint.shape[1] == len(_edge_rows(config)) + 1
+        assert _walk_table_outcomes(config) == _brute_force_outcomes(config), config
 
 
 def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -> None:
-    # the table is pump-independent, so a pump sweep reweights one table,
-    # and the herald pmf is built once per distinct pump value
+    # the walk tables are pump-independent, so a pump sweep reweights one
+    # set, and the herald pmf is built once per distinct pump value
     pumps: list[float] = []
     real = oracle.herald_count_distribution
 
@@ -336,13 +362,13 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
         return real(source_count, p_herald)
 
     monkeypatch.setattr(oracle, "herald_count_distribution", recording)
-    oracle._outcome_table.cache_clear()
+    oracle._walks.cache_clear()
     config = _spec(100, 4, 3, 0.049)
     for mean in (0.03, 0.049, 0.06):
         stationary_rates(replace(config, mean_pairs=mean))
-    assert oracle._outcome_table.cache_info().misses == 1
+    assert oracle._walks.cache_info().misses == 1
     assert pumps == [herald_probabilities(mean).p_herald for mean in (0.03, 0.049, 0.06)]
-    assert oracle._outcome_table(100, 3, 4, False).edge_rows == 0
+    assert oracle._walks(100, 3, 4, False).joint.shape[1] == 1
 
     for mode, distinct in (("boost", 2), ("turbo_boost", config.capacity + 1)):
         pumps.clear()
@@ -355,6 +381,22 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
         }
         assert len(pumps) == len(expected) == distinct
         assert set(pumps) == expected
+
+
+def test_walk_tables_do_not_hold_the_matrix() -> None:
+    # the cache keeps only pump-independent walks, O(levels + 2**K) numbers
+    # for an unconstrained bank, not one record per nonzero of the matrix
+    oracle._walks.cache_clear()
+    config = _spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rates = stationary_rates(config)
+        del rates
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] < 2**19
+    finally:
+        tracemalloc.stop()
 
 
 def test_constrained_chain_depth_is_bounded_before_allocation() -> None:
