@@ -19,9 +19,8 @@ verify-topology
     Dump the delay reachability table of a bank as 0/1 cells.
 
 Configuration comes from ``key=value`` lines in a file passed with
-``--config``, from direct flags, or both; flags win.  Recognised keys:
-sources, steps, multiple, mean_pairs, cycles, seed, feedback,
-feedback_strength, boundary.
+``--config``, from direct flags, or both; flags win.  The ``--config``
+help lists the recognised keys, one per device flag.
 
 All rate output is CSV with a fixed header and newline-terminated lines,
 so identical invocations produce byte-identical files.  Measured values
@@ -34,9 +33,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,23 +62,42 @@ __all__ = [
     "run_command",
 ]
 
-_HEADER = (
-    "param,lack_rate,multi_rate,relative_multi_rate,"
-    "filled,discarded,mean_storage,engine,seed,cycles"
-)
+class _Setting(NamedTuple):
+    """How one config key's text parses (int, float, or the enum of the
+    accepted values), its flag help, the ``SimConfig`` field it sets (a
+    ``feedback.`` field is the ``FeedbackPolicy``'s) and the ``sweep
+    --param`` name that scans it."""
 
-_CONFIG_KEYS = (
-    "sources",
-    "steps",
-    "multiple",
-    "mean_pairs",
-    "cycles",
-    "seed",
-    "feedback",
-    "feedback_strength",
-    "boundary",
-)
-_MANDATORY_KEYS = ("sources", "multiple", "mean_pairs")
+    parse: type
+    help: str
+    field: str | None = None
+    sweep: str | None = None
+
+
+# every config key, in file and flag order; a field not named here is named
+# like its key, and a key left out keeps SimConfig's default
+_SETTINGS = {
+    key: setting._replace(field=setting.field or key)
+    for key, setting in {
+        "sources": _Setting(int, "number of source rows", "source_count", sweep="size"),
+        "steps": _Setting(int, "binary delay stages in the register", "step_count"),
+        "multiple": _Setting(int, "photons per emitted train", sweep="multiple"),
+        "mean_pairs": _Setting(float, "mean pairs per source per cycle", sweep="power"),
+        "cycles": _Setting(int, "clock cycles to simulate"),
+        "seed": _Setting(int, "master random seed"),
+        "feedback": _Setting(FeedbackMode, "pump feedback mode", "feedback.mode"),
+        "feedback_strength": _Setting(float, "pump feedback gain", "feedback.strength"),
+        "boundary": _Setting(BoundaryMode, "keep or ignore edge-row reachability limits"),
+    }.items()
+}
+
+# the keys of SimConfig's fields without a default are mandatory
+_MANDATORY_FIELDS = {
+    f.name for f in fields(SimConfig) if f.default is MISSING and f.default_factory is MISSING
+}
+
+# sweep --param name -> the key it scans; --param lists them power, multiple, size
+_SWEPT = {s.sweep: key for key, s in reversed(_SETTINGS.items()) if s.sweep}
 
 
 @dataclass(frozen=True)
@@ -96,7 +116,9 @@ class SweepRow:
     cycles: int
 
 
-def _format_value(value: float | int) -> str:
+def _format_value(value: float | int | str) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     number = float(value)
@@ -107,24 +129,8 @@ def _format_value(value: float | int) -> str:
 
 def emit_csv(rows: Iterable[SweepRow]) -> str:
     """Render rows as CSV text: fixed header, LF endings, trailing newline."""
-    lines = [_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _format_value(row.param),
-                    _format_value(row.lack_rate),
-                    _format_value(row.multi_rate),
-                    _format_value(row.relative_multi_rate),
-                    _format_value(row.filled),
-                    _format_value(row.discarded),
-                    _format_value(row.mean_storage),
-                    row.engine,
-                    _format_value(int(row.seed)),
-                    _format_value(int(row.cycles)),
-                ]
-            )
-        )
+    lines = [",".join(f.name for f in fields(SweepRow))]
+    lines += [",".join(map(_format_value, astuple(row))) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -153,25 +159,22 @@ def _cast(key: str, value: str, kind: Callable[[str], object]) -> object:
 
 
 def _config_from_mapping(pairs: dict[str, str]) -> SimConfig:
-    unknown = sorted(set(pairs) - set(_CONFIG_KEYS))
+    unknown = sorted(set(pairs) - set(_SETTINGS))
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k in _MANDATORY_KEYS if k not in pairs)
+    missing = sorted(
+        key for key, setting in _SETTINGS.items()
+        if setting.field in _MANDATORY_FIELDS and key not in pairs
+    )
     if missing:
         raise ParameterError(f"missing mandatory config keys: {', '.join(missing)}")
-
-    mode = _cast("feedback", pairs.get("feedback", "off"), FeedbackMode)
-    strength = _cast("feedback_strength", pairs.get("feedback_strength", "1.0"), float)
-    return SimConfig(
-        source_count=_cast("sources", pairs["sources"], int),
-        multiple=_cast("multiple", pairs["multiple"], int),
-        mean_pairs=_cast("mean_pairs", pairs["mean_pairs"], float),
-        step_count=_cast("steps", pairs.get("steps", "3"), int),
-        cycles=_cast("cycles", pairs.get("cycles", "100000"), int),
-        seed=_cast("seed", pairs.get("seed", "0"), int),
-        feedback=FeedbackPolicy(mode=mode, strength=strength),
-        boundary=_cast("boundary", pairs.get("boundary", "constrained"), BoundaryMode),
-    )
+    bank: dict[str, object] = {}
+    policy: dict[str, object] = {}
+    for key, setting in _SETTINGS.items():
+        if key in pairs:
+            owner, _, name = setting.field.rpartition(".")
+            (policy if owner else bank)[name] = _cast(key, pairs[key], setting.parse)
+    return SimConfig(**bank, feedback=FeedbackPolicy(**policy))
 
 
 def parse_config(text: str) -> SimConfig:
@@ -186,33 +189,18 @@ def parse_config(text: str) -> SimConfig:
 
 def format_config(config: SimConfig) -> str:
     """Inverse of :func:`parse_config`: text that parses back to ``config``."""
-    lines = [
-        f"sources={config.source_count}",
-        f"steps={config.step_count}",
-        f"multiple={config.multiple}",
-        f"mean_pairs={config.mean_pairs!r}",
-        f"cycles={config.cycles}",
-        f"seed={config.seed}",
-        f"feedback={config.feedback.mode.value}",
-        f"feedback_strength={config.feedback.strength!r}",
-        f"boundary={config.boundary.value}",
-    ]
+    lines = []
+    for key, setting in _SETTINGS.items():
+        value = attrgetter(setting.field)(config)
+        lines.append(f"{key}={value.value if isinstance(value, Enum) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _monte_carlo_row(config: SimConfig, param: float) -> SweepRow:
-    metrics = run_simulation(config)
+    run = run_simulation(config)
     return SweepRow(
-        param=param,
-        lack_rate=metrics.lack_rate,
-        multi_rate=metrics.multi_rate,
-        relative_multi_rate=metrics.relative_multi_rate,
-        filled=metrics.filled_count,
-        discarded=metrics.discarded_count,
-        mean_storage=metrics.mean_storage_level,
-        engine="monte_carlo",
-        seed=config.seed,
-        cycles=config.cycles,
+        param, run.lack_rate, run.multi_rate, run.relative_multi_rate, run.filled_count,
+        run.discarded_count, run.mean_storage_level, "monte_carlo", config.seed, config.cycles,
     )
 
 
@@ -223,40 +211,22 @@ def _oracle_row(config: SimConfig, param: float) -> SweepRow:
     filled = (1.0 - rates.lack_rate) * config.multiple * config.cycles
     discarded = max(0.0, rates.mean_heralds * config.cycles - filled)
     return SweepRow(
-        param=param,
-        lack_rate=rates.lack_rate,
-        multi_rate=rates.multi_rate,
-        relative_multi_rate=rates.relative_multi_rate,
-        filled=filled,
-        discarded=discarded,
-        mean_storage=rates.mean_storage,
-        engine="oracle",
-        seed=config.seed,
-        cycles=config.cycles,
+        param, rates.lack_rate, rates.multi_rate, rates.relative_multi_rate, filled,
+        discarded, rates.mean_storage, "oracle", config.seed, config.cycles,
     )
 
 
-def _gather_config(
-    args: argparse.Namespace, defaults: dict[str, str] | None = None
-) -> SimConfig:
+def _gather_config(args: argparse.Namespace, **defaults: str) -> SimConfig:
+    """The bank of a config file and the flags, which win; ``defaults``
+    (by key) stand in for keys that neither gives."""
     pairs: dict[str, str] = {}
     if getattr(args, "config", None) is not None:
         pairs = _parse_pairs(Path(args.config).read_text())
-    overrides = {
-        "sources": getattr(args, "sources", None),
-        "steps": getattr(args, "register_steps", None),
-        "multiple": getattr(args, "multiple", None),
-        "mean_pairs": getattr(args, "mean_pairs", None),
-        "cycles": getattr(args, "cycles", None),
-        "seed": getattr(args, "seed", None),
-        "feedback": getattr(args, "feedback", None),
-        "feedback_strength": getattr(args, "feedback_strength", None),
-        "boundary": getattr(args, "boundary", None),
-    }
-    for key, value in overrides.items():
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
         if value is not None:
             pairs[key] = str(value)
-    for key, value in (defaults or {}).items():
+    for key, value in defaults.items():
         pairs.setdefault(key, value)
     return _config_from_mapping(pairs)
 
@@ -267,7 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
-    config = _gather_config(args, defaults={"boundary": BoundaryMode.UNCONSTRAINED.value})
+    config = _gather_config(args, boundary=BoundaryMode.UNCONSTRAINED.value)
     return emit_csv([_oracle_row(config, config.mean_pairs)])
 
 
@@ -294,31 +264,21 @@ def _grid_values(args: argparse.Namespace) -> list[float]:
 
 
 def _apply_sweep_param(config: SimConfig, param: str, value: float) -> SimConfig:
-    if param == "power":
-        return replace(config, mean_pairs=value)
-    if not math.isfinite(value):
-        raise ParameterError(f"--param {param} needs finite grid values, got {value!r}")
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9:
-        raise ParameterError(f"--param {param} needs integer grid values, got {value!r}")
-    if param == "multiple":
-        return replace(config, multiple=int(rounded))
-    if param == "size":
-        return replace(config, source_count=int(rounded))
-    raise ParameterError(f"unknown sweep parameter {param!r}")
-
-
-# the swept key is replaced at every grid point, so the base config only
-# needs a syntactically valid stand-in for it
-_SWEEP_PLACEHOLDERS = {
-    "power": {"mean_pairs": "0.05"},
-    "multiple": {"multiple": "1"},
-    "size": {"sources": "1"},
-}
+    setting = _SETTINGS[_SWEPT[param]]
+    if setting.parse is int:
+        if not math.isfinite(value):
+            raise ParameterError(f"--param {param} needs finite grid values, got {value!r}")
+        rounded = round(value)
+        if abs(value - rounded) > 1e-9:
+            raise ParameterError(f"--param {param} needs integer grid values, got {value!r}")
+        value = int(rounded)
+    return replace(config, **{setting.field: value})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    base = _gather_config(args, defaults=_SWEEP_PLACEHOLDERS.get(args.param))
+    # the swept key is replaced at every grid point, so the base bank only
+    # needs a valid stand-in for it
+    base = _gather_config(args, **{_SWEPT[args.param]: "1"})
     values = _grid_values(args)
     rows: list[SweepRow] = []
     for index, value in enumerate(values):
@@ -334,18 +294,12 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
+    # the pump is solved for, so the bank is read with a stand-in for it
+    bank = _gather_config(args, mean_pairs="1", boundary=BoundaryMode.UNCONSTRAINED.value)
     mean = optimized_power(
-        args.sources, args.multiple, args.register_steps, tolerance=args.tolerance
+        bank.source_count, bank.multiple, bank.step_count, tolerance=args.tolerance
     )
-    config = SimConfig(
-        source_count=args.sources,
-        multiple=args.multiple,
-        mean_pairs=mean,
-        step_count=args.register_steps,
-        cycles=args.cycles,
-        seed=args.seed,
-        boundary=BoundaryMode.UNCONSTRAINED,
-    )
+    config = replace(bank, mean_pairs=mean)
     rows = [_oracle_row(config, mean)]
     if args.confirm:
         rows.append(_monte_carlo_row(config, mean))
@@ -353,36 +307,46 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
 
 
 def _cmd_verify_topology(args: argparse.Namespace) -> str:
-    topology = RegisterTopology(source_count=args.sources, step_count=args.register_steps)
-    table = topology.access_table
-    lines = ["source," + ",".join(f"d{d}" for d in range(topology.delay_count))]
-    for i in range(1, topology.source_count + 1):
-        cells = ",".join("1" if table[i - 1, d] else "0" for d in range(topology.delay_count))
-        lines.append(f"{i},{cells}")
-    return "\n".join(lines) + "\n"
+    steps = SimConfig.step_count if args.steps is None else args.steps
+    topology = RegisterTopology(source_count=args.sources, step_count=steps)
+    delays = topology.delay_count
+    # each row renders as one byte array: a digit per delay, commas between
+    cells = np.full((topology.source_count, 2 * delays), ord(","), dtype=np.uint8)
+    cells[:, ::2] = topology.access_table
+    cells[:, ::2] += ord("0")
+    cells[:, -1] = ord("\n")
+    header = "source," + ",".join(f"d{d}" for d in range(delays)) + "\n"
+    return header + "".join(
+        f"{i},{row.tobytes().decode()}" for i, row in enumerate(cells, start=1)
+    )
 
 
-def _add_device_arguments(parser: argparse.ArgumentParser, *, steps_flag: str = "--steps") -> None:
-    parser.add_argument("--config", type=Path, help="key=value configuration file")
-    parser.add_argument("--sources", type=int, help="number of source rows")
-    parser.add_argument(
-        steps_flag, dest="register_steps", type=int, help="binary delay stages in the register"
-    )
-    parser.add_argument("--multiple", type=int, help="photons per emitted train")
-    parser.add_argument("--mean-pairs", dest="mean_pairs", type=float, help="mean pairs per source per cycle")
-    parser.add_argument("--cycles", type=int, help="clock cycles to simulate")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument(
-        "--feedback", choices=[m.value for m in FeedbackMode], help="pump feedback mode"
-    )
-    parser.add_argument(
-        "--feedback-strength", dest="feedback_strength", type=float, help="pump feedback gain"
-    )
-    parser.add_argument(
-        "--boundary",
-        choices=[m.value for m in BoundaryMode],
-        help="keep or ignore edge-row reachability limits",
-    )
+def _add_device_arguments(
+    parser: argparse.ArgumentParser,
+    keys: Iterable[str] | None = None,
+    *,
+    flags: dict[str, str] | None = None,
+) -> None:
+    """One flag per config key in ``keys``; by default every key, beside a
+    ``--config`` file.  A subset is read from flags alone, so its mandatory
+    keys are required.  ``flags`` renames flags."""
+    if keys is None:
+        parser.add_argument(
+            "--config", type=Path,
+            help=f"key=value configuration file; keys: {', '.join(_SETTINGS)}",
+        )
+    for key in _SETTINGS if keys is None else keys:
+        setting = _SETTINGS[key]
+        flag = "--" + key.replace("_", "-")
+        enum = issubclass(setting.parse, Enum)
+        parser.add_argument(
+            (flags or {}).get(flag, flag),
+            dest=key,
+            type=None if enum else setting.parse,
+            choices=[mode.value for mode in setting.parse] if enum else None,
+            required=keys is not None and setting.field in _MANDATORY_FIELDS,
+            help=setting.help,
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -411,10 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("sweep", help="scan a parameter over a grid")
-    _add_device_arguments(p, steps_flag="--register-steps")
-    p.add_argument(
-        "--param", required=True, choices=["power", "multiple", "size"], help="quantity to scan"
-    )
+    _add_device_arguments(p, flags={"--steps": "--register-steps"})
+    p.add_argument("--param", required=True, choices=list(_SWEPT), help="quantity to scan")
     p.add_argument("--values", help="comma separated grid values")
     p.add_argument("--from", dest="grid_from", type=float, help="grid start (inclusive)")
     p.add_argument("--to", dest="grid_to", type=float, help="grid end (inclusive)")
@@ -427,22 +389,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="balance lack against multi-pair rate")
-    p.add_argument("--sources", type=int, required=True)
-    p.add_argument("--multiple", type=int, required=True)
-    p.add_argument("--steps", dest="register_steps", type=int, default=3)
+    # it solves for the pump on the chain without feedback or boundary
+    # limits, so it takes the bank's whole-number settings
+    _add_device_arguments(p, [key for key, s in _SETTINGS.items() if s.parse is int])
     p.add_argument("--tolerance", type=float, default=1e-6, help="|lack - multi| stop threshold")
     p.add_argument(
         "--confirm", action="store_true",
         help="append a Monte Carlo run at the optimum (unconstrained, matching the oracle model)",
     )
-    p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_optimize)
 
     p = sub.add_parser("verify-topology", help="dump the reachability table of a bank")
-    p.add_argument("--sources", type=int, required=True)
-    p.add_argument("--steps", dest="register_steps", type=int, default=3)
+    topology = {f.name for f in fields(RegisterTopology)}
+    _add_device_arguments(p, [key for key, s in _SETTINGS.items() if s.field in topology])
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_verify_topology)
 

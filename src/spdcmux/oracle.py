@@ -88,7 +88,7 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
     """
     s = check_source_count(source_count)
     p = check_p_herald(p_herald)
-    log_factorial = np.array([math.lgamma(n + 1) for n in range(s + 1)])
+    log_factorial = _log_factorials(s)
     h = np.arange(s + 1)
     log_pmf = (
         log_factorial[s] - log_factorial - log_factorial[::-1]
@@ -96,6 +96,14 @@ def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
     )
     pmf = np.exp(log_pmf)
     return pmf / pmf.sum()
+
+
+@lru_cache(maxsize=8)
+def _log_factorials(source_count: int) -> np.ndarray:
+    """log(n!) for n = 0 .. source_count, shared by every pump of a bank."""
+    table = np.array([math.lgamma(n + 1) for n in range(source_count + 1)])
+    table.flags.writeable = False
+    return table
 
 
 class _Walks(NamedTuple):
@@ -139,13 +147,12 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
     edge: list[int] = []
     if constrained:
         reach = _reach_masks(_cached_topology(source_count, step_count))
-        # rows K+1 .. S-K reach every delay
-        edge = [
-            row for row in range(1, source_count + 1)
-            if not step_count < row <= source_count - step_count
-        ]
+        everywhere = 2**span - 1  # the mask of an interior row
+        edge = [row for row, mask in enumerate(reach, start=1) if mask != everywhere]
     interior = source_count - len(edge)
-    top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
+    # the top rows are the edge rows above the first interior row
+    first = reach.index(everywhere) if edge and interior else 0
+    top, bottom = (edge[:first], edge[first:]) if interior else ([], [])
 
     def tally(rows: list[int], starts: int, then: tuple[int, ...] = ()) -> np.ndarray:
         """Columns start, clicks, targets filled and storage positions filled

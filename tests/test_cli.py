@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from spdcmux import simulator
+from spdcmux import cli, simulator
 from spdcmux import (
     BoundaryMode,
     FeedbackMode,
+    FeedbackPolicy,
     ParameterError,
     SimConfig,
     derive_point_seed,
@@ -115,6 +116,17 @@ def test_format_config_round_trips() -> None:
         ),
         # whole floats are stored as ints, which the parser reads back
         SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0),
+        # every key away from its default
+        SimConfig(
+            source_count=2000,
+            multiple=16,
+            mean_pairs=0.002025,
+            step_count=12,
+            cycles=7,
+            seed=123456789,
+            feedback=FeedbackPolicy("turbo_boost", 0.37),
+            boundary="unconstrained",
+        ),
     ):
         assert parse_config(format_config(config)) == config
 
@@ -201,6 +213,30 @@ def test_config_file_with_flag_override(tmp_path, capsys: pytest.CaptureFixture)
     assert run_command(["simulate", "--config", str(config_file), "--cycles", "200"]) == 0
     rows = _rows(capsys.readouterr().out)
     assert rows[0][9] == "200"
+    # every key's flag overrides its file entry; sweep names the register
+    # depth --register-steps
+    base = SimConfig(source_count=11, multiple=4, mean_pairs=0.1, cycles=500, seed=1,
+                     feedback=FeedbackPolicy("boost", 0.5), boundary="constrained")
+    config_file.write_text(format_config(base))
+    parser = cli._build_parser()
+    for command, flag, value, expected in (
+        ("simulate", "--sources", "12", replace(base, source_count=12)),
+        ("simulate", "--steps", "4", replace(base, step_count=4)),
+        ("sweep", "--register-steps", "4", replace(base, step_count=4)),
+        ("simulate", "--multiple", "5", replace(base, multiple=5)),
+        ("simulate", "--mean-pairs", "0.2", replace(base, mean_pairs=0.2)),
+        ("simulate", "--cycles", "200", replace(base, cycles=200)),
+        ("simulate", "--seed", "2", replace(base, seed=2)),
+        ("simulate", "--feedback", "turbo_boost",
+         replace(base, feedback=FeedbackPolicy("turbo_boost", 0.5))),
+        ("simulate", "--feedback-strength", "0.37",
+         replace(base, feedback=FeedbackPolicy("boost", 0.37))),
+        ("simulate", "--boundary", "unconstrained", replace(base, boundary="unconstrained")),
+    ):
+        argv = [command, "--config", str(config_file), flag, value]
+        if command == "sweep":
+            argv += ["--param", "power"]
+        assert cli._gather_config(parser.parse_args(argv)) == expected, flag
 
 
 def test_oracle_subcommand_matches_library(capsys: pytest.CaptureFixture) -> None:

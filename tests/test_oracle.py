@@ -383,6 +383,17 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
         assert set(pumps) == expected
 
 
+def test_turbo_boost_chain_builds_log_factorials_once() -> None:
+    # turbo_boost gives every storage level its own pump and so its own
+    # herald pmf, but all of them share one log-factorial table
+    oracle._log_factorials.cache_clear()
+    config = replace(_spec(300, 16, 6, 0.02), feedback="turbo_boost")
+    stationary_rates(config)
+    info = oracle._log_factorials.cache_info()
+    assert (info.misses, info.hits) == (1, config.capacity)
+    assert not oracle._log_factorials(300).flags.writeable
+
+
 def test_walk_tables_do_not_hold_the_matrix() -> None:
     # the cache keeps only pump-independent walks, O(levels + 2**K) numbers
     # for an unconstrained bank, not one record per nonzero of the matrix
