@@ -30,6 +30,16 @@ Per pump, the run is the interior herald pmf shifted by l + i, read
 through a sliding window without a copy, weighted by the top table and
 folded through the bottom table into the matrix columns.
 
+The rows are built in blocks of whole levels, in level order, and solved
+as they arrive.  A cycle drops at most m levels (the next level is at
+least l - m), so Grassmann-Taksar-Heyman state reduction can censor the
+levels out from the bottom: level l goes as soon as rows l+1 .. l+m, the
+only ones that can drop to it, are built, and back-substitution needs
+just its m folded entries and its exit rate.  So a solve holds the rows
+not yet eliminated and m + 1 numbers per level, never the dense
+(capacity + 1)**2 matrix.  The lowest level with no way up is the
+ceiling of the chain: the levels above it get exactly zero.
+
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
 multiplicities, so each kept photon carries a multi-pair event with the
@@ -42,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -199,9 +209,14 @@ def _weigh(table: np.ndarray, p: float) -> np.ndarray:
 
 def _chain_tables(
     config: SimConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transition matrix, expected lacks and kept photons per level, and
-    each level's p_herald and p_multi / p_herald."""
+) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row blocks of the transition matrix in level order, expected lacks
+    and kept photons per level, and each level's p_herald and
+    p_multi / p_herald.
+
+    The blocks come from a generator that fills the per-level vectors as
+    it runs; they are complete once it is exhausted.
+    """
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
     m = config.multiple
@@ -211,120 +226,169 @@ def _chain_tables(
         apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
         for level in range(size)
     ]
-    matrix = np.empty((size, size))
     sums = np.empty((size, 2))  # expected lacks and kept photons
     p_herald, relative = np.empty((2, size))
-    offsets = np.arange(walks.top.shape[2])
-    # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
-    # shifted[level, s, i] = run[s - level - i] at stops s = 0 .. span-1 is a view
-    lead = span + offsets.size - 1
-    padded = np.zeros(lead + span)
-    run = padded[lead:]
-    windows = np.lib.stride_tricks.sliding_window_view
-    shifted = windows(windows(padded, span)[::-1], offsets.size, axis=0)
-    # blocks of whole levels bound the temporaries at 2**16 cells
-    block = max(1, 2**16 // (span + 1))
-    # runs of levels under one pump: a monotone feedback repeats no pump
-    cuts = [level for level in range(1, size) if means[level] != means[level - 1]]
-    for first, last in zip([0, *cuts], [*cuts, size]):
-        probs = herald_probabilities(means[first])
-        p = check_p_herald(probs.p_herald)
-        p_herald[first:last] = p
-        relative[first:last] = probs.p_multi / p
-        rows = walks.interior_rows
-        interior = herald_count_distribution(rows, p) if rows else np.ones(1)
-        stored = _weigh(walks.bottom, p)[:, :size]  # [stop, j]
-        bottom_sums = _weigh(walks.bottom_sums, p)
-        # at least one interior click: tail[n] = P(max(n, 1) or more) for
-        # n <= span, and running sums of run[c] and c run[c] over c < n
-        run[1:interior.size] = interior[1:span]
-        rest = np.cumsum(interior[:0:-1])[::-1]
-        tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
-        below = np.concatenate(([0.0], np.cumsum(run)))
-        weighted_below = np.concatenate(([0.0], np.cumsum(np.arange(span) * run)))
-        for low in range(first, last, block):
-            high = min(last, low + block)
-            level = np.arange(low, high)[:, None]
-            cells = matrix[low:high]
-            # the top rows hand over after i targets; stops[level, s] is the
-            # chance that the interior run then stops at delay s
-            top = _weigh(walks.top[low:high], p)
-            stops = np.empty((high - low, span + 1))
-            np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
-            left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
-            stops[:, span] = (top * tail[left]).sum(axis=1)
-            # from s the bottom rows store j photons: the next level is max(s - m, 0) + j
-            np.multiply(stops[:, m + 1:], stored[m + 1:, 0], out=cells[:, 1:])
-            cells[:, 0] = 0.0
-            for j in range(1, stored.shape[1]):
-                cells[:, j + 1:] += stops[:, m + 1:span + 1 - j] * stored[m + 1:span + 1 - j, j]
-            cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
-            sums[low:high] = stops @ bottom_sums
-            # the top rows and the run keep s - level photons
-            sums[low:high, 1] += (
-                top * (offsets * below[left] + weighted_below[left] + (span - level) * tail[left])
-            ).sum(axis=1)
-            # no interior click: the edge rows walk jointly from the level
-            joint = interior[0] * _weigh(walks.joint[low:high], p)
-            columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
-            np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
-            sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], p)
-    return matrix, sums[:, 0], sums[:, 1], p_herald, relative
+
+    def blocks() -> Iterator[np.ndarray]:
+        offsets = np.arange(walks.top.shape[2])
+        # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
+        # shifted[level, s, i] = run[s - level - i] at stops s = 0 .. span-1 is a view
+        lead = span + offsets.size - 1
+        padded = np.zeros(lead + span)
+        run = padded[lead:]
+        windows = np.lib.stride_tricks.sliding_window_view
+        shifted = windows(windows(padded, span)[::-1], offsets.size, axis=0)
+        # blocks of whole levels bound the temporaries at 2**16 cells
+        block = max(1, 2**16 // (span + 1))
+        # runs of levels under one pump: a monotone feedback repeats no pump
+        cuts = [level for level in range(1, size) if means[level] != means[level - 1]]
+        for first, last in zip([0, *cuts], [*cuts, size]):
+            probs = herald_probabilities(means[first])
+            p = check_p_herald(probs.p_herald)
+            p_herald[first:last] = p
+            relative[first:last] = probs.p_multi / p
+            rows = walks.interior_rows
+            interior = herald_count_distribution(rows, p) if rows else np.ones(1)
+            stored = _weigh(walks.bottom, p)[:, :size]  # [stop, j]
+            bottom_sums = _weigh(walks.bottom_sums, p)
+            # at least one interior click: tail[n] = P(max(n, 1) or more) for
+            # n <= span, and running sums of run[c] and c run[c] over c < n
+            run[1:interior.size] = interior[1:span]
+            rest = np.cumsum(interior[:0:-1])[::-1]
+            tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
+            below = np.concatenate(([0.0], np.cumsum(run)))
+            weighted_below = np.concatenate(([0.0], np.cumsum(np.arange(span) * run)))
+            for low in range(first, last, block):
+                high = min(last, low + block)
+                level = np.arange(low, high)[:, None]
+                cells = np.empty((high - low, size))
+                # the top rows hand over after i targets; stops[level, s] is the
+                # chance that the interior run then stops at delay s
+                top = _weigh(walks.top[low:high], p)
+                stops = np.empty((high - low, span + 1))
+                np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
+                left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
+                stops[:, span] = (top * tail[left]).sum(axis=1)
+                # from s the bottom rows store j photons: the next level is max(s - m, 0) + j
+                np.multiply(stops[:, m + 1:], stored[m + 1:, 0], out=cells[:, 1:])
+                cells[:, 0] = 0.0
+                for j in range(1, stored.shape[1]):
+                    cut = span + 1 - j
+                    cells[:, j + 1:] += stops[:, m + 1:cut] * stored[m + 1:cut, j]
+                cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
+                sums[low:high] = stops @ bottom_sums
+                # the top rows and the run keep s - level photons
+                sums[low:high, 1] += (
+                    top * (offsets * below[left] + weighted_below[left] + (span - level) * tail[left])
+                ).sum(axis=1)
+                # no interior click: the edge rows walk jointly from the level
+                joint = interior[0] * _weigh(walks.joint[low:high], p)
+                columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
+                np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
+                sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], p)
+                yield cells
+
+    return blocks(), sums[:, 0], sums[:, 1], p_herald, relative
 
 
 def transition_matrix(config: SimConfig) -> np.ndarray:
     """One-cycle transition matrix of the storage level."""
-    matrix, *_ = _chain_tables(config)
-    return matrix
+    blocks, *_ = _chain_tables(config)
+    return np.concatenate([*blocks])
 
 
-def _reduce_to_stationary(matrix: np.ndarray) -> np.ndarray:
-    """Stationary vector by GTH state reduction, overwriting ``matrix``.
+def _drops(rows: np.ndarray, level: int) -> np.ndarray:
+    """How many levels each row, the first one at ``level``, drops at most;
+    an all-zero row reads as dropping to level 0."""
+    return np.arange(level, level + len(rows)) - (rows != 0.0).argmax(axis=1)
 
-    Levels are censored out from the top.  Eliminating level k folds its
-    way down (row k left of the diagonal, scaled by its sum, never by
-    ``1 - P[k, k]``) into the rows below, touching only the columns from
-    the first nonzero entry of row k: the band the chain can drop in one
-    cycle.  A level with no way down closes the chain above it, so the
-    levels below it get exactly zero.
+
+def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarray:
+    """Stationary vector, by GTH state reduction, of a ``size``-level chain
+    whose rows arrive in level order and drop at most ``width`` levels.
+
+    Levels are censored out from the bottom.  Eliminating level l folds
+    its way up (row l right of the diagonal, divided by its sum, never by
+    ``1 - P[l, l]``) into rows l+1 .. l+width, the only rows that can drop
+    to l; the fold keeps that band.  So l can go as soon as those rows
+    have arrived, and back-substitution needs only its exit rate and its
+    folded column P'[l+1 .. l+width, l].  Only the rows not yet eliminated
+    are held, at most ``width`` plus one block.  The lowest level with no
+    way up is the ceiling: the levels above it get exactly zero.  A row
+    that drops more than ``width`` levels raises :class:`ParameterError`.
     """
-    size = matrix.shape[0]
-    exit_rate = np.empty(size)
-    floor = 0
-    for k in range(size - 1, 0, -1):
-        down = np.flatnonzero(matrix[k, :k])
-        if down.size == 0:
-            floor = k
-            break
-        band = down[0]
-        exit_rate[k] = matrix[k, band:k].sum()
-        matrix[:k, band:k] += np.outer(matrix[:k, k], matrix[k, band:k] / exit_rate[k])
+    width = min(width, size - 1)
+    exit_rate = np.zeros(size)
+    below = np.zeros((size, width))  # below[l, d] = P'[l + 1 + d, l]
+    window = np.empty((0, size))  # rows done .. read - 1, folded so far
+    done = read = 0
+    ceiling = None
+    for rows in blocks:
+        if _drops(rows, read).max() > width:
+            raise ParameterError(
+                f"a row among levels {read} .. {read + len(rows) - 1} "
+                f"drops more than {width} levels"
+            )
+        read += len(rows)
+        if ceiling is not None:
+            continue  # the builder still fills its per-level vectors
+        window = np.concatenate((window, rows))
+        ready = read if read == size else max(done, read - width)
+        for level in range(done, ready):
+            row = level - done
+            up = window[row, level + 1:]
+            reach = up.nonzero()[0]
+            if reach.size == 0:
+                ceiling = level
+                break
+            up = up[:reach[-1] + 1]
+            exit_rate[level] = up.sum()
+            column = window[row + 1:row + 1 + width, level]
+            below[level, :column.size] = column
+            window[row + 1:row + 1 + width, level + 1:level + 1 + up.size] += (
+                column[:, None] * (up / exit_rate[level])
+            )
+        window = window[ready - done:]
+        done = ready
     pi = np.zeros(size)
-    pi[floor] = 1.0
-    for k in range(floor + 1, size):
-        inflow = pi[floor:k] @ matrix[floor:k, k]
-        # pi[k] = inflow / exit_rate[k]; keep it at most one by shrinking
-        # the levels below instead, so a steep climb underflows, not overflows
-        if inflow > exit_rate[k]:
-            pi[floor:k] *= exit_rate[k] / inflow
-            pi[k] = 1.0
+    pi[ceiling] = 1.0
+    for level in range(ceiling - 1, -1, -1):
+        inflow = pi[level + 1:level + 1 + width] @ below[level, :min(width, size - 1 - level)]
+        # pi[level] = inflow / exit_rate[level]; keep it at most one by shrinking
+        # the levels above instead, so a steep fall underflows, not overflows
+        if inflow > exit_rate[level]:
+            pi[level + 1:ceiling + 1] *= exit_rate[level] / inflow
+            pi[level] = 1.0
         else:
-            pi[k] = inflow / exit_rate[k]
+            pi[level] = inflow / exit_rate[level]
     return pi / pi.sum()
 
 
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix, left unmodified.
 
-    Solved directly by Grassmann-Taksar-Heyman (GTH) state reduction.  It
-    is subtraction-free, so small probabilities keep full relative
-    precision, and it has no iteration to converge.  Levels below one
-    whose way down underflowed to zero get exactly zero.
+    Solved directly by Grassmann-Taksar-Heyman (GTH) state reduction, the
+    levels censored out from the bottom as in :func:`stationary_rates`,
+    with the band read from the data: the furthest any row drops below
+    its diagonal.  It is subtraction-free, so small probabilities keep
+    full relative precision, and it has no iteration to converge.  The
+    levels above the lowest one with no way up get exactly zero.
+
+    Raises
+    ------
+    ParameterError
+        If the matrix is not square and non-empty, or has a non-finite or
+        negative entry.
     """
-    matrix = np.array(matrix, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ParameterError("transition matrix must be square and non-empty")
-    return _reduce_to_stationary(matrix)
+    if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
+        raise ParameterError("transition matrix entries must be finite and non-negative")
+    size = matrix.shape[0]
+    width = max(int(_drops(matrix, 0).max()), 0)
+    step = max(1, 2**16 // size)
+    return _solve_rows((matrix[low:low + step] for low in range(0, size, step)), size, width)
 
 
 def stationary_rates(config: SimConfig) -> OracleRates:
@@ -332,8 +396,14 @@ def stationary_rates(config: SimConfig) -> OracleRates:
 
     Boundary limits and pump feedback enter the chain exactly as they
     enter a Monte Carlo run of the same config; only ``cycles`` and
-    ``seed`` play no part.  The chain is solved in place by the
-    subtraction-free GTH reduction of :func:`stationary_distribution`.
+    ``seed`` play no part.  The chain drops at most ``multiple`` levels a
+    cycle, so it is solved as it is built, by the subtraction-free GTH
+    reduction of :func:`stationary_distribution`: each level is censored
+    out, bottom up, as soon as the ``multiple`` rows above it exist.  No
+    call holds the (capacity + 1)**2 matrix, only the rows not yet
+    eliminated (at most ``multiple`` plus one block of under 2**16 cells)
+    and ``multiple + 1`` numbers per level.  The levels above the lowest
+    one with no way up get exactly zero.
 
     Parameters
     ----------
@@ -350,8 +420,8 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     ParameterError
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    matrix, lacks, kept, p_herald, relative = _chain_tables(config)
-    pi = _reduce_to_stationary(matrix)
+    blocks, lacks, kept, p_herald, relative = _chain_tables(config)
+    pi = _solve_rows(blocks, config.capacity + 1, config.multiple)
     lack_rate = float(pi @ lacks) / config.multiple
     multi_rate = float(pi @ (relative * kept)) / config.multiple
     fill_rate = 1.0 - lack_rate

@@ -132,6 +132,52 @@ def test_stationary_distribution_failure_modes() -> None:
         stationary_distribution(np.ones((2, 3)))
     with pytest.raises(ParameterError):
         stationary_distribution(np.ones((0, 0)))
+    with pytest.raises(ParameterError, match="finite and non-negative"):
+        stationary_distribution([[0.5, 0.5], [np.nan, 0.5]])
+    with pytest.raises(ParameterError, match="finite and non-negative"):
+        stationary_distribution([[1.5, -0.5], [0.5, 0.5]])
+
+
+def test_stationary_distribution_ceiling_zeroes_the_levels_above() -> None:
+    # level 1 has no way up, so level 2 is transient and gets exactly zero;
+    # levels 0 and 1 balance 0.5 pi[0] = 0.3 pi[1]
+    matrix = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]])
+    pi = stationary_distribution(matrix)
+    assert pi[2] == 0.0
+    assert pi[:2] == pytest.approx([0.375, 0.625], rel=1e-15)
+
+
+def test_stationary_distribution_with_a_subnormal_way_up() -> None:
+    # level 0 leaves with probability 1e-310 and level 1 drops back with
+    # probability 0.5: scaling row 0 by its exit rate stays finite, and
+    # back-substitution shrinks the levels above rather than overflow
+    matrix = np.array([[1.0, 1e-310, 0.0], [0.5, 0.25, 0.25], [0.0, 0.5, 0.5]])
+    with np.errstate(all="raise"):
+        pi = stationary_distribution(matrix)
+    assert np.all(np.isfinite(pi))
+    assert pi.tolist() == [1.0, 2e-310, 1e-310]
+
+
+def test_stationary_distribution_of_a_dense_random_matrix() -> None:
+    # every row can drop to level 0, so the band is the whole matrix
+    matrix = np.random.default_rng(5).random((40, 40))
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    pi = stationary_distribution(matrix)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(pi @ matrix - pi)) < 1e-12
+    # the rows may arrive in blocks of any size: one row at a time gives
+    # the same bits
+    rows = (matrix[level:level + 1] for level in range(40))
+    assert np.array_equal(oracle._solve_rows(rows, 40, 39), pi)
+
+
+def test_solver_rejects_a_row_outside_the_band() -> None:
+    # row 2 drops two levels, one more than the declared band
+    matrix = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
+    with pytest.raises(ParameterError, match="drops more than 1 levels"):
+        oracle._solve_rows((matrix[level:level + 1] for level in range(3)), 3, 1)
+    # read from the data, the band is 2 and the chain solves
+    assert stationary_distribution(matrix) == pytest.approx([0.5, 0.25, 0.25], rel=1e-15)
 
 
 def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
@@ -408,6 +454,24 @@ def test_walk_tables_do_not_hold_the_matrix() -> None:
         assert tracemalloc.get_traced_memory()[0] < 2**19
     finally:
         tracemalloc.stop()
+
+
+def test_stationary_rates_never_holds_the_matrix() -> None:
+    # rows are solved as they are built, so a warm call holds a window of
+    # rows, not the (capacity + 1)**2 matrix: 8.1 MB at K=10, 127 MiB at K=12
+    for config, mebibytes in [
+        (_spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200)), 4),
+        (_spec(2000, 16, 12, 0.002025), 8),
+    ]:
+        stationary_rates(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stationary_rates(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mebibytes * 2**20, config
 
 
 def test_constrained_chain_depth_is_bounded_before_allocation() -> None:
