@@ -40,7 +40,7 @@ for mean, lack, multi in zip(means, lacks, multis):
     marker = "  <- crossing region" if abs(lack - multi) < 0.005 else ""
     print(f"{mean:.3f}   {lack:.5f}    {multi:.5f}{marker}")
 
-optimum = optimized_power(SOURCES, MULTIPLE, STEPS)
+optimum = optimized_power(bank)
 config = replace(bank, mean_pairs=optimum)
 balanced = stationary_rates(config)
 print()

@@ -7,7 +7,7 @@ Three quick experiments on the Monte Carlo engine:
      fewer lacks without touching the hardware.
 """
 
-from spdcmux import FeedbackMode, FeedbackPolicy, SimConfig, run_simulation
+from spdcmux import FeedbackMode, SimConfig, run_simulation
 
 CYCLES = 30_000
 
@@ -39,14 +39,10 @@ for steps in (2, 3, 4):
 
 print()
 print("3. feedback at 60 sources, mean 0.04, train of 4")
-for mode, strength in ((FeedbackMode.OFF, 0.0), (FeedbackMode.BOOST, 1.0),
-                       (FeedbackMode.TURBO_BOOST, 1.0)):
-    policy = FeedbackPolicy(mode=mode, strength=strength or 1.0)
-    show(
-        f"{mode.value} (strength {policy.strength})",
-        SimConfig(source_count=60, multiple=4, mean_pairs=0.04,
-                  cycles=CYCLES, seed=33, feedback=policy),
-    )
+for mode in FeedbackMode:
+    config = SimConfig(source_count=60, multiple=4, mean_pairs=0.04,
+                       cycles=CYCLES, seed=33, feedback=mode)
+    show(f"{mode.value} (strength {config.feedback_strength})", config)
 
 print()
 print("boost pumps harder whenever storage has room; turbo_boost backs")

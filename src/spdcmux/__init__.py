@@ -38,7 +38,6 @@ from .scheduler import (
 from .simulator import (
     BoundaryMode,
     FeedbackMode,
-    FeedbackPolicy,
     SimConfig,
     SimMetrics,
     apply_feedback,
@@ -55,7 +54,6 @@ __all__ = [
     "ConvergenceError",
     "CyclePlan",
     "FeedbackMode",
-    "FeedbackPolicy",
     "HeraldProbabilities",
     "OracleRates",
     "ParameterError",

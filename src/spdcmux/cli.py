@@ -35,7 +35,6 @@ import math
 import sys
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -47,7 +46,6 @@ from .register import RegisterTopology
 from .simulator import (
     BoundaryMode,
     FeedbackMode,
-    FeedbackPolicy,
     SimConfig,
     derive_point_seed,
     run_simulation,
@@ -64,9 +62,8 @@ __all__ = [
 
 class _Setting(NamedTuple):
     """How one config key's text parses (int, float, or the enum of the
-    accepted values), its flag help, the ``SimConfig`` field it sets (a
-    ``feedback.`` field is the ``FeedbackPolicy``'s) and the ``sweep
-    --param`` name that scans it."""
+    accepted values), its flag help, the ``SimConfig`` field it sets and
+    the ``sweep --param`` name that scans it."""
 
     parse: type
     help: str
@@ -74,8 +71,8 @@ class _Setting(NamedTuple):
     sweep: str | None = None
 
 
-# every config key, in file and flag order; a field not named here is named
-# like its key, and a key left out keeps SimConfig's default
+# every config key, in file and flag order, one per SimConfig field; a field
+# not named here is named like its key, and a key left out keeps its default
 _SETTINGS = {
     key: setting._replace(field=setting.field or key)
     for key, setting in {
@@ -85,8 +82,8 @@ _SETTINGS = {
         "mean_pairs": _Setting(float, "mean pairs per source per cycle", sweep="power"),
         "cycles": _Setting(int, "clock cycles to simulate"),
         "seed": _Setting(int, "master random seed"),
-        "feedback": _Setting(FeedbackMode, "pump feedback mode", "feedback.mode"),
-        "feedback_strength": _Setting(float, "pump feedback gain", "feedback.strength"),
+        "feedback": _Setting(FeedbackMode, "pump feedback mode"),
+        "feedback_strength": _Setting(float, "pump feedback gain"),
         "boundary": _Setting(BoundaryMode, "keep or ignore edge-row reachability limits"),
     }.items()
 }
@@ -168,13 +165,11 @@ def _config_from_mapping(pairs: dict[str, str]) -> SimConfig:
     )
     if missing:
         raise ParameterError(f"missing mandatory config keys: {', '.join(missing)}")
-    bank: dict[str, object] = {}
-    policy: dict[str, object] = {}
-    for key, setting in _SETTINGS.items():
-        if key in pairs:
-            owner, _, name = setting.field.rpartition(".")
-            (policy if owner else bank)[name] = _cast(key, pairs[key], setting.parse)
-    return SimConfig(**bank, feedback=FeedbackPolicy(**policy))
+    return SimConfig(**{
+        setting.field: _cast(key, pairs[key], setting.parse)
+        for key, setting in _SETTINGS.items()
+        if key in pairs
+    })
 
 
 def parse_config(text: str) -> SimConfig:
@@ -191,7 +186,7 @@ def format_config(config: SimConfig) -> str:
     """Inverse of :func:`parse_config`: text that parses back to ``config``."""
     lines = []
     for key, setting in _SETTINGS.items():
-        value = attrgetter(setting.field)(config)
+        value = getattr(config, setting.field)
         lines.append(f"{key}={value.value if isinstance(value, Enum) else repr(value)}")
     return "\n".join(lines) + "\n"
 
@@ -296,9 +291,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_optimize(args: argparse.Namespace) -> str:
     # the pump is solved for, so the bank is read with a stand-in for it
     bank = _gather_config(args, mean_pairs="1", boundary=BoundaryMode.UNCONSTRAINED.value)
-    mean = optimized_power(
-        bank.source_count, bank.multiple, bank.step_count, tolerance=args.tolerance
-    )
+    mean = optimized_power(bank, tolerance=args.tolerance)
     config = replace(bank, mean_pairs=mean)
     rows = [_oracle_row(config, mean)]
     if args.confirm:

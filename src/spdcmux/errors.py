@@ -36,7 +36,6 @@ def check_source_count(source_count: int) -> int:
 # deepest register accepted anywhere: tables and chains grow as 2**K, and
 # K=12 already means a 4096-delay table and a chain of up to 4096 levels
 MAX_STEP_COUNT = 12
-MAX_CAPACITY = 2**MAX_STEP_COUNT - 1
 
 
 def check_step_count(step_count: int) -> int:
@@ -44,13 +43,7 @@ def check_step_count(step_count: int) -> int:
         raise ParameterError(
             f"step count must be an integer in [1, {MAX_STEP_COUNT}], got {step_count!r}"
         )
-    return step_count
-
-
-def check_capacity(capacity: int) -> int:
-    if not 0 <= capacity <= MAX_CAPACITY:
-        raise ParameterError(f"capacity must be in [0, {MAX_CAPACITY}], got {capacity}")
-    return capacity
+    return int(step_count)
 
 
 def check_mean_pairs(mean_pairs: float) -> float:

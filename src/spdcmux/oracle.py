@@ -222,10 +222,7 @@ def _chain_tables(
     m = config.multiple
     span = 2**config.step_count
     size = config.capacity + 1
-    means = [
-        apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
-        for level in range(size)
-    ]
+    means = [apply_feedback(config, level) for level in range(size)]
     sums = np.empty((size, 2))  # expected lacks and kept photons
     p_herald, relative = np.empty((2, size))
 
@@ -364,6 +361,11 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
     return pi / pi.sum()
 
 
+# the rows of every chain the oracle builds sum to one within 1e-15, so this
+# leaves ample room for rounding while rejecting a matrix that is not stochastic
+_ROW_SUM_TOLERANCE = 1e-9
+
+
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix, left unmodified.
 
@@ -377,14 +379,19 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     Raises
     ------
     ParameterError
-        If the matrix is not square and non-empty, or has a non-finite or
-        negative entry.
+        If the matrix is not square and non-empty, has a non-finite or
+        negative entry, or has a row whose sum is off one by more than
+        ``_ROW_SUM_TOLERANCE`` (1e-9).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ParameterError("transition matrix must be square and non-empty")
     if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
         raise ParameterError("transition matrix entries must be finite and non-negative")
+    if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOLERANCE:
+        raise ParameterError(
+            f"transition matrix rows must sum to one within {_ROW_SUM_TOLERANCE:g}"
+        )
     size = matrix.shape[0]
     width = max(int(_drops(matrix, 0).max()), 0)
     step = max(1, 2**16 // size)
@@ -439,22 +446,18 @@ def stationary_rates(config: SimConfig) -> OracleRates:
 _MAX_MEAN = 32.0
 
 
-def optimized_power(
-    source_count: int,
-    multiple: int,
-    step_count: int = 3,
-    *,
-    tolerance: float = 1e-6,
-) -> float:
-    """Pump level where the lack rate equals the multi-pair rate.
+def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
+    """Pump level where the lack rate equals the multi-pair rate of ``bank``.
 
-    Solved on the chain of the bank without boundary limits or pump
-    feedback.  Lack falls and multi-pair rises monotonically with pump
-    power, so the two curves cross exactly once; the crossing is the
-    operating point that minimises the larger of the two errors.  Solved
-    by bisection on lack - multi, starting from the bracket (1e-6, 1] and
-    doubling the upper end while both rates still sit on the same side
-    (small banks can push the crossing above one mean pair per cycle).
+    Solved on the chain of the bank as given, boundary limits and pump
+    feedback included: its ``mean_pairs`` is the unknown, and ``cycles``
+    and ``seed`` play no part, as in :func:`stationary_rates`.  Lack falls
+    and multi-pair rises monotonically with pump power, so the two curves
+    cross exactly once; the crossing is the operating point that
+    minimises the larger of the two errors.  Solved by bisection on
+    lack - multi, starting from the bracket (1e-6, 1] and doubling the
+    upper end while both rates still sit on the same side (small banks
+    can push the crossing above one mean pair per cycle).
 
     Returns
     -------
@@ -469,13 +472,6 @@ def optimized_power(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
-    bank = SimConfig(
-        source_count=source_count,
-        multiple=multiple,
-        mean_pairs=1.0,
-        step_count=step_count,
-        boundary=BoundaryMode.UNCONSTRAINED,
-    )
 
     def gap(mean: float) -> float:
         rates = stationary_rates(replace(bank, mean_pairs=mean))

@@ -47,8 +47,9 @@ class RegisterTopology:
     step_count: int
 
     def __post_init__(self) -> None:
-        check_source_count(self.source_count)
-        check_step_count(self.step_count)
+        # whole floats become ints, as in SimConfig
+        object.__setattr__(self, "source_count", check_source_count(self.source_count))
+        object.__setattr__(self, "step_count", check_step_count(self.step_count))
 
     @property
     def delay_count(self) -> int:

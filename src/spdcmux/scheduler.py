@@ -54,8 +54,7 @@ Router = Callable[
 
 def storage_capacity(step_count: int, multiple: int) -> int:
     """Free register span behind an m-photon train: ``2**step_count - multiple``."""
-    check_step_count(step_count)
-    span = 2**step_count
+    span = 2 ** check_step_count(step_count)
     if not is_whole(multiple) or not 1 <= multiple <= span:
         raise ParameterError(
             f"multiple must be an integer in [1, {span}], got {multiple!r}"

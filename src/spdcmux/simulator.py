@@ -10,7 +10,7 @@ replays the same uniforms and therefore the same plans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -20,7 +20,6 @@ from .emission import herald, sample_cycle_emissions
 from .errors import (
     ConservationError,
     ParameterError,
-    check_capacity,
     check_mean_pairs,
     check_source_count,
     is_whole,
@@ -31,7 +30,6 @@ from .scheduler import CyclePlan, plan_cycle, storage_capacity
 __all__ = [
     "BoundaryMode",
     "FeedbackMode",
-    "FeedbackPolicy",
     "SimConfig",
     "SimMetrics",
     "apply_feedback",
@@ -42,7 +40,12 @@ __all__ = [
 
 
 class FeedbackMode(str, Enum):
-    """How the pump reacts to the storage fill level."""
+    """How the pump reacts to the storage fill level.
+
+    ``boost`` raises the pump by the full strength whenever storage has
+    room; ``turbo_boost`` scales the raise by the fraction of storage
+    still empty, backing off smoothly as the register fills.
+    """
 
     OFF = "off"
     BOOST = "boost"
@@ -57,52 +60,18 @@ class BoundaryMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class FeedbackPolicy:
-    """Pump adjustment rule.
-
-    ``boost`` raises the pump by the full strength whenever storage has
-    room; ``turbo_boost`` scales the raise by the fraction of storage
-    still empty, backing off smoothly as the register fills.
-    """
-
-    mode: FeedbackMode = FeedbackMode.OFF
-    strength: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", FeedbackMode(self.mode))
-        strength = float(self.strength)
-        if not math.isfinite(strength) or strength < 0.0:
-            raise ParameterError(
-                f"feedback strength must be finite and non-negative, got {self.strength!r}"
-            )
-        object.__setattr__(self, "strength", strength)
-
-
-def apply_feedback(
-    policy: FeedbackPolicy,
-    storage_level: int,
-    capacity: int,
-    base_mean: float,
-) -> float:
-    """Effective mean pair number for the coming cycle."""
-    check_capacity(capacity)
-    if not 0 <= storage_level <= capacity:
-        raise ParameterError(
-            f"storage level {storage_level} outside [0, {capacity}]"
-        )
-    if policy.mode is FeedbackMode.OFF or capacity == 0:
-        return base_mean
-    if policy.mode is FeedbackMode.BOOST:
-        if storage_level < capacity:
-            return base_mean * (1.0 + policy.strength)
-        return base_mean
-    headroom = (capacity - storage_level) / capacity
-    return base_mean * (1.0 + policy.strength * headroom)
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation run."""
+    """Full description of one bank and of a run of it.
+
+    S = ``source_count`` sources feed a K = ``step_count`` stage register
+    that emits an m = ``multiple`` photon train; each source makes
+    ``mean_pairs`` pairs a cycle on average, raised by the ``feedback``
+    rule with gain ``feedback_strength`` (see :func:`apply_feedback`).
+    ``boundary`` keeps or drops the edge rows' reachability limits.
+    ``cycles`` and ``seed`` set the Monte Carlo run; the exact chain
+    ignores them.  Whole floats become ints, and the modes take a name or
+    the enum member.
+    """
 
     source_count: int
     multiple: int
@@ -110,10 +79,18 @@ class SimConfig:
     step_count: int = 3
     cycles: int = 100_000
     seed: int = 0
-    feedback: FeedbackPolicy = field(default_factory=FeedbackPolicy)
+    feedback: FeedbackMode = FeedbackMode.OFF
+    feedback_strength: float = 1.0
     boundary: BoundaryMode = BoundaryMode.CONSTRAINED
 
     def __post_init__(self) -> None:
+        strength = float(self.feedback_strength)
+        if not math.isfinite(strength) or strength < 0.0:
+            raise ParameterError(
+                "feedback strength must be finite and non-negative, "
+                f"got {self.feedback_strength!r}"
+            )
+        object.__setattr__(self, "feedback_strength", strength)
         check_source_count(self.source_count)
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
@@ -127,21 +104,35 @@ class SimConfig:
         # whole floats become ints, so format_config writes what parse_config reads
         for name in ("source_count", "step_count", "multiple", "cycles", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if isinstance(self.feedback, (str, FeedbackMode)):
+        for name, mode in (("feedback", FeedbackMode), ("boundary", BoundaryMode)):
             try:
-                object.__setattr__(self, "feedback", FeedbackPolicy(mode=self.feedback))
+                object.__setattr__(self, name, mode(getattr(self, name)))
             except ValueError as exc:
-                raise ParameterError(f"unknown feedback mode {self.feedback!r}") from exc
-        elif not isinstance(self.feedback, FeedbackPolicy):
-            raise ParameterError("feedback must be a FeedbackPolicy, mode name or FeedbackMode")
-        try:
-            object.__setattr__(self, "boundary", BoundaryMode(self.boundary))
-        except ValueError as exc:
-            raise ParameterError(f"unknown boundary mode {self.boundary!r}") from exc
+                raise ParameterError(f"unknown {name} mode {getattr(self, name)!r}") from exc
 
     @cached_property
     def capacity(self) -> int:
         return storage_capacity(self.step_count, self.multiple)
+
+
+def apply_feedback(config: SimConfig, storage_level: int) -> float:
+    """Effective mean pair number for a cycle that starts with
+    ``storage_level`` photons stored: the bank's pump, raised by its
+    feedback rule.  A bank with no storage has nothing to react to."""
+    capacity = config.capacity
+    if not is_whole(storage_level) or not 0 <= storage_level <= capacity:
+        raise ParameterError(
+            f"storage level must be an integer in [0, {capacity}], got {storage_level!r}"
+        )
+    mode = config.feedback
+    if mode is FeedbackMode.OFF or capacity == 0:
+        return config.mean_pairs
+    if mode is FeedbackMode.BOOST:
+        if storage_level < capacity:
+            return config.mean_pairs * (1.0 + config.feedback_strength)
+        return config.mean_pairs
+    headroom = (capacity - storage_level) / capacity
+    return config.mean_pairs * (1.0 + config.feedback_strength * headroom)
 
 
 @dataclass(frozen=True)
@@ -198,9 +189,7 @@ def run_cycle(
     ``storage_in`` holds the stored pair multiplicities, position 0 first.
     """
     topology = _cached_topology(config.source_count, config.step_count)
-    mean = apply_feedback(
-        config.feedback, len(storage_in), config.capacity, config.mean_pairs
-    )
+    mean = apply_feedback(config, len(storage_in))
     counts = sample_cycle_emissions(config.source_count, mean, rng)
     clicks = herald(counts)
     return plan_cycle(
@@ -277,7 +266,10 @@ def derive_point_seed(master_seed: int, point_index: int) -> int:
     Spawns a dedicated seed sequence per (master, index) pair so sweep
     points can run in any order, or in parallel, without sharing streams.
     """
-    if master_seed < 0 or point_index < 0:
-        raise ParameterError("master seed and point index must be non-negative")
+    if not all(is_whole(value) and value >= 0 for value in (master_seed, point_index)):
+        raise ParameterError(
+            "master seed and point index must be non-negative integers, "
+            f"got {master_seed!r} and {point_index!r}"
+        )
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(point_index),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

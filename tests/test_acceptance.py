@@ -12,7 +12,6 @@ import numpy as np
 
 from spdcmux import (
     BoundaryMode,
-    FeedbackPolicy,
     ParameterError,
     RegisterTopology,
     SimConfig,
@@ -161,7 +160,7 @@ def _chain_deviations(config: SimConfig, batch_count: int, batch_cycles: int) ->
             deviations.append(
                 f"S={config.source_count} m={config.multiple} "
                 f"K={config.step_count} mean={config.mean_pairs:.4f} "
-                f"{config.boundary.value} {config.feedback.mode.value} {name}: "
+                f"{config.boundary.value} {config.feedback.value} {name}: "
                 f"|{observed:.6f}-{target:.6f}|>{tolerance:.2e}"
             )
     return deviations
@@ -189,7 +188,7 @@ EDGE_AND_FEEDBACK_CONFIGS = [
     SimConfig(source_count=30, multiple=8, mean_pairs=0.2, step_count=4, seed=6, feedback="boost"),
     SimConfig(
         source_count=20, multiple=4, mean_pairs=0.1, seed=7,
-        feedback=FeedbackPolicy("turbo_boost", 2.0),
+        feedback="turbo_boost", feedback_strength=2.0,
     ),
     SimConfig(
         source_count=100, multiple=4, mean_pairs=0.03, seed=8,

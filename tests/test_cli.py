@@ -6,7 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ from spdcmux import cli, simulator
 from spdcmux import (
     BoundaryMode,
     FeedbackMode,
-    FeedbackPolicy,
     ParameterError,
     SimConfig,
     derive_point_seed,
@@ -55,7 +54,7 @@ def test_parse_config_minimal_applies_defaults() -> None:
     assert config == SimConfig(source_count=100, multiple=4, mean_pairs=0.049)
     assert config.step_count == 3
     assert config.cycles == 100_000
-    assert config.feedback.mode is FeedbackMode.OFF
+    assert config.feedback is FeedbackMode.OFF
     assert config.boundary is BoundaryMode.CONSTRAINED
 
 
@@ -77,8 +76,8 @@ def test_parse_config_full_with_comments() -> None:
     assert config.source_count == 11
     assert config.cycles == 2000
     assert config.seed == 9
-    assert config.feedback.mode is FeedbackMode.TURBO_BOOST
-    assert config.feedback.strength == 0.5
+    assert config.feedback is FeedbackMode.TURBO_BOOST
+    assert config.feedback_strength == 0.5
     assert config.boundary is BoundaryMode.UNCONSTRAINED
 
 
@@ -124,11 +123,17 @@ def test_format_config_round_trips() -> None:
             step_count=12,
             cycles=7,
             seed=123456789,
-            feedback=FeedbackPolicy("turbo_boost", 0.37),
+            feedback="turbo_boost",
+            feedback_strength=0.37,
             boundary="unconstrained",
         ),
     ):
         assert parse_config(format_config(config)) == config
+
+
+def test_settings_name_every_sim_config_field() -> None:
+    # one config key per SimConfig field, each naming the field itself
+    assert {f.name for f in fields(SimConfig)} == {s.field for s in cli._SETTINGS.values()}
 
 
 def test_emit_csv_shape_and_formatting() -> None:
@@ -216,7 +221,7 @@ def test_config_file_with_flag_override(tmp_path, capsys: pytest.CaptureFixture)
     # every key's flag overrides its file entry; sweep names the register
     # depth --register-steps
     base = SimConfig(source_count=11, multiple=4, mean_pairs=0.1, cycles=500, seed=1,
-                     feedback=FeedbackPolicy("boost", 0.5), boundary="constrained")
+                     feedback="boost", feedback_strength=0.5, boundary="constrained")
     config_file.write_text(format_config(base))
     parser = cli._build_parser()
     for command, flag, value, expected in (
@@ -228,9 +233,9 @@ def test_config_file_with_flag_override(tmp_path, capsys: pytest.CaptureFixture)
         ("simulate", "--cycles", "200", replace(base, cycles=200)),
         ("simulate", "--seed", "2", replace(base, seed=2)),
         ("simulate", "--feedback", "turbo_boost",
-         replace(base, feedback=FeedbackPolicy("turbo_boost", 0.5))),
+         replace(base, feedback="turbo_boost")),
         ("simulate", "--feedback-strength", "0.37",
-         replace(base, feedback=FeedbackPolicy("boost", 0.37))),
+         replace(base, feedback_strength=0.37)),
         ("simulate", "--boundary", "unconstrained", replace(base, boundary="unconstrained")),
     ):
         argv = [command, "--config", str(config_file), flag, value]

@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 from spdcmux import (
     BoundaryMode,
     ConvergenceError,
-    FeedbackPolicy,
     HeraldProbabilities,
     OracleRates,
     ParameterError,
@@ -136,6 +135,12 @@ def test_stationary_distribution_failure_modes() -> None:
         stationary_distribution([[0.5, 0.5], [np.nan, 0.5]])
     with pytest.raises(ParameterError, match="finite and non-negative"):
         stationary_distribution([[1.5, -0.5], [0.5, 0.5]])
+    # rows must sum to one: neither an all-zero nor an overfull row is a chain
+    for matrix in ([[0.0, 0.0], [0.0, 0.0]], [[2.0, 3.0], [1.0, 0.0]]):
+        with pytest.raises(ParameterError, match="sum to one"):
+            stationary_distribution(matrix)
+    # a rounding error well inside the tolerance is not rejected
+    assert stationary_distribution([[0.5, 0.5 + 1e-12], [0.5, 0.5]]) == pytest.approx([0.5, 0.5])
 
 
 def test_stationary_distribution_ceiling_zeroes_the_levels_above() -> None:
@@ -181,9 +186,7 @@ def test_solver_rejects_a_row_outside_the_band() -> None:
 
 
 def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
-    return herald_probabilities(
-        apply_feedback(config.feedback, level, config.capacity, config.mean_pairs)
-    )
+    return herald_probabilities(apply_feedback(config, level))
 
 
 def _herald_count_outcomes(config: SimConfig, level: int):
@@ -266,7 +269,7 @@ def test_constrained_and_feedback_rates_match_exact_rationals() -> None:
     constrained = SimConfig(source_count=9, multiple=4, mean_pairs=0.3, step_count=3)
     _assert_matches_exact(constrained, _click_pattern_outcomes)
     # a pump that changes with every storage level
-    turbo = replace(_spec(20, 4, 3, 0.1), feedback=FeedbackPolicy("turbo_boost", 1.5))
+    turbo = replace(_spec(20, 4, 3, 0.1), feedback="turbo_boost", feedback_strength=1.5)
     _assert_matches_exact(turbo, _herald_count_outcomes)
     # both at once, in a bank too short to have interior rows
     boosted = SimConfig(
@@ -418,11 +421,10 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
 
     for mode, distinct in (("boost", 2), ("turbo_boost", config.capacity + 1)):
         pumps.clear()
-        stationary_rates(replace(config, feedback=mode))
+        feedback = replace(config, feedback=mode)
+        stationary_rates(feedback)
         expected = {
-            herald_probabilities(
-                apply_feedback(FeedbackPolicy(mode), level, config.capacity, 0.049)
-            ).p_herald
+            herald_probabilities(apply_feedback(feedback, level)).p_herald
             for level in range(config.capacity + 1)
         }
         assert len(pumps) == len(expected) == distinct
@@ -602,7 +604,7 @@ def test_chain_pump_wiring() -> None:
 
 
 def test_optimized_power_balances_the_two_error_rates() -> None:
-    mean = optimized_power(100, 4, 3)
+    mean = optimized_power(_spec(100, 4, 3, 1.0))
     rates = stationary_rates(_spec(100, 4, 3, mean))
     assert abs(rates.lack_rate - rates.multi_rate) < 1e-6
     assert mean == pytest.approx(0.0477879, abs=5e-5)
@@ -613,15 +615,30 @@ def test_optimized_power_matches_closed_form_for_single_source() -> None:
     # exp(-n) * (2 + n) = 1, whose root sits above one pair per cycle;
     # this also exercises the bracket growing past its initial upper end
     root = brentq(lambda n: math.exp(-n) * (2.0 + n) - 1.0, 0.5, 3.0, xtol=1e-12)
-    assert optimized_power(1, 1, 1) == pytest.approx(root, abs=1e-4)
-    assert optimized_power(1, 1, 3) == pytest.approx(root, abs=1e-4)
+    assert optimized_power(_spec(1, 1, 1, 1.0)) == pytest.approx(root, abs=1e-4)
+    assert optimized_power(_spec(1, 1, 3, 1.0)) == pytest.approx(root, abs=1e-4)
 
 
 def test_optimized_power_failure_modes() -> None:
     # one source feeding a two-photon train lacks at least half the slots
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
-        optimized_power(1, 2, 1)
+        optimized_power(_spec(1, 2, 1, 1.0))
     for tolerance in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
-            optimized_power(100, 4, 3, tolerance=tolerance)
+            optimized_power(_spec(100, 4, 3, 1.0), tolerance=tolerance)
+
+
+def test_optimized_power_balances_the_bank_as_given() -> None:
+    # the boundary limits and the pump feedback of the bank move the balance
+    # away from the plain unconstrained 0.0477879; its own mean_pairs, cycles
+    # and seed play no part
+    for bank, optimum in (
+        (SimConfig(source_count=100, multiple=4, mean_pairs=0.3, step_count=3), 0.048594),
+        (replace(_spec(100, 4, 3, 0.3), feedback="turbo_boost", cycles=7, seed=5), 0.029672),
+    ):
+        mean = optimized_power(bank, tolerance=1e-6)
+        rates = stationary_rates(replace(bank, mean_pairs=mean))
+        assert abs(rates.lack_rate - rates.multi_rate) < 1e-6
+        assert mean == pytest.approx(optimum, abs=5e-6)
+        assert mean == optimized_power(replace(bank, mean_pairs=0.01, cycles=1, seed=0))

@@ -54,6 +54,15 @@ def test_topology_validation() -> None:
         RegisterTopology(source_count=5, step_count=0)
     with pytest.raises(ParameterError):
         RegisterTopology(source_count=5, step_count=13)
+    with pytest.raises(ParameterError):
+        RegisterTopology(source_count=5, step_count=2.5)
+
+
+def test_topology_takes_whole_floats_as_ints() -> None:
+    whole = RegisterTopology(source_count=10.0, step_count=3.0)
+    assert (type(whole.source_count), type(whole.step_count)) == (int, int)
+    assert whole == RegisterTopology(source_count=10, step_count=3)
+    assert np.array_equal(whole.access_table, RegisterTopology(10, 3).access_table)
 
 
 def test_known_rows_11x3() -> None:

@@ -32,6 +32,8 @@ def test_storage_capacity_table() -> None:
     assert [storage_capacity(3, m) for m in range(1, 9)] == [7, 6, 5, 4, 3, 2, 1, 0]
     assert storage_capacity(1, 1) == 1
     assert storage_capacity(2, 3) == 1
+    # a whole float step count gives an int capacity
+    assert type(storage_capacity(3.0, 4)) is int
 
 
 def test_storage_capacity_validation() -> None:

@@ -1,6 +1,7 @@
 """Simulation runs: feedback law, determinism, composition, statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from spdcmux import (
     BoundaryMode,
     FeedbackMode,
-    FeedbackPolicy,
     ParameterError,
     SimConfig,
     apply_feedback,
@@ -22,37 +22,50 @@ from spdcmux import (
 REL_MULTI_AT_01 = 0.049166805522495038
 
 
+def _bank(feedback: str = "off", strength: float = 1.0, multiple: int = 4) -> SimConfig:
+    """A 3-step bank: capacity 4 at the default train of 4 photons."""
+    return SimConfig(
+        source_count=10, multiple=multiple, mean_pairs=0.05,
+        feedback=feedback, feedback_strength=strength,
+    )
+
+
 def test_apply_feedback_off_and_boost() -> None:
-    off = FeedbackPolicy()
-    assert apply_feedback(off, 0, 4, 0.05) == 0.05
-    assert apply_feedback(off, 4, 4, 0.05) == 0.05
-    boost = FeedbackPolicy(mode=FeedbackMode.BOOST, strength=1.0)
-    assert apply_feedback(boost, 0, 4, 0.05) == pytest.approx(0.10)
-    assert apply_feedback(boost, 3, 4, 0.05) == pytest.approx(0.10)
-    assert apply_feedback(boost, 4, 4, 0.05) == 0.05
-    half = FeedbackPolicy(mode="boost", strength=0.5)
-    assert apply_feedback(half, 1, 4, 0.08) == pytest.approx(0.12)
+    off = _bank()
+    assert apply_feedback(off, 0) == 0.05
+    assert apply_feedback(off, 4) == 0.05
+    boost = _bank(FeedbackMode.BOOST, 1.0)
+    assert apply_feedback(boost, 0) == pytest.approx(0.10)
+    assert apply_feedback(boost, 3) == pytest.approx(0.10)
+    assert apply_feedback(boost, 4) == 0.05
+    half = replace(_bank("boost", 0.5), mean_pairs=0.08)
+    assert apply_feedback(half, 1) == pytest.approx(0.12)
 
 
 def test_apply_feedback_turbo_scales_with_headroom() -> None:
-    turbo = FeedbackPolicy(mode=FeedbackMode.TURBO_BOOST, strength=1.0)
-    assert apply_feedback(turbo, 0, 4, 0.05) == pytest.approx(0.10)
-    assert apply_feedback(turbo, 2, 4, 0.05) == pytest.approx(0.075)
-    assert apply_feedback(turbo, 4, 4, 0.05) == pytest.approx(0.05)
+    turbo = _bank(FeedbackMode.TURBO_BOOST, 1.0)
+    assert apply_feedback(turbo, 0) == pytest.approx(0.10)
+    assert apply_feedback(turbo, 2) == pytest.approx(0.075)
+    assert apply_feedback(turbo, 4) == pytest.approx(0.05)
     # a full-span train leaves no storage, so there is nothing to react to
-    assert apply_feedback(turbo, 0, 0, 0.05) == 0.05
+    full_span = _bank(FeedbackMode.TURBO_BOOST, 1.0, multiple=8)
+    assert full_span.capacity == 0
+    assert apply_feedback(full_span, 0) == 0.05
 
 
 def test_apply_feedback_validation() -> None:
-    policy = FeedbackPolicy(mode="boost")
-    with pytest.raises(ParameterError):
-        apply_feedback(policy, 5, 4, 0.05)
-    with pytest.raises(ParameterError):
-        apply_feedback(policy, -1, 4, 0.05)
-    with pytest.raises(ParameterError):
-        FeedbackPolicy(mode="boost", strength=-0.1)
-    with pytest.raises(ValueError):
-        FeedbackPolicy(mode="warp")
+    boost = _bank("boost")
+    for level in (5, -1, 1.5, math.nan):
+        with pytest.raises(ParameterError, match="storage level"):
+            apply_feedback(boost, level)
+    # a whole float is a level
+    assert apply_feedback(boost, 2.0) == apply_feedback(boost, 2)
+    for strength in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="feedback strength"):
+            _bank("boost", strength)
+    with pytest.raises(ParameterError, match="unknown feedback mode"):
+        _bank("warp")
+    assert type(_bank("boost", 2).feedback_strength) is float
 
 
 def test_sim_config_defaults_and_coercion() -> None:
@@ -60,14 +73,15 @@ def test_sim_config_defaults_and_coercion() -> None:
     assert config.step_count == 3
     assert config.cycles == 100_000
     assert config.seed == 0
-    assert config.feedback.mode is FeedbackMode.OFF
+    assert config.feedback is FeedbackMode.OFF
+    assert config.feedback_strength == 1.0
     assert config.boundary is BoundaryMode.CONSTRAINED
     assert config.capacity == 4
 
     coerced = SimConfig(
         source_count=10, multiple=2, mean_pairs=0.1, feedback="boost", boundary="unconstrained"
     )
-    assert coerced.feedback.mode is FeedbackMode.BOOST
+    assert coerced.feedback is FeedbackMode.BOOST
     assert coerced.boundary is BoundaryMode.UNCONSTRAINED
 
 
@@ -205,7 +219,8 @@ def test_boost_feedback_raises_herald_yield() -> None:
         mean_pairs=0.05,
         cycles=20_000,
         seed=13,
-        feedback=FeedbackPolicy(mode=FeedbackMode.BOOST, strength=1.0),
+        feedback=FeedbackMode.BOOST,
+        feedback_strength=1.0,
     )
     assert run_simulation(boosted).herald_count > run_simulation(quiet).herald_count
 
@@ -223,7 +238,8 @@ def test_turbo_feedback_with_zero_capacity_is_inert() -> None:
         step_count=2,
         cycles=5_000,
         seed=4,
-        feedback=FeedbackPolicy(mode=FeedbackMode.TURBO_BOOST, strength=2.0),
+        feedback=FeedbackMode.TURBO_BOOST,
+        feedback_strength=2.0,
     )
     assert run_simulation(plain) == run_simulation(turbo)
 
@@ -238,3 +254,8 @@ def test_derive_point_seed_is_stable_and_spread() -> None:
         derive_point_seed(-1, 0)
     with pytest.raises(ParameterError):
         derive_point_seed(1, -2)
+    # a fractional or non-finite argument is not a seed, not a rounded one
+    for master, index in ((1.5, 0), (1, 0.5), (math.nan, 0), (1, math.inf)):
+        with pytest.raises(ParameterError, match="non-negative integers"):
+            derive_point_seed(master, index)
+    assert derive_point_seed(42.0, 0.0) == first
