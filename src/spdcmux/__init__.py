@@ -32,7 +32,6 @@ from .register import (
 from .scheduler import (
     CyclePlan,
     plan_cycle,
-    plan_cycle_optimal,
     storage_capacity,
 )
 from .simulator import (
@@ -68,7 +67,6 @@ __all__ = [
     "optimized_power",
     "pair_pmf",
     "plan_cycle",
-    "plan_cycle_optimal",
     "run_cycle",
     "run_simulation",
     "sample_cycle_emissions",

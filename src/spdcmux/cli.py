@@ -216,7 +216,13 @@ def _gather_config(args: argparse.Namespace, **defaults: str) -> SimConfig:
     (by key) stand in for keys that neither gives."""
     pairs: dict[str, str] = {}
     if getattr(args, "config", None) is not None:
-        pairs = _parse_pairs(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParameterError(
+                f"config file {args.config} is not UTF-8 text ({exc.reason} at offset {exc.start})"
+            ) from exc
+        pairs = _parse_pairs(text)
     for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:

@@ -20,7 +20,9 @@ class ConservationError(RuntimeError):
 def is_whole(value: object) -> bool:
     """True for a finite number with no fractional part, False for anything else."""
     try:
-        return float(value).is_integer()
+        # math converts numbers only, where float() would also parse "5";
+        # an infinity raises ValueError and a huge int OverflowError
+        return math.fmod(value, 1.0) == 0.0
     except (TypeError, ValueError, OverflowError):
         return False
 

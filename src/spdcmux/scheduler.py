@@ -14,10 +14,10 @@ heralded rows and the target delays in lockstep, committing the fastest
 usable row to the earliest open target.  A row that gets walked past is
 gone for the cycle; there is no later target it could legally take.
 
-Storage is a plain tuple of pair multiplicities, position 0 first.  A
-router sees only the clicked rows and the open delays, which follow from
-the storage level; the multiplicities are looked up afterwards, so they
-cannot influence a routing choice.
+Storage is a plain tuple of pair multiplicities, position 0 first.  The
+greedy walk sees only the clicked rows and the open delays, which follow
+from the storage level; the multiplicities are looked up afterwards, so
+they cannot influence a routing choice.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -35,20 +34,7 @@ from .register import RegisterTopology
 __all__ = [
     "CyclePlan",
     "plan_cycle",
-    "plan_cycle_optimal",
     "storage_capacity",
-]
-
-# plan_cycle_optimal enumerates matchings over the whole bank; keep it to
-# sizes where that stays instant
-_OPTIMAL_MAX_SOURCES = 20
-_OPTIMAL_MAX_MULTIPLE = 8
-
-# (reachability masks or None, clicked rows, open slot delays, storage delays)
-# -> ((row, delay) assignments in delay order, discarded count)
-Router = Callable[
-    [tuple[int, ...] | None, list[int], range, range],
-    tuple[list[tuple[int, int]], int],
 ]
 
 
@@ -130,44 +116,6 @@ def plan_cycle(
     -------
     CyclePlan
     """
-    return _plan(_route_greedy, topology, clicks, counts, storage_in, multiple, boundary_limits)
-
-
-def plan_cycle_optimal(
-    topology: RegisterTopology,
-    clicks: np.ndarray,
-    counts: np.ndarray,
-    storage_in: tuple[int, ...],
-    multiple: int,
-    *,
-    boundary_limits: bool = True,
-) -> CyclePlan:
-    """Fill the maximum possible number of slots this cycle.
-
-    Benchmark planner: solves a maximum bipartite matching between
-    heralded rows and open slots, ignoring the monotone switching
-    restriction, then tops up storage greedily.  Useful as a ceiling for
-    what any feasible policy could fill.  Restricted to small banks.
-    """
-    if topology.source_count > _OPTIMAL_MAX_SOURCES or multiple > _OPTIMAL_MAX_MULTIPLE:
-        raise ParameterError(
-            "optimal planner supports at most "
-            f"{_OPTIMAL_MAX_SOURCES} sources and multiple {_OPTIMAL_MAX_MULTIPLE}, "
-            f"got {topology.source_count} and {multiple}"
-        )
-    return _plan(_route_optimal, topology, clicks, counts, storage_in, multiple, boundary_limits)
-
-
-def _plan(
-    route: Router,
-    topology: RegisterTopology,
-    clicks: np.ndarray,
-    counts: np.ndarray,
-    storage_in: tuple[int, ...],
-    multiple: int,
-    boundary_limits: bool,
-) -> CyclePlan:
-    """Check the arguments, let ``route`` place the clicked rows, then look up multiplicities."""
     if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
         raise ParameterError(
             f"clicks {clicks.shape} and pair counts {counts.shape} must both "
@@ -186,7 +134,7 @@ def _plan(
     emit_count = min(len(storage_in), m)
     carried = storage_in[emit_count:]
     rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
-    assignments, discarded = route(
+    assignments, discarded = _route_greedy(
         _reach_masks(topology) if boundary_limits else None,
         rows,
         range(emit_count, m),
@@ -246,51 +194,3 @@ def _route_greedy(
             if delay in storage_delays:
                 break
     return assignments, discarded + len(rows) - pointer
-
-
-def _route_optimal(
-    reach: tuple[int, ...] | None, rows: list[int], slot_delays: range, storage_delays: range
-) -> tuple[list[tuple[int, int]], int]:
-    """Maximum matching of rows to open slots, then greedy contiguous storage."""
-
-    def reaches(row: int, delay: int) -> bool:
-        return reach is None or bool(reach[row - 1] >> delay & 1)
-
-    matched: dict[int, int] = {}  # slot delay -> row
-    if slot_delays and rows:
-        eligible = np.array([[reaches(r, j) for r in rows] for j in slot_delays], dtype=bool)
-        for c, r in enumerate(_maximum_matching(eligible)):
-            if r >= 0:
-                matched[slot_delays[r]] = rows[c]
-    assignments = [(matched[j], j) for j in slot_delays if j in matched]
-
-    leftovers = [r for r in rows if r not in matched.values()]
-    for delay in storage_delays:
-        pick = next((r for r in leftovers if reaches(r, delay)), None)
-        if pick is None:
-            break
-        leftovers.remove(pick)
-        assignments.append((pick, delay))
-    return assignments, len(leftovers)
-
-
-def _maximum_matching(eligible: np.ndarray) -> list[int]:
-    """Row matched to each column of a boolean matrix (-1 if none), maximum in size.
-
-    Augmenting-path search: each row in turn claims a free eligible column
-    or one whose holder can move on to another column.
-    """
-    holder = [-1] * eligible.shape[1]
-
-    def augment(row: int, seen: set[int]) -> bool:
-        for col in np.flatnonzero(eligible[row]):
-            if col not in seen:
-                seen.add(col)
-                if holder[col] < 0 or augment(holder[col], seen):
-                    holder[col] = row
-                    return True
-        return False
-
-    for row in range(eligible.shape[0]):
-        augment(row, set())
-    return holder

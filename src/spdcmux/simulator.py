@@ -69,8 +69,8 @@ class SimConfig:
     rule with gain ``feedback_strength`` (see :func:`apply_feedback`).
     ``boundary`` keeps or drops the edge rows' reachability limits.
     ``cycles`` and ``seed`` set the Monte Carlo run; the exact chain
-    ignores them.  Whole floats become ints, and the modes take a name or
-    the enum member.
+    ignores them.  Whole floats become ints, the pump and its gain become
+    floats, and the modes take a name or the enum member.
     """
 
     source_count: int
@@ -94,7 +94,7 @@ class SimConfig:
         check_source_count(self.source_count)
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
-        check_mean_pairs(self.mean_pairs)
+        object.__setattr__(self, "mean_pairs", check_mean_pairs(self.mean_pairs))
         if not is_whole(self.cycles) or self.cycles < 0:
             raise ParameterError(
                 f"cycle count must be a non-negative integer, got {self.cycles!r}"

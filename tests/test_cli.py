@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spdcmux import cli, simulator
@@ -115,6 +116,8 @@ def test_format_config_round_trips() -> None:
         ),
         # whole floats are stored as ints, which the parser reads back
         SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0),
+        # a numpy scalar pump is stored as a float, so it is written as one
+        SimConfig(source_count=10, multiple=4, mean_pairs=np.float64(0.05)),
         # every key away from its default
         SimConfig(
             source_count=2000,
@@ -445,6 +448,11 @@ def test_domain_errors_exit_one(capsys: pytest.CaptureFixture, tmp_path) -> None
     missing_key = tmp_path / "partial.cfg"
     missing_key.write_text("sources=5\n")
     assert run_command(["simulate", "--config", str(missing_key)]) == 1
+    capsys.readouterr()
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"sources=5\n\xff\n")
+    assert run_command(["simulate", "--config", str(not_utf8)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {not_utf8} is not UTF-8")
 
 
 def test_write_failure_exits_one(tmp_path) -> None:

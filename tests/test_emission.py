@@ -41,14 +41,9 @@ def test_pair_pmf_normalises_and_has_poisson_mean() -> None:
 
 
 def test_pair_pmf_rejects_bad_arguments() -> None:
-    with pytest.raises(ParameterError):
-        pair_pmf(-1, 0.05)
-    with pytest.raises(ParameterError):
-        pair_pmf(0, 0.0)
-    with pytest.raises(ParameterError):
-        pair_pmf(0, -0.1)
-    with pytest.raises(ParameterError):
-        pair_pmf(0, math.inf)
+    for count, mean in ((-1, 0.05), (0, 0.0), (0, -0.1), (0, math.inf), ("2", 0.1)):
+        with pytest.raises(ParameterError):
+            pair_pmf(count, mean)
 
 
 def test_herald_probabilities_reference_values() -> None:
@@ -172,10 +167,9 @@ def test_sampler_matches_pmf_frequencies() -> None:
 
 def test_sampler_validates_arguments() -> None:
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        sample_cycle_emissions(0, 0.1, rng)
-    with pytest.raises(ParameterError):
-        sample_cycle_emissions(5, -0.1, rng)
+    for source_count, mean in ((0, 0.1), ("3", 0.1), (5, -0.1)):
+        with pytest.raises(ParameterError):
+            sample_cycle_emissions(source_count, mean, rng)
     with pytest.raises(ParameterError):
         sample_cycle_emissions(5, 0.1, "not a generator")  # type: ignore[arg-type]
     # past ~708.4 exp(-mean) is subnormal or zero and inversion would be biased

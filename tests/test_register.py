@@ -48,14 +48,9 @@ def test_topology_basic_shape() -> None:
 
 
 def test_topology_validation() -> None:
-    with pytest.raises(ParameterError):
-        RegisterTopology(source_count=0, step_count=3)
-    with pytest.raises(ParameterError):
-        RegisterTopology(source_count=5, step_count=0)
-    with pytest.raises(ParameterError):
-        RegisterTopology(source_count=5, step_count=13)
-    with pytest.raises(ParameterError):
-        RegisterTopology(source_count=5, step_count=2.5)
+    for source_count, step_count in ((0, 3), (5, 0), (5, 13), (5, 2.5), ("5", 3)):
+        with pytest.raises(ParameterError):
+            RegisterTopology(source_count=source_count, step_count=step_count)
 
 
 def test_topology_takes_whole_floats_as_ints() -> None:

@@ -1,17 +1,69 @@
-"""Cycle planning: storage drain, monotone greedy fill, optimal benchmark."""
+"""Cycle planning: storage drain, monotone greedy fill, test-only matching ceiling."""
 
 import numpy as np
 import pytest
 
 from spdcmux import (
+    CyclePlan,
     ParameterError,
     RegisterTopology,
     herald,
     plan_cycle,
-    plan_cycle_optimal,
     storage_capacity,
     verify_monotone_assignment,
 )
+
+
+def plan_cycle_optimal(topology, clicks, counts, storage_in, multiple, *, boundary_limits=True):
+    """Most slots any routing could fill, ignoring the monotone switching
+    restriction: the ceiling for the greedy walk.  A maximum matching of
+    clicked rows to open slots, then storage topped up contiguously from
+    the rows left over.  ``plan_cycle`` runs first, so the arguments pass
+    the library's own checks."""
+    plan_cycle(topology, clicks, counts, storage_in, multiple, boundary_limits=boundary_limits)
+    if topology.source_count > 20 or multiple > 8:
+        # the recursive augmenting search stays instant only on small banks
+        raise ParameterError("the matching ceiling takes at most 20 sources and multiple 8")
+    m, storage_in = int(multiple), tuple(storage_in)
+    drained = min(len(storage_in), m)
+    rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
+    table = topology.access_table
+
+    def reaches(row: int, delay: int) -> bool:
+        return not boundary_limits or bool(table[row - 1, delay])
+
+    holder: dict[int, int] = {}  # clicked row -> open slot delay
+
+    def claim(delay: int, seen: set[int]) -> bool:
+        # take a free row, or one whose holder can move to another slot
+        for row in rows:
+            if row not in seen and reaches(row, delay):
+                seen.add(row)
+                if row not in holder or claim(holder[row], seen):
+                    holder[row] = delay
+                    return True
+        return False
+
+    for delay in range(drained, m):
+        claim(delay, set())
+    assignments = sorted(holder.items(), key=lambda pair: pair[1])
+    leftovers = [row for row in rows if row not in holder]
+    capacity = storage_capacity(topology.step_count, m)
+    for delay in range(m + len(storage_in) - drained, m + capacity):
+        pick = next((row for row in leftovers if reaches(row, delay)), None)
+        if pick is None:
+            break
+        leftovers.remove(pick)
+        assignments.append((pick, delay))
+    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
+    return CyclePlan(
+        slots=storage_in[:drained] + tuple(fresh.get(d, 0) for d in range(drained, m)),
+        storage_out=storage_in[drained:] + tuple(fresh[d] for d in sorted(fresh) if d >= m),
+        new_assignments=tuple(assignments),
+        discarded=len(leftovers),
+        herald_count=len(rows),
+        stored_in_level=len(storage_in),
+    )
 
 
 def _report(source_count: int, multiplicities: dict[int, int]):
@@ -37,14 +89,9 @@ def test_storage_capacity_table() -> None:
 
 
 def test_storage_capacity_validation() -> None:
-    with pytest.raises(ParameterError):
-        storage_capacity(3, 0)
-    with pytest.raises(ParameterError):
-        storage_capacity(3, 9)
-    with pytest.raises(ParameterError):
-        storage_capacity(0, 1)
-    with pytest.raises(ParameterError):
-        storage_capacity(13, 1)
+    for step_count, multiple in ((3, 0), (3, 9), (0, 1), (13, 1), ("3", 4), (3, "4")):
+        with pytest.raises(ParameterError):
+            storage_capacity(step_count, multiple)
 
 
 def test_planners_validate_storage() -> None:

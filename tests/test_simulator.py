@@ -55,7 +55,7 @@ def test_apply_feedback_turbo_scales_with_headroom() -> None:
 
 def test_apply_feedback_validation() -> None:
     boost = _bank("boost")
-    for level in (5, -1, 1.5, math.nan):
+    for level in (5, -1, 1.5, math.nan, "1"):
         with pytest.raises(ParameterError, match="storage level"):
             apply_feedback(boost, level)
     # a whole float is a level
@@ -96,7 +96,7 @@ def test_sim_config_validation() -> None:
         SimConfig(source_count=10, multiple=4, mean_pairs=0.0)
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=-1)
-    for cycles in (2.5, math.nan, math.inf):
+    for cycles in (2.5, math.nan, math.inf, "5"):
         with pytest.raises(ParameterError):
             SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=cycles)
     assert SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=3.0).cycles == 3
@@ -107,11 +107,11 @@ def test_sim_config_validation() -> None:
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, feedback="warp")
     # non-integer and non-finite counts name the argument they came in as
-    for source_count in (2.5, math.nan, math.inf):
+    for source_count in (2.5, math.nan, math.inf, "10", b"10"):
         with pytest.raises(ParameterError, match="source count"):
             SimConfig(source_count=source_count, multiple=2, mean_pairs=0.3)
     for name in ("multiple", "step_count", "seed"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, "3"):
             with pytest.raises(ParameterError, match=name.replace("_", " ")):
                 SimConfig(**{"source_count": 10, "multiple": 2, "mean_pairs": 0.3, name: value})
     whole = SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0)
@@ -255,7 +255,7 @@ def test_derive_point_seed_is_stable_and_spread() -> None:
     with pytest.raises(ParameterError):
         derive_point_seed(1, -2)
     # a fractional or non-finite argument is not a seed, not a rounded one
-    for master, index in ((1.5, 0), (1, 0.5), (math.nan, 0), (1, math.inf)):
+    for master, index in ((1.5, 0), (1, 0.5), (math.nan, 0), (1, math.inf), ("1", 0)):
         with pytest.raises(ParameterError, match="non-negative integers"):
             derive_point_seed(master, index)
     assert derive_point_seed(42.0, 0.0) == first
