@@ -27,6 +27,14 @@ def is_whole(value: object) -> bool:
         return False
 
 
+def as_real(value: object) -> float:
+    """``value`` as a float if it is a real number that fits one, else NaN."""
+    try:
+        return math.ldexp(value, 0)  # numbers only, as in is_whole
+    except (TypeError, OverflowError):
+        return math.nan
+
+
 def check_source_count(source_count: int) -> int:
     if not is_whole(source_count) or source_count < 1:
         raise ParameterError(
@@ -50,13 +58,14 @@ def check_step_count(step_count: int) -> int:
 
 def check_mean_pairs(mean_pairs: float) -> float:
     """The mean pair number as a float, which must be positive and finite."""
-    mean = float(mean_pairs)
+    mean = as_real(mean_pairs)
     if not math.isfinite(mean) or mean <= 0.0:
         raise ParameterError(f"mean pair number must be positive and finite, got {mean_pairs!r}")
     return mean
 
 
 def check_p_herald(p_herald: float) -> float:
-    if not 0.0 < p_herald < 1.0:
-        raise ParameterError(f"p_herald must lie strictly in (0, 1), got {p_herald}")
-    return p_herald
+    p = as_real(p_herald)
+    if not 0.0 < p < 1.0:
+        raise ParameterError(f"p_herald must lie strictly in (0, 1), got {p_herald!r}")
+    return p

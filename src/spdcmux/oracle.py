@@ -8,11 +8,12 @@ is blind to pair multiplicities.  So the level is a (capacity + 1)-state
 Markov chain of the very ``SimConfig`` the Monte Carlo runs, and its
 stationary distribution gives the exact lack rate.
 
-Clicks are independent across rows.  In a constrained bank rows K+1 ..
-S-K reach every delay (they are interior) and the K rows at either end
-are edge rows; a bank of at most 2K rows is all edge rows, and without
-boundary limits every row is interior.  A cycle from level l is composed
-of three walks, tabulated once per bank and reweighted per pump:
+Clicks are independent across rows.  Rows c+1 .. S-K+c reach popcount c
+(the register's interval rule), so in a constrained bank rows K+1 .. S-K
+reach every delay (they are interior) and the others are edge rows; a
+bank of at most 2K rows is all edge rows, and without boundary limits
+every row is interior.  A cycle from level l is composed of three walks,
+tabulated once per bank and reweighted per pump:
 
 * with no interior click the edge rows walk jointly: one record per
   (level, edge pattern);
@@ -58,8 +59,7 @@ import numpy as np
 
 from .emission import herald_probabilities
 from .errors import ConvergenceError, ParameterError, check_p_herald, check_source_count
-from .register import _cached_topology
-from .scheduler import _reach_masks, _route_greedy
+from .scheduler import _route_greedy
 from .simulator import BoundaryMode, SimConfig, apply_feedback
 
 __all__ = [
@@ -153,16 +153,12 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
             f"register steps, got {step_count}"
         )
     span = 2**step_count
-    reach = None
-    edge: list[int] = []
-    if constrained:
-        reach = _reach_masks(_cached_topology(source_count, step_count))
-        everywhere = 2**span - 1  # the mask of an interior row
-        edge = [row for row, mask in enumerate(reach, start=1) if mask != everywhere]
+    slack = source_count - step_count if constrained else None
+    bank = range(1, source_count + 1)
+    edge = [row for row in bank if not step_count < row <= slack] if constrained else []
     interior = source_count - len(edge)
-    # the top rows are the edge rows above the first interior row
-    first = reach.index(everywhere) if edge and interior else 0
-    top, bottom = (edge[:first], edge[first:]) if interior else ([], [])
+    # the top rows are the K edge rows above the first interior row
+    top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
 
     def tally(rows: list[int], starts: int, then: tuple[int, ...] = ()) -> np.ndarray:
         """Columns start, clicks, targets filled and storage positions filled
@@ -173,7 +169,7 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
         for start in range(starts):
             targets = range(min(start, multiple), multiple), range(max(start, multiple), span)
             for pattern in patterns:
-                taken, _ = _route_greedy(reach, [*pattern, *then], *targets)
+                taken = _route_greedy(slack, [*pattern, *then], *targets)
                 delays = [delay for row, delay in taken if row not in then]
                 stored = sum(delay >= multiple for delay in delays)
                 columns.append((start, len(pattern), len(delays), stored))

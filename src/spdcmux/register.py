@@ -8,10 +8,11 @@ register spans every integer delay from 0 to 2**K - 1.
 
 Rows are ordered fastest to slowest from top to bottom.  The crossing
 geometry is diagonal, which limits how many stages each row can reach:
-a photon from row i (1-based, out of S rows) can take at most i - 1
-stages, and the rows near the bottom are forced through the closing
-stages, at least K - (S - i) of them.  Everything in this module follows
-from that counting window.
+a photon from row i (1-based, out of S rows) takes between
+max(0, K - (S - i)) and min(K, i - 1) stages, the rows near the bottom
+being forced through the closing stages.  Read the other way round, the
+rows that reach a delay of popcount c are exactly rows c+1 .. S-K+c.
+Routing uses this interval rule, and everything here follows from it.
 """
 
 from __future__ import annotations
@@ -127,5 +128,5 @@ def verify_monotone_assignment(assignments: Sequence[tuple[int, int]]) -> bool:
 
 @lru_cache(maxsize=64)
 def _cached_topology(source_count: int, step_count: int) -> RegisterTopology:
-    # shared instances keep the access table cache warm across cycles
+    # one validated instance per bank, so a cycle does not check the bank again
     return RegisterTopology(source_count=source_count, step_count=step_count)

@@ -13,6 +13,8 @@ delays.  The planner below builds monotone plans directly by walking the
 heralded rows and the target delays in lockstep, committing the fastest
 usable row to the earliest open target.  A row that gets walked past is
 gone for the cycle; there is no later target it could legally take.
+By the register's interval rule the rows that reach a delay of popcount
+c are rows c+1 .. S-K+c, so one bisection finds a target's only candidate.
 
 Storage is a plain tuple of pair multiplicities, position 0 first.  The
 greedy walk sees only the clicked rows and the open delays, which follow
@@ -23,8 +25,8 @@ they cannot influence a routing choice.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,8 +136,8 @@ def plan_cycle(
     emit_count = min(len(storage_in), m)
     carried = storage_in[emit_count:]
     rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
-    assignments, discarded = _route_greedy(
-        _reach_masks(topology) if boundary_limits else None,
+    assignments = _route_greedy(
+        topology.source_count - topology.step_count if boundary_limits else None,
         rows,
         range(emit_count, m),
         range(m + len(carried), m + capacity),
@@ -153,44 +155,34 @@ def plan_cycle(
         slots=tuple(slots),
         storage_out=tuple(stored),
         new_assignments=tuple(assignments),
-        discarded=discarded,
+        discarded=len(rows) - len(assignments),
         herald_count=len(rows),
         stored_in_level=len(storage_in),
     )
 
 
-@lru_cache(maxsize=64)
-def _reach_masks(topology: RegisterTopology) -> tuple[int, ...]:
-    """``access_table`` as one int per row: bit d of entry i - 1 is set when row i reaches delay d."""
-    packed = np.packbits(topology.access_table, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def _route_greedy(
-    reach: tuple[int, ...] | None, rows: list[int], slot_delays: range, storage_delays: range
-) -> tuple[list[tuple[int, int]], int]:
-    """Monotone greedy walk: fastest eligible row to earliest open target."""
-    if reach is None:
+    slack: int | None, rows: list[int], slot_delays: range, storage_delays: range
+) -> list[tuple[int, int]]:
+    """Monotone greedy walk of the clicked ``rows``, in increasing order:
+    fastest eligible row to earliest open target.  Row i reaches a delay of
+    popcount c when c+1 <= i <= slack + c, with ``slack`` = S - K, or
+    always when ``slack`` is None.  Rows left unassigned are discarded."""
+    targets = itertools.chain(slot_delays, storage_delays)
+    if slack is None:
         # every row reaches every delay: rows fill the targets in order
-        assignments = list(zip(rows, itertools.chain(slot_delays, storage_delays)))
-        return assignments, len(rows) - len(assignments)
+        return list(zip(rows, targets))
     assignments: list[tuple[int, int]] = []
     pointer = 0
-    discarded = 0
-    for delay in [*slot_delays, *storage_delays]:
-        if pointer == len(rows):
+    for delay in targets:
+        popcount = delay.bit_count()
+        p = bisect_left(rows, popcount + 1, pointer)
+        if p < len(rows) and rows[p] <= slack + popcount:
+            assignments.append((rows[p], delay))
+            pointer = p + 1
+        elif pointer == len(rows) or delay in storage_delays:
+            # no row is left, or nobody left reaches a storage position, and
+            # storage must stay contiguous.  A slot nobody reaches stays a
+            # lack and the pointer stays put: survivors may reach later slots
             break
-        bit = 1 << delay
-        for p in range(pointer, len(rows)):
-            if reach[rows[p] - 1] & bit:
-                discarded += p - pointer
-                pointer = p + 1
-                assignments.append((rows[p], delay))
-                break
-        else:
-            # nobody left reaches this target.  A slot stays a lack and the
-            # survivors may still reach later targets, so the pointer stays
-            # put; storage must stay contiguous, so it ends there
-            if delay in storage_delays:
-                break
-    return assignments, discarded + len(rows) - pointer
+    return assignments

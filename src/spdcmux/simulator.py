@@ -20,6 +20,7 @@ from .emission import herald, sample_cycle_emissions
 from .errors import (
     ConservationError,
     ParameterError,
+    as_real,
     check_mean_pairs,
     check_source_count,
     is_whole,
@@ -84,7 +85,7 @@ class SimConfig:
     boundary: BoundaryMode = BoundaryMode.CONSTRAINED
 
     def __post_init__(self) -> None:
-        strength = float(self.feedback_strength)
+        strength = as_real(self.feedback_strength)
         if not math.isfinite(strength) or strength < 0.0:
             raise ParameterError(
                 "feedback strength must be finite and non-negative, "

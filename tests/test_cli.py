@@ -480,14 +480,20 @@ def test_overflow_exits_one(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_out_of_memory_exits_one() -> None:
-    # three million rows by 4096 delays is an 11.4 GiB reachability table,
-    # which a 1 GiB address space refuses
     def limit_address_space() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
+    # routing builds no reachability table, so three million rows at K=12
+    # simulate in a 1 GiB address space
     bank = ["--sources", "3000000", "--steps", "12"]
+    run = ["--multiple", "4", "--mean-pairs", "0.01", "--cycles", "1"]
+    result = _python("-m", "spdcmux", "simulate", *bank, *run, preexec_fn=limit_address_space)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 2  # the CSV header and one row
+    # 200 million rows need 1.49 GiB of uniforms, and printing the
+    # 3 million by 4096 table needs an 11.4 GiB one: both are refused
     for argv in (
-        ["simulate", *bank, "--multiple", "4", "--mean-pairs", "0.01", "--cycles", "1"],
+        ["simulate", "--sources", "200000000", "--steps", "12", *run],
         ["verify-topology", *bank],
     ):
         result = _python("-m", "spdcmux", *argv, preexec_fn=limit_address_space)

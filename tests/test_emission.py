@@ -41,7 +41,7 @@ def test_pair_pmf_normalises_and_has_poisson_mean() -> None:
 
 
 def test_pair_pmf_rejects_bad_arguments() -> None:
-    for count, mean in ((-1, 0.05), (0, 0.0), (0, -0.1), (0, math.inf), ("2", 0.1)):
+    for count, mean in ((-1, 0.05), (0, 0.0), (0, -0.1), (0, math.inf), ("2", 0.1), (1, "0.1")):
         with pytest.raises(ParameterError):
             pair_pmf(count, mean)
 
@@ -53,6 +53,12 @@ def test_herald_probabilities_reference_values() -> None:
     probs = herald_probabilities(0.1)
     assert probs.p_herald == pytest.approx(P_HERALD_01, rel=1e-14)
     assert probs.p_multi == pytest.approx(P_MULTI_01, rel=1e-14)
+
+
+def test_herald_probabilities_rejects_bad_pumps() -> None:
+    for mean in (0.0, -0.1, math.inf, math.nan, "0.1", None):
+        with pytest.raises(ParameterError):
+            herald_probabilities(mean)
 
 
 def test_herald_probabilities_match_pmf_tails() -> None:
@@ -167,7 +173,7 @@ def test_sampler_matches_pmf_frequencies() -> None:
 
 def test_sampler_validates_arguments() -> None:
     rng = np.random.default_rng(0)
-    for source_count, mean in ((0, 0.1), ("3", 0.1), (5, -0.1)):
+    for source_count, mean in ((0, 0.1), ("3", 0.1), (5, -0.1), (3, "0.1")):
         with pytest.raises(ParameterError):
             sample_cycle_emissions(source_count, mean, rng)
     with pytest.raises(ParameterError):

@@ -81,7 +81,7 @@ def test_herald_count_distribution_large_bank() -> None:
 
 
 def test_herald_count_distribution_validation() -> None:
-    for source_count, p_herald in ((0, 0.5), ("3", 0.5), (5, 0.0), (5, 1.0)):
+    for source_count, p_herald in ((0, 0.5), ("3", 0.5), (5, 0.0), (5, 1.0), (5, "0.5")):
         with pytest.raises(ParameterError):
             herald_count_distribution(source_count, p_herald)
 

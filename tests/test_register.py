@@ -127,6 +127,15 @@ def test_access_table_agrees_with_delay_sets() -> None:
             assert table[source - 1, delay] == (low <= delay.bit_count() <= high)
     with pytest.raises(ValueError):
         table[0, 0] = True
+    # the interval rule: the rows that reach a delay of popcount c are
+    # exactly rows c+1 .. S-K+c, clipped to the bank
+    for step_count in range(1, 9):
+        for source_count in range(1, 3 * step_count + 25):
+            table = RegisterTopology(source_count, step_count).access_table
+            for delay in range(2**step_count):
+                c = delay.bit_count()
+                rows = range(max(1, c + 1), min(source_count, source_count - step_count + c) + 1)
+                assert (np.flatnonzero(table[:, delay]) + 1).tolist() == list(rows)
 
 
 def test_monotone_assignment_check() -> None:

@@ -66,6 +66,39 @@ def plan_cycle_optimal(topology, clicks, counts, storage_in, multiple, *, bounda
     )
 
 
+def plan_cycle_literal(topology, clicks, counts, storage_in, multiple, *, boundary_limits=True):
+    """The greedy walk read cell by cell off ``access_table``: each open
+    target, slots then storage, takes the first clicked row at or after
+    the pointer that reaches it.  Rows passed over are discarded, a slot
+    nobody reaches stays a lack and a storage position nobody reaches ends
+    the walk.  The library routes on the interval rule instead."""
+    m, storage_in = int(multiple), tuple(storage_in)
+    drained = min(len(storage_in), m)
+    capacity = storage_capacity(topology.step_count, m)
+    rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
+    table = topology.access_table
+    assignments, pointer = [], 0
+    for delay in [*range(drained, m), *range(m + len(storage_in) - drained, m + capacity)]:
+        takers = [
+            p for p in range(pointer, len(rows))
+            if not boundary_limits or table[rows[p] - 1, delay]
+        ]
+        if takers:
+            assignments.append((rows[takers[0]], delay))
+            pointer = takers[0] + 1
+        elif delay >= m:
+            break
+    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
+    return CyclePlan(
+        slots=storage_in[:drained] + tuple(fresh.get(d, 0) for d in range(drained, m)),
+        storage_out=storage_in[drained:] + tuple(fresh[d] for d in sorted(fresh) if d >= m),
+        new_assignments=tuple(assignments),
+        discarded=len(rows) - len(assignments),
+        herald_count=len(rows),
+        stored_in_level=len(storage_in),
+    )
+
+
 def _report(source_count: int, multiplicities: dict[int, int]):
     """Clicks and pair counts of one cycle, as the planners take them."""
     counts = np.zeros(source_count, dtype=np.int64)
@@ -216,6 +249,22 @@ def test_unconstrained_fill_matches_counting_formula() -> None:
         assert plan.discarded == available - plan.filled_count - len(plan.storage_out)
         assert plan.conservation_ok()
         assert verify_monotone_assignment(plan.new_assignments)
+
+
+def test_interval_router_matches_literal_greedy() -> None:
+    # the bisection on the interval rule against the walk over the table,
+    # on banks shorter than the register, edge-only banks and tall ones
+    rng = np.random.default_rng(1212)
+    for _ in range(4000):
+        step_count = int(rng.integers(1, 6))
+        topo = RegisterTopology(int(rng.integers(1, 3 * step_count + 8)), step_count)
+        m = int(rng.integers(1, 2**step_count + 1))
+        capacity = storage_capacity(step_count, m)
+        stored = tuple(rng.integers(1, 4, int(rng.integers(0, capacity + 1))).tolist())
+        report = _random_report(rng, topo.source_count, float(rng.uniform(0.05, 0.9)))
+        for limits in (True, False):
+            plan = plan_cycle(topo, *report, stored, m, boundary_limits=limits)
+            assert plan == plan_cycle_literal(topo, *report, stored, m, boundary_limits=limits)
 
 
 def test_planner_is_blind_to_multiplicities() -> None:

@@ -94,6 +94,12 @@ def test_sim_config_validation() -> None:
         SimConfig(source_count=10, multiple=2, mean_pairs=0.05, step_count=2.5)
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.0)
+    # the pump and its gain take real numbers only, not text that parses as one
+    for mean_pairs in ("0.05", b"0.05", "abc", None):
+        with pytest.raises(ParameterError, match="mean pair number"):
+            SimConfig(source_count=10, multiple=4, mean_pairs=mean_pairs)
+    with pytest.raises(ParameterError, match="feedback strength"):
+        SimConfig(source_count=10, multiple=4, mean_pairs=0.05, feedback_strength="2")
     with pytest.raises(ParameterError):
         SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=-1)
     for cycles in (2.5, math.nan, math.inf, "5"):
