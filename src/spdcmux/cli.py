@@ -217,7 +217,7 @@ def _gather_config(args: argparse.Namespace, **defaults: str) -> SimConfig:
     pairs: dict[str, str] = {}
     if getattr(args, "config", None) is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParameterError(
                 f"config file {args.config} is not UTF-8 text ({exc.reason} at offset {exc.start})"

@@ -50,6 +50,7 @@ the exact multi-pair rate, pump feedback included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -58,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .emission import herald_probabilities
-from .errors import ConvergenceError, ParameterError, check_p_herald, check_source_count
+from .errors import ConvergenceError, ParameterError, as_real, check_p_herald, check_source_count
 from .scheduler import _route_greedy
 from .simulator import BoundaryMode, SimConfig, apply_feedback
 
@@ -73,8 +74,8 @@ __all__ = [
 ]
 
 # a constrained chain walks all 4**K edge-row click patterns from every
-# level; at K=5 that takes about 0.15 s on a 2-core machine, and every further
-# stage multiplies it by 8
+# level; a cold chain at K=5 takes about 0.10 s on a 2-core machine, and every
+# further stage multiplies that by about 16 (1.6 s at K=6, 25 s at K=7)
 MAX_CONSTRAINED_STEP_COUNT = 5
 
 
@@ -136,14 +137,6 @@ class _Walks(NamedTuple):
     bottom_sums: np.ndarray
 
 
-def _click_patterns(rows: list[int]) -> list[list[int]]:
-    """Every subset of ``rows`` that can click together, in row order."""
-    return [
-        [row for bit, row in enumerate(rows) if pattern >> bit & 1]
-        for pattern in range(2 ** len(rows))
-    ]
-
-
 @lru_cache(maxsize=4)
 def _walks(source_count: int, step_count: int, multiple: int, constrained: bool) -> _Walks:
     """Tabulate the three walks of one bank; see the module docstring."""
@@ -164,12 +157,11 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
         """Columns start, clicks, targets filled and storage positions filled
         by every click pattern of ``rows``, ahead of rows ``then``, walking
         greedily from each delay below ``starts``."""
-        patterns = _click_patterns(rows)
+        patterns = [p for n in range(len(rows) + 1) for p in itertools.combinations(rows, n)]
         columns = []
         for start in range(starts):
-            targets = range(min(start, multiple), multiple), range(max(start, multiple), span)
             for pattern in patterns:
-                taken = _route_greedy(slack, [*pattern, *then], *targets)
+                taken = _route_greedy(slack, [*pattern, *then], start, multiple, span)
                 delays = [delay for row, delay in taken if row not in then]
                 stored = sum(delay >= multiple for delay in delays)
                 columns.append((start, len(pattern), len(delays), stored))
@@ -379,11 +371,16 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
         negative entry, or has a row whose sum is off one by more than
         ``_ROW_SUM_TOLERANCE`` (1e-9).
     """
-    matrix = np.asarray(matrix, dtype=float)
+    try:
+        matrix = np.asarray(matrix)
+    except ValueError as exc:  # a ragged nesting
+        raise ParameterError("transition matrix must be square and non-empty") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ParameterError("transition matrix must be square and non-empty")
-    if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
+    real = matrix.dtype.kind in "biuf"  # bool, integer or float: no text, complex or objects
+    if not (real and np.isfinite(matrix).all() and (matrix >= 0.0).all()):
         raise ParameterError("transition matrix entries must be finite and non-negative")
+    matrix = matrix.astype(float, copy=False)
     if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOLERANCE:
         raise ParameterError(
             f"transition matrix rows must sum to one within {_ROW_SUM_TOLERANCE:g}"
@@ -466,7 +463,8 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
         If no sign change is found below the bracket cap or bisection
         stalls without reaching ``tolerance``.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
+    limit = as_real(tolerance)
+    if not (math.isfinite(limit) and limit > 0.0):
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
 
     def gap(mean: float) -> float:
@@ -489,7 +487,7 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     for _ in range(200):
         mid = 0.5 * (low + high)
         gap_mid = gap(mid)
-        if abs(gap_mid) < tolerance:
+        if abs(gap_mid) < limit:
             return mid
         if gap_mid > 0.0:
             low = mid

@@ -18,7 +18,7 @@ Routing uses this interval rule, and everything here follows from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,8 +125,3 @@ def verify_monotone_assignment(assignments: Sequence[tuple[int, int]]) -> bool:
     ordered = sorted(assignments)
     return all(a[1] < b[1] for a, b in zip(ordered, ordered[1:]))
 
-
-@lru_cache(maxsize=64)
-def _cached_topology(source_count: int, step_count: int) -> RegisterTopology:
-    # one validated instance per bank, so a cycle does not check the bank again
-    return RegisterTopology(source_count=source_count, step_count=step_count)

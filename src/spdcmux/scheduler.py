@@ -24,7 +24,6 @@ they cannot influence a routing choice.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -100,14 +99,15 @@ def plan_cycle(
 ) -> CyclePlan:
     """Route one cycle with the monotone greedy policy.
 
-    Storage drains into the leading slots first.  Then heralded rows and
-    open targets (remaining slots, then storage positions) are walked
-    together, fastest row to earliest target.  With ``boundary_limits``
-    true a row is only eligible for delays inside its reachability window;
-    rows walked past while locating an eligible one are discarded, which
-    is what keeps the plan monotone.  Storage filling stops at the first
-    position nobody can reach, since stored photons must sit contiguously
-    behind the train.
+    The L stored photons drain into the leading slots first, so the open
+    targets are delays L .. 2**K - 1: the slots they leave empty, then the
+    storage positions behind the photons still stored.  Heralded rows and
+    these targets are walked together, fastest row to earliest target.
+    With ``boundary_limits`` true a row is only eligible for delays inside
+    its reachability window; rows walked past while locating an eligible
+    one are discarded, which is what keeps the plan monotone.  Storage
+    filling stops at the first position nobody can reach, since stored
+    photons must sit contiguously behind the train.
 
     ``storage_in`` holds the stored pair multiplicities, position 0
     first.  Routing depends on ``clicks`` and the storage level alone;
@@ -133,19 +133,13 @@ def plan_cycle(
     if min(storage_in, default=1) < 1:
         raise ParameterError("stored multiplicities must be at least 1")
 
-    emit_count = min(len(storage_in), m)
-    carried = storage_in[emit_count:]
     rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
-    assignments = _route_greedy(
-        topology.source_count - topology.step_count if boundary_limits else None,
-        rows,
-        range(emit_count, m),
-        range(m + len(carried), m + capacity),
-    )
+    slack = topology.source_count - topology.step_count if boundary_limits else None
+    assignments = _route_greedy(slack, rows, len(storage_in), m, m + capacity)
 
     multiplicities = counts[[row - 1 for row, _ in assignments]].tolist()
-    slots = [*storage_in[:emit_count], *[0] * (m - emit_count)]
-    stored = list(carried)
+    slots = [*storage_in[:m], *[0] * (m - len(storage_in))]
+    stored = list(storage_in[m:])
     for (_, delay), mult in zip(assignments, multiplicities):
         if delay < m:
             slots[delay] = mult
@@ -162,13 +156,15 @@ def plan_cycle(
 
 
 def _route_greedy(
-    slack: int | None, rows: list[int], slot_delays: range, storage_delays: range
+    slack: int | None, rows: list[int], level: int, multiple: int, span: int
 ) -> list[tuple[int, int]]:
-    """Monotone greedy walk of the clicked ``rows``, in increasing order:
-    fastest eligible row to earliest open target.  Row i reaches a delay of
-    popcount c when c+1 <= i <= slack + c, with ``slack`` = S - K, or
-    always when ``slack`` is None.  Rows left unassigned are discarded."""
-    targets = itertools.chain(slot_delays, storage_delays)
+    """Monotone greedy walk of the clicked ``rows``, in increasing order, over
+    the targets open with ``level`` photons stored, delays level .. span-1
+    (slots below ``multiple``): fastest eligible row to earliest target.
+    Row i reaches a delay of popcount c when c+1 <= i <= slack + c, with
+    ``slack`` = S - K, or always when ``slack`` is None.  Rows left
+    unassigned are discarded."""
+    targets = range(level, span)
     if slack is None:
         # every row reaches every delay: rows fill the targets in order
         return list(zip(rows, targets))
@@ -180,7 +176,7 @@ def _route_greedy(
         if p < len(rows) and rows[p] <= slack + popcount:
             assignments.append((rows[p], delay))
             pointer = p + 1
-        elif pointer == len(rows) or delay in storage_delays:
+        elif pointer == len(rows) or delay >= multiple:
             # no row is left, or nobody left reaches a storage position, and
             # storage must stay contiguous.  A slot nobody reaches stays a
             # lack and the pointer stays put: survivors may reach later slots

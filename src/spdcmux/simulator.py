@@ -25,7 +25,7 @@ from .errors import (
     check_source_count,
     is_whole,
 )
-from .register import _cached_topology
+from .register import RegisterTopology
 from .scheduler import CyclePlan, plan_cycle, storage_capacity
 
 __all__ = [
@@ -115,6 +115,10 @@ class SimConfig:
     def capacity(self) -> int:
         return storage_capacity(self.step_count, self.multiple)
 
+    @cached_property
+    def topology(self) -> RegisterTopology:
+        return RegisterTopology(self.source_count, self.step_count)
+
 
 def apply_feedback(config: SimConfig, storage_level: int) -> float:
     """Effective mean pair number for a cycle that starts with
@@ -189,12 +193,11 @@ def run_cycle(
 
     ``storage_in`` holds the stored pair multiplicities, position 0 first.
     """
-    topology = _cached_topology(config.source_count, config.step_count)
     mean = apply_feedback(config, len(storage_in))
     counts = sample_cycle_emissions(config.source_count, mean, rng)
     clicks = herald(counts)
     return plan_cycle(
-        topology,
+        config.topology,
         clicks,
         counts,
         storage_in,

@@ -247,6 +247,18 @@ def test_config_file_with_flag_override(tmp_path, capsys: pytest.CaptureFixture)
         assert cli._gather_config(parser.parse_args(argv)) == expected, flag
 
 
+def test_config_file_with_byte_order_mark(tmp_path) -> None:
+    text = "sources=11\nmultiple=4\nmean_pairs=0.1\ncycles=500\nseed=1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for config in (plain, marked):
+        out = tmp_path / f"{config.stem}.csv"
+        assert run_command(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_oracle_subcommand_matches_library(capsys: pytest.CaptureFixture) -> None:
     code = run_command(
         ["oracle", "--sources", "100", "--multiple", "4", "--mean-pairs", "0.049"]

@@ -128,10 +128,25 @@ def test_stationary_distribution_failure_modes() -> None:
         stationary_distribution(np.ones((2, 3)))
     with pytest.raises(ParameterError):
         stationary_distribution(np.ones((0, 0)))
+    with pytest.raises(ParameterError, match="square"):
+        stationary_distribution([[0.5, 0.5], [1.0]])
     with pytest.raises(ParameterError, match="finite and non-negative"):
         stationary_distribution([[0.5, 0.5], [np.nan, 0.5]])
     with pytest.raises(ParameterError, match="finite and non-negative"):
         stationary_distribution([[1.5, -0.5], [0.5, 0.5]])
+    # real numbers only: no numeric text, no complex entries in a list or an array
+    for matrix in (
+        [["1"]],
+        [[1, 0], [0.5, "x"]],
+        [[1, 0], [0.5, 0.5 + 0j]],
+        np.eye(2, dtype=complex),
+    ):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            stationary_distribution(matrix)
+    # bool and integer entries are real numbers and solve as floats
+    for matrix in (np.eye(2, dtype=bool), np.eye(2, dtype=np.uint8), [[0, 1], [1, 0]]):
+        expected = stationary_distribution(np.asarray(matrix, dtype=float))
+        assert np.array_equal(stationary_distribution(matrix), expected)
     # rows must sum to one: neither an all-zero nor an overfull row is a chain
     for matrix in ([[0.0, 0.0], [0.0, 0.0]], [[2.0, 3.0], [1.0, 0.0]]):
         with pytest.raises(ParameterError, match="sum to one"):
@@ -380,6 +395,9 @@ def test_outcome_table_matches_every_click_pattern() -> None:
         SimConfig(source_count=7, multiple=3, mean_pairs=0.1, step_count=3),  # S = 2K + 1
         SimConfig(source_count=5, multiple=9, mean_pairs=0.1, step_count=4),  # S < 2K
         SimConfig(source_count=3, multiple=2, mean_pairs=0.1, step_count=2),  # S < 2K
+        # the deepest constrained chain the oracle accepts
+        SimConfig(source_count=11, multiple=8, mean_pairs=0.1, step_count=5),  # S = 2K + 1
+        SimConfig(source_count=12, multiple=20, mean_pairs=0.1, step_count=5),  # S = 2K
         SimConfig(source_count=24, multiple=2, mean_pairs=0.1, step_count=3),
         SimConfig(source_count=24, multiple=5, mean_pairs=0.1, step_count=3),
         SimConfig(
@@ -621,7 +639,7 @@ def test_optimized_power_failure_modes() -> None:
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
         optimized_power(_spec(1, 2, 1, 1.0))
-    for tolerance in (0.0, math.inf, math.nan):
+    for tolerance in (0.0, math.inf, math.nan, "1e-6", None, b"1"):
         with pytest.raises(ParameterError):
             optimized_power(_spec(100, 4, 3, 1.0), tolerance=tolerance)
 
