@@ -13,8 +13,9 @@ sweep
     bank, boundary and feedback included.
 optimize
     Solve for the pump power where lack and multi-pair rates balance in
-    the unconstrained bank without feedback, optionally confirming with
-    a Monte Carlo run.
+    the bank as given, boundary and feedback included, optionally
+    confirming with a Monte Carlo run.  The boundary defaults to
+    unconstrained here.
 verify-topology
     Dump the delay reachability table of a bank as 0/1 cells.
 
@@ -388,13 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="balance lack against multi-pair rate")
-    # it solves for the pump on the chain without feedback or boundary
-    # limits, so it takes the bank's whole-number settings
-    _add_device_arguments(p, [key for key, s in _SETTINGS.items() if s.parse is int])
+    # it solves for the pump, so it takes every other setting of the bank
+    _add_device_arguments(p, [key for key in _SETTINGS if key != "mean_pairs"])
     p.add_argument("--tolerance", type=float, default=1e-6, help="|lack - multi| stop threshold")
     p.add_argument(
         "--confirm", action="store_true",
-        help="append a Monte Carlo run at the optimum (unconstrained, matching the oracle model)",
+        help="append a Monte Carlo run of the same bank at the optimum",
     )
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_optimize)

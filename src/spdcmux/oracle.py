@@ -61,7 +61,7 @@ import numpy as np
 from .emission import herald_probabilities
 from .errors import ConvergenceError, ParameterError, as_real, check_p_herald, check_source_count
 from .scheduler import _route_greedy
-from .simulator import BoundaryMode, SimConfig, apply_feedback
+from .simulator import BoundaryMode, SimConfig
 
 __all__ = [
     "MAX_CONSTRAINED_STEP_COUNT",
@@ -210,7 +210,7 @@ def _chain_tables(
     m = config.multiple
     span = 2**config.step_count
     size = config.capacity + 1
-    means = [apply_feedback(config, level) for level in range(size)]
+    pumps = config.pumps
     sums = np.empty((size, 2))  # expected lacks and kept photons
     p_herald, relative = np.empty((2, size))
 
@@ -226,9 +226,9 @@ def _chain_tables(
         # blocks of whole levels bound the temporaries at 2**16 cells
         block = max(1, 2**16 // (span + 1))
         # runs of levels under one pump: a monotone feedback repeats no pump
-        cuts = [level for level in range(1, size) if means[level] != means[level - 1]]
+        cuts = [level for level in range(1, size) if pumps[level] != pumps[level - 1]]
         for first, last in zip([0, *cuts], [*cuts, size]):
-            probs = herald_probabilities(means[first])
+            probs = herald_probabilities(pumps[first])
             p = check_p_herald(probs.p_herald)
             p_herald[first:last] = p
             relative[first:last] = probs.p_multi / p

@@ -114,10 +114,14 @@ def verify_monotone_assignment(assignments: Sequence[tuple[int, int]]) -> bool:
     Raises
     ------
     ParameterError
-        If any source index or delay value appears twice.
+        If an entry is not a (source, delay) pair, or any source index or
+        delay value appears twice.
     """
-    sources = [s for s, _ in assignments]
-    delays = [d for _, d in assignments]
+    try:
+        sources = [s for s, _ in assignments]
+        delays = [d for _, d in assignments]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"assignments must be (source, delay) pairs: {exc}") from None
     if len(set(sources)) != len(sources):
         raise ParameterError("assignment reuses a source index")
     if len(set(delays)) != len(delays):

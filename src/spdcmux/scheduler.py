@@ -24,6 +24,7 @@ they cannot influence a routing choice.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -118,6 +119,8 @@ def plan_cycle(
     -------
     CyclePlan
     """
+    if not isinstance(clicks, np.ndarray) or not isinstance(counts, np.ndarray):
+        raise ParameterError("clicks and pair counts must be numpy arrays")
     if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
         raise ParameterError(
             f"clicks {clicks.shape} and pair counts {counts.shape} must both "
@@ -130,21 +133,30 @@ def plan_cycle(
         raise ParameterError(
             f"{len(storage_in)} stored photons exceed capacity {capacity}"
         )
-    if min(storage_in, default=1) < 1:
-        raise ParameterError("stored multiplicities must be at least 1")
+    try:
+        # a float, text or None among them makes the sum fail the index check
+        operator.index(sum(storage_in))
+        valid = min(storage_in, default=1) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParameterError(
+            f"stored multiplicities must be integers of at least 1, got {storage_in!r}"
+        )
 
-    rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
+    fired = clicks.nonzero()[0]
+    rows = [i + 1 for i in fired.tolist()]
+    pairs = dict(zip(rows, counts[fired].tolist()))
     slack = topology.source_count - topology.step_count if boundary_limits else None
     assignments = _route_greedy(slack, rows, len(storage_in), m, m + capacity)
 
-    multiplicities = counts[[row - 1 for row, _ in assignments]].tolist()
     slots = [*storage_in[:m], *[0] * (m - len(storage_in))]
     stored = list(storage_in[m:])
-    for (_, delay), mult in zip(assignments, multiplicities):
+    for row, delay in assignments:
         if delay < m:
-            slots[delay] = mult
+            slots[delay] = pairs[row]
         else:
-            stored.append(mult)
+            stored.append(pairs[row])
     return CyclePlan(
         slots=tuple(slots),
         storage_out=tuple(stored),

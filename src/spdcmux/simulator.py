@@ -67,7 +67,7 @@ class SimConfig:
     S = ``source_count`` sources feed a K = ``step_count`` stage register
     that emits an m = ``multiple`` photon train; each source makes
     ``mean_pairs`` pairs a cycle on average, raised by the ``feedback``
-    rule with gain ``feedback_strength`` (see :func:`apply_feedback`).
+    rule with gain ``feedback_strength`` (see :attr:`pumps`).
     ``boundary`` keeps or drops the edge rows' reachability limits.
     ``cycles`` and ``seed`` set the Monte Carlo run; the exact chain
     ignores them.  Whole floats become ints, the pump and its gain become
@@ -119,25 +119,25 @@ class SimConfig:
     def topology(self) -> RegisterTopology:
         return RegisterTopology(self.source_count, self.step_count)
 
+    @cached_property
+    def pumps(self) -> tuple[float, ...]:
+        """``pumps[L]`` is the pump of a cycle that starts with L photons stored,
+        raised by the feedback rule.  A bank with no storage has nothing to react to."""
+        capacity, mean, gain = self.capacity, self.mean_pairs, self.feedback_strength
+        if self.feedback is FeedbackMode.OFF or capacity == 0:
+            return (mean,) * (capacity + 1)
+        if self.feedback is FeedbackMode.BOOST:
+            return (mean * (1.0 + gain),) * capacity + (mean,)
+        return tuple(mean * (1.0 + gain * ((capacity - n) / capacity)) for n in range(capacity + 1))
+
 
 def apply_feedback(config: SimConfig, storage_level: int) -> float:
-    """Effective mean pair number for a cycle that starts with
-    ``storage_level`` photons stored: the bank's pump, raised by its
-    feedback rule.  A bank with no storage has nothing to react to."""
-    capacity = config.capacity
-    if not is_whole(storage_level) or not 0 <= storage_level <= capacity:
+    """The pump of a cycle that starts with ``storage_level`` photons stored, checked."""
+    if not is_whole(storage_level) or not 0 <= storage_level <= config.capacity:
         raise ParameterError(
-            f"storage level must be an integer in [0, {capacity}], got {storage_level!r}"
+            f"storage level must be an integer in [0, {config.capacity}], got {storage_level!r}"
         )
-    mode = config.feedback
-    if mode is FeedbackMode.OFF or capacity == 0:
-        return config.mean_pairs
-    if mode is FeedbackMode.BOOST:
-        if storage_level < capacity:
-            return config.mean_pairs * (1.0 + config.feedback_strength)
-        return config.mean_pairs
-    headroom = (capacity - storage_level) / capacity
-    return config.mean_pairs * (1.0 + config.feedback_strength * headroom)
+    return config.pumps[int(storage_level)]
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,8 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     SimMetrics
     """
     rng = np.random.default_rng(config.seed)
+    pumps, m = config.pumps, config.multiple
+    constrained = config.boundary is BoundaryMode.CONSTRAINED
     storage: tuple[int, ...] = ()
 
     lack = 0
@@ -232,14 +234,16 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     heralds = 0
     level_sum = 0
 
-    m = int(config.multiple)
     for cycle in range(config.cycles):
-        plan = run_cycle(config, storage, rng)
-        if not plan.conservation_ok():
-            raise ConservationError(f"photon conservation violated at cycle {cycle}")
+        counts = sample_cycle_emissions(config.source_count, pumps[len(storage)], rng)
+        plan = plan_cycle(
+            config.topology, herald(counts), counts, storage, m, boundary_limits=constrained
+        )
         # one count per slot kind: empty slots are lacks, the rest are
         # filled, and filled slots that do not hold exactly one pair are multi
         lacks = plan.slots.count(0)
+        if plan.herald_count + len(storage) != m - lacks + len(plan.storage_out) + plan.discarded:
+            raise ConservationError(f"photon conservation violated at cycle {cycle}")
         lack += lacks
         filled += m - lacks
         multi += m - lacks - plan.slots.count(1)

@@ -19,6 +19,8 @@ from spdcmux import (
     ParameterError,
     SimConfig,
     derive_point_seed,
+    optimized_power,
+    run_simulation,
     stationary_rates,
 )
 from spdcmux.cli import SweepRow, emit_csv, format_config, parse_config, run_command
@@ -428,6 +430,21 @@ def test_optimize_confirm_appends_monte_carlo_row(capsys: pytest.CaptureFixture)
     assert rows[0][0] == rows[1][0]
 
 
+def test_optimize_balances_the_bank_as_given(capsys: pytest.CaptureFixture) -> None:
+    code = run_command(
+        ["optimize", "--sources", "100", "--steps", "3", "--multiple", "4",
+         "--boundary", "constrained", "--feedback", "boost", "--confirm", "--cycles", "2000"]
+    )
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    bank = SimConfig(100, 4, 1.0, 3, feedback="boost", cycles=2000)
+    mean = optimized_power(bank)
+    assert rows[0][0] == format(mean, ".6g")
+    # the confirming run simulates the same bank at the optimum
+    run = run_simulation(replace(bank, mean_pairs=mean))
+    assert rows[1][1:3] == [format(run.lack_rate, ".6g"), format(run.multi_rate, ".6g")]
+
+
 def test_verify_topology_dumps_reachability_grid(capsys: pytest.CaptureFixture) -> None:
     code = run_command(["verify-topology", "--sources", "11", "--steps", "3"])
     assert code == 0
@@ -627,6 +644,23 @@ GOLDEN_OUTPUTS = [
         ["simulate", "--sources", "20", "--multiple", "4", "--steps", "3",
          "--mean-pairs", "30", "--cycles", "500", "--seed", "42"],
         HEADER + "\n30,0,1,1,2000,7996,4,monte_carlo,42,500\n",
+    ),
+    (
+        ["simulate", "--sources", "1000", "--steps", "5", "--multiple", "16",
+         "--mean-pairs", "0.01", "--cycles", "500", "--seed", "42",
+         "--feedback", "turbo_boost", "--boundary", "unconstrained"],
+        HEADER + "\n0.01,0.00775,0.007375,0.0074326,7938,15,6.342,monte_carlo,42,500\n",
+    ),
+    (
+        ["simulate", "--sources", "30", "--steps", "2", "--multiple", "4",
+         "--mean-pairs", "0.2", "--cycles", "2000", "--seed", "42", "--feedback", "boost"],
+        HEADER + "\n0.2,0.07275,0.090125,0.097196,7418,3397,0,monte_carlo,42,2000\n",
+    ),
+    (
+        ["simulate", "--sources", "100", "--steps", "3", "--multiple", "4",
+         "--mean-pairs", "0.03", "--cycles", "5000", "--seed", "42",
+         "--feedback", "turbo_boost", "--feedback-strength", "0.5"],
+        HEADER + "\n0.03,0.0837,0.01745,0.019044,18326,925,1.4822,monte_carlo,42,5000\n",
     ),
     (
         ["verify-topology", "--sources", "11", "--steps", "3"],

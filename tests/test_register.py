@@ -152,3 +152,6 @@ def test_monotone_assignment_rejects_duplicates() -> None:
         verify_monotone_assignment([(2, 0), (2, 1)])
     with pytest.raises(ParameterError):
         verify_monotone_assignment([(2, 3), (5, 3)])
+    for malformed in ([(1, 2, 3)], [(1,)], [7], [None]):
+        with pytest.raises(ParameterError):
+            verify_monotone_assignment(malformed)

@@ -134,10 +134,12 @@ def test_planners_validate_storage() -> None:
     for planner in (plan_cycle, plan_cycle_optimal):
         assert planner(topo, *_report(11, {}), [1, 2], 4).stored_in_level == 2
         assert planner(topo, *_report(11, {}), (1,) * 4, 4).storage_out == ()
+        assert planner(topo, *_report(11, {}), (np.int64(2), 1), 4).slots == (2, 1, 0, 0)
         with pytest.raises(ParameterError):
             planner(topo, *_report(11, {}), (1,) * 5, 4)
-        with pytest.raises(ParameterError):
-            planner(topo, *_report(11, {}), (0,), 4)
+        for bad in ((0,), (1.5,), (2.0,), (np.float64(1),), ("a",), (None,), (1, 2.5)):
+            with pytest.raises(ParameterError):
+                planner(topo, *_report(11, {}), bad, 4)
 
 
 def test_empty_cycle_is_all_lacks() -> None:
@@ -350,6 +352,10 @@ def test_plan_cycle_validates_inputs() -> None:
         plan_cycle(topo, *_report(11, {}), (1,) * 7, 2)
     with pytest.raises(ParameterError):
         plan_cycle(topo, *_report(11, {}), (), 9)
+    clicks, counts = _report(11, {2: 1})
+    for bad in ((list(clicks), counts), (clicks, list(counts)), (list(clicks), list(counts))):
+        with pytest.raises(ParameterError):
+            plan_cycle(topo, *bad, (), 4)
 
 
 def test_slot_delays_are_consecutive_from_zero() -> None:

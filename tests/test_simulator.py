@@ -53,6 +53,20 @@ def test_apply_feedback_turbo_scales_with_headroom() -> None:
     assert apply_feedback(full_span, 0) == 0.05
 
 
+def test_pump_table_is_the_feedback_rule_at_every_level() -> None:
+    for mode in FeedbackMode:
+        for strength in (0.0, 0.5, 1.0, 2.3):
+            for multiple in (1, 3, 4, 8):
+                bank = replace(_bank(mode, strength, multiple), mean_pairs=0.07)
+                assert len(bank.pumps) == bank.capacity + 1
+                assert all(type(pump) is float for pump in bank.pumps)
+                for level in range(bank.capacity + 1):
+                    assert bank.pumps[level] == apply_feedback(bank, level)
+    # the turbo rule's values, bit for bit
+    turbo = _bank(FeedbackMode.TURBO_BOOST, 0.5)
+    assert turbo.pumps == tuple(0.05 * (1.0 + 0.5 * ((4 - level) / 4)) for level in range(5))
+
+
 def test_apply_feedback_validation() -> None:
     boost = _bank("boost")
     for level in (5, -1, 1.5, math.nan, "1"):
@@ -156,29 +170,33 @@ def test_vanishing_pump_starves_the_train() -> None:
 
 
 def test_manual_cycle_loop_reproduces_run_simulation() -> None:
-    config = SimConfig(source_count=15, multiple=4, mean_pairs=0.15, cycles=3_000, seed=11)
-    rng = np.random.default_rng(config.seed)
-    storage = ()
-    lack = multi = filled = discarded = heralds = 0
-    level_sum = 0
-    for _ in range(config.cycles):
-        plan = run_cycle(config, storage, rng)
-        lack += plan.lack_count
-        multi += plan.multi_count
-        filled += plan.filled_count
-        discarded += plan.discarded
-        heralds += plan.herald_count
-        storage = plan.storage_out
-        level_sum += len(storage)
+    base = SimConfig(source_count=15, multiple=4, mean_pairs=0.15, cycles=3_000, seed=11)
+    banks = [replace(base, feedback=f, boundary=b) for f in FeedbackMode for b in BoundaryMode]
+    # a full-span train: no storage, so the run never reads a raised pump
+    banks.append(replace(base, multiple=8, feedback="boost"))
+    for config in banks:
+        rng = np.random.default_rng(config.seed)
+        storage = ()
+        lack = multi = filled = discarded = heralds = 0
+        level_sum = 0
+        for _ in range(config.cycles):
+            plan = run_cycle(config, storage, rng)
+            lack += plan.lack_count
+            multi += plan.multi_count
+            filled += plan.filled_count
+            discarded += plan.discarded
+            heralds += plan.herald_count
+            storage = plan.storage_out
+            level_sum += len(storage)
 
-    metrics = run_simulation(config)
-    assert metrics.lack_count == lack
-    assert metrics.multi_count == multi
-    assert metrics.filled_count == filled
-    assert metrics.discarded_count == discarded
-    assert metrics.herald_count == heralds
-    assert metrics.final_storage_level == len(storage)
-    assert metrics.mean_storage_level == pytest.approx(level_sum / config.cycles)
+        metrics = run_simulation(config)
+        assert metrics.lack_count == lack, config
+        assert metrics.multi_count == multi, config
+        assert metrics.filled_count == filled, config
+        assert metrics.discarded_count == discarded, config
+        assert metrics.herald_count == heralds, config
+        assert metrics.final_storage_level == len(storage), config
+        assert metrics.mean_storage_level == pytest.approx(level_sum / config.cycles), config
 
 
 def test_run_totals_conserve_photons() -> None:
