@@ -137,14 +137,18 @@ class _Walks(NamedTuple):
     bottom_sums: np.ndarray
 
 
-@lru_cache(maxsize=4)
-def _walks(source_count: int, step_count: int, multiple: int, constrained: bool) -> _Walks:
-    """Tabulate the three walks of one bank; see the module docstring."""
+def _check_depth(step_count: int, constrained: bool) -> None:
     if constrained and step_count > MAX_CONSTRAINED_STEP_COUNT:
         raise ParameterError(
             f"the constrained chain supports at most {MAX_CONSTRAINED_STEP_COUNT} "
             f"register steps, got {step_count}"
         )
+
+
+@lru_cache(maxsize=4)
+def _walks(source_count: int, step_count: int, multiple: int, constrained: bool) -> _Walks:
+    """Tabulate the three walks of one bank; see the module docstring."""
+    _check_depth(step_count, constrained)
     span = 2**step_count
     slack = source_count - step_count if constrained else None
     bank = range(1, source_count + 1)
@@ -434,8 +438,38 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     )
 
 
-# expanding the pump bracket beyond ~32 mean pairs would round p_herald
-# to exactly 1.0 in floats and the chain degenerates
+def _gap_bounds(config: SimConfig) -> tuple[float, float]:
+    """Closed-form bounds ``(lower, upper)`` on lack_rate - multi_rate of
+    ``config``, from the herald pmf of its lowest pump; no chain.
+
+    With r = p_multi / p_herald, each kept photon carries a multi-pair
+    event with the r of its pump, and kept photons fill the slots, so
+    multi lies between r_min (1 - lack) and r_max (1 - lack).  A cycle
+    keeps at most the S p_max photons it heralds on average, so lack is at
+    least 1 - S p_max / m.  An interior click fills an open slot before
+    any slot is left empty, stored photons only fill slots and feedback
+    only raises the pump, so lack is at most E[max(m - I, 0)] / m with I
+    the interior clicks at the lowest pump.
+    """
+    m = config.multiple
+    low, high = (herald_probabilities(pump) for pump in (min(config.pumps), max(config.pumps)))
+    r_min, r_max = low.p_multi / low.p_herald, high.p_multi / high.p_herald
+    lack_floor = 1.0 - config.source_count * high.p_herald / m
+    rows = config.source_count
+    if config.boundary is BoundaryMode.CONSTRAINED:
+        rows = max(rows - 2 * config.step_count, 0)
+    short = herald_count_distribution(rows, low.p_herald)[:m] if rows else np.ones(1)
+    lack_ceiling = float(short @ (m - np.arange(short.size))) / m
+    return (
+        lack_floor - r_max * (1.0 - lack_floor),
+        lack_ceiling - r_min * (1.0 - lack_ceiling),
+    )
+
+
+# the bracket stops doubling at 32 mean pairs, where p_herald = 1 - e**-32 is
+# still below 1.0 in floats; feedback multiplies the mean, so the search also
+# ends once the bank's highest pump rounds p_herald to exactly 1.0, where the
+# chain degenerates
 _MAX_MEAN = 32.0
 
 
@@ -452,6 +486,19 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     upper end while both rates still sit on the same side (small banks
     can push the crossing above one mean pair per cycle).
 
+    Most steps sit far from the crossing, where two closed-form bounds
+    already fix the sign of lack - multi.  With p_max, p_min the herald
+    probabilities of the bank's highest and lowest pumps and r = p_multi /
+    p_herald at each:
+
+    * lack - multi >= 1 - F (1 + r_max), with F = S p_max / m;
+    * lack - multi <= U (1 + r_min) - r_min, with U = E[max(m - I, 0)] / m
+      and I ~ Binomial(interior rows, p_min).
+
+    A step solves the chain only when neither bound clears +-``tolerance``
+    by max(``tolerance``, 1e-9), so the bisection takes the same steps to
+    the same float as it would solving the chain at every one.
+
     Returns
     -------
     float
@@ -460,15 +507,34 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     Raises
     ------
     ConvergenceError
-        If no sign change is found below the bracket cap or bisection
+        If no sign change is found below the bracket cap or before the
+        bank's highest pump saturates the herald probability, or bisection
         stalls without reaching ``tolerance``.
+    ParameterError
+        For a bad ``tolerance``, or a constrained bank deeper than
+        ``MAX_CONSTRAINED_STEP_COUNT``.
     """
     limit = as_real(tolerance)
     if not (math.isfinite(limit) and limit > 0.0):
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
+    _check_depth(bank.step_count, bank.boundary is BoundaryMode.CONSTRAINED)
+    decisive = limit + max(limit, 1e-9)
 
     def gap(mean: float) -> float:
-        rates = stationary_rates(replace(bank, mean_pairs=mean))
+        config = replace(bank, mean_pairs=mean)
+        pump = max(config.pumps)
+        if herald_probabilities(pump).p_herald == 1.0:
+            raise ConvergenceError(
+                f"no lack/multi crossing below mean pair number {mean}, where the "
+                f"bank's highest pump {pump} saturates the herald probability"
+            )
+        # a bound this far past the tolerance takes the step the exact gap would
+        lower, upper = _gap_bounds(config)
+        if lower >= decisive:
+            return lower
+        if upper <= -decisive:
+            return upper
+        rates = stationary_rates(config)
         return rates.lack_rate - rates.multi_rate
 
     low, high = 1e-6, 1.0

@@ -474,6 +474,16 @@ def test_domain_errors_exit_one(capsys: pytest.CaptureFixture, tmp_path) -> None
     assert "error:" in capsys.readouterr().err
     assert run_command(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert run_command(["optimize", "--sources", "1", "--multiple", "2", "--steps", "1"]) == 1
+    capsys.readouterr()
+    # boost triples the pump: at a mean of 16 the herald probability rounds to 1
+    assert run_command(
+        ["optimize", "--sources", "4", "--multiple", "8", "--steps", "4",
+         "--feedback", "boost", "--feedback-strength", "2"]
+    ) == 1
+    assert capsys.readouterr().err == (
+        "error: no lack/multi crossing below mean pair number 16.0, where the "
+        "bank's highest pump 48.0 saturates the herald probability\n"
+    )
     missing_key = tmp_path / "partial.cfg"
     missing_key.write_text("sources=5\n")
     assert run_command(["simulate", "--config", str(missing_key)]) == 1
@@ -661,6 +671,23 @@ GOLDEN_OUTPUTS = [
          "--mean-pairs", "0.03", "--cycles", "5000", "--seed", "42",
          "--feedback", "turbo_boost", "--feedback-strength", "0.5"],
         HEADER + "\n0.03,0.0837,0.01745,0.019044,18326,925,1.4822,monte_carlo,42,5000\n",
+    ),
+    (
+        ["optimize", "--sources", "100", "--multiple", "4", "--steps", "3"],
+        HEADER + "\n0.0477879,0.0231549,0.0231548,0.0237037,390738,75902.3,2.79399,"
+        "oracle,0,100000\n",
+    ),
+    (
+        ["optimize", "--sources", "100", "--multiple", "4", "--steps", "3",
+         "--boundary", "constrained", "--feedback", "boost"],
+        HEADER + "\n0.0266352,0.0232245,0.0232246,0.0237768,390710,44822.8,2.34891,"
+        "oracle,0,100000\n",
+    ),
+    (
+        ["optimize", "--sources", "100", "--multiple", "4", "--steps", "3",
+         "--feedback", "turbo_boost"],
+        HEADER + "\n0.0296717,0.0221047,0.0221044,0.022604,391158,26499.4,2.24094,"
+        "oracle,0,100000\n",
     ),
     (
         ["verify-topology", "--sources", "11", "--steps", "3"],

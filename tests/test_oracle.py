@@ -639,6 +639,15 @@ def test_optimized_power_failure_modes() -> None:
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
         optimized_power(_spec(1, 2, 1, 1.0))
+    # a fed-back pump saturates the herald probability (1 - e**-48 rounds to
+    # 1.0) before the bracket reaches its cap
+    for feedback in ("boost", "turbo_boost"):
+        bank = replace(_spec(4, 8, 4, 1.0), feedback=feedback, feedback_strength=2.0)
+        with pytest.raises(ConvergenceError, match="highest pump 48.0 saturates"):
+            optimized_power(bank)
+    # too deep a constrained chain is refused before any bound is asked
+    with pytest.raises(ParameterError, match="at most 5 register steps, got 6"):
+        optimized_power(SimConfig(source_count=1, multiple=4, mean_pairs=1.0, step_count=6))
     for tolerance in (0.0, math.inf, math.nan, "1e-6", None, b"1"):
         with pytest.raises(ParameterError):
             optimized_power(_spec(100, 4, 3, 1.0), tolerance=tolerance)
@@ -657,3 +666,95 @@ def test_optimized_power_balances_the_bank_as_given() -> None:
         assert abs(rates.lack_rate - rates.multi_rate) < 1e-6
         assert mean == pytest.approx(optimum, abs=5e-6)
         assert mean == optimized_power(replace(bank, mean_pairs=0.01, cycles=1, seed=0))
+
+
+def _reference_optimized_power(bank: SimConfig, tolerance: float = 1e-6) -> float:
+    """The bisection solving the chain at every step, as optimized_power did
+    before it consulted the load bounds, stopping where a pump saturates."""
+
+    def gap(mean: float) -> float:
+        config = replace(bank, mean_pairs=mean)
+        if herald_probabilities(max(config.pumps)).p_herald == 1.0:
+            raise ConvergenceError("the highest pump saturates the herald probability")
+        rates = oracle.stationary_rates(config)
+        return rates.lack_rate - rates.multi_rate
+
+    low, high = 1e-6, 1.0
+    if gap(low) <= 0.0:
+        raise ConvergenceError("no crossing at vanishing pump")
+    while gap(high) > 0.0:
+        high *= 2.0
+        if high > 32.0:
+            raise ConvergenceError("no crossing below the cap")
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        gap_mid = gap(mid)
+        if abs(gap_mid) < tolerance:
+            return mid
+        if gap_mid > 0.0:
+            low = mid
+        else:
+            high = mid
+    raise ConvergenceError("bisection stalled")
+
+
+def _random_bank(rng: np.random.Generator, max_sources: int, max_gain: float) -> SimConfig:
+    steps = int(rng.integers(1, MAX_CONSTRAINED_STEP_COUNT + 1))
+    return SimConfig(
+        source_count=int(rng.integers(1, max_sources + 1)),
+        multiple=int(rng.integers(1, 2**steps + 1)),
+        mean_pairs=1.0,
+        step_count=steps,
+        boundary=("constrained", "unconstrained")[int(rng.integers(2))],
+        feedback=("off", "boost", "turbo_boost")[int(rng.integers(3))],
+        feedback_strength=round(float(rng.uniform(0.0, max_gain)), 2),
+    )
+
+
+def test_optimized_power_takes_the_reference_bisection_steps(monkeypatch) -> None:
+    # the load bounds only skip solves: every bank reaches the float of the
+    # bisection that solves the chain at every step, never in more solves
+    solves = [0]
+    solve = oracle.stationary_rates
+
+    def counted(config: SimConfig) -> OracleRates:
+        solves[0] += 1
+        return solve(config)
+
+    monkeypatch.setattr(oracle, "stationary_rates", counted)
+    rng = np.random.default_rng(15)
+    deep = _spec(500, 16, 8, 1.0)
+    banks = [
+        _spec(100, 4, 3, 1.0),  # A2
+        deep,
+        _spec(1, 2, 1, 1.0),  # no crossing at all
+        _spec(1, 1, 1, 1.0),  # a crossing above one pair
+        SimConfig(source_count=100, multiple=4, mean_pairs=0.3, step_count=3, feedback="boost"),
+        replace(_spec(200, 8, 6, 1.0), feedback="turbo_boost", feedback_strength=2.0),
+        *(_random_bank(rng, 90, 2.0) for _ in range(40)),
+    ]
+    for bank in banks:
+        outcomes = []
+        for optimize in (_reference_optimized_power, optimized_power):
+            solves[0] = 0
+            try:
+                outcomes.append((optimize(bank), solves[0]))
+            except ConvergenceError:
+                outcomes.append((ConvergenceError, solves[0]))
+        (reference, reference_solves), (mean, bounded_solves) = outcomes
+        assert mean == reference, bank
+        assert bounded_solves <= reference_solves, bank
+        if bank == deep:
+            assert reference_solves == 24 and bounded_solves <= 12
+
+
+def test_gap_bounds_hold_on_random_banks() -> None:
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        bank = _random_bank(rng, 90, 3.7)
+        for mean in np.exp(rng.uniform(math.log(1e-4), math.log(1.0), size=4)):
+            config = replace(bank, mean_pairs=float(mean))
+            rates = stationary_rates(config)
+            lower, upper = oracle._gap_bounds(config)
+            gap = rates.lack_rate - rates.multi_rate
+            assert lower - 1e-12 <= gap <= upper + 1e-12, config
