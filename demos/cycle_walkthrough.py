@@ -19,33 +19,33 @@ config = SimConfig(
     seed=13,
 )
 rng = np.random.default_rng(config.seed)
-storage = ()
+level = 0
 
 print(f"bank of {config.source_count}, train of {config.multiple}, "
       f"storage capacity {config.capacity}")
 print()
 
 for cycle in range(8):
-    plan = run_cycle(config, storage, rng)
+    plan = run_cycle(config, level, rng)
     # the leading slots drain storage; each routed row names its delay
-    source_at = {delay: source for source, delay in plan.new_assignments}
+    source_at = {delay: source for source, delay in plan.assignments}
     slots = []
-    for delay, multiplicity in enumerate(plan.slots):
-        if not multiplicity:
-            slots.append("lack")
-        elif delay < len(storage):
+    for delay in range(config.multiple):
+        if delay < level:
             slots.append("store")
-        else:
+        elif delay in source_at:
             slots.append(f"row{source_at[delay]}")
-    print(f"cycle {cycle}: heralds={plan.herald_count}  storage {len(storage)}"
-          f" -> {len(plan.storage_out)}")
+        else:
+            slots.append("lack")
+    print(f"cycle {cycle}: heralds={plan.herald_count}  storage {level}"
+          f" -> {plan.storage_level}")
     print(f"  train: [{', '.join(slots)}]")
-    if plan.new_assignments:
-        routed = ", ".join(f"row {s} -> delay {d}" for s, d in plan.new_assignments)
+    if plan.assignments:
+        routed = ", ".join(f"row {s} -> delay {d}" for s, d in plan.assignments)
         print(f"  routed: {routed}")
     if plan.discarded:
         print(f"  discarded: {plan.discarded}")
-    storage = plan.storage_out
+    level = plan.storage_level
 
 print()
 print("every routed list above is monotone: faster rows always take")

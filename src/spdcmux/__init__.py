@@ -22,12 +22,10 @@ from .oracle import (
     optimized_power,
     stationary_distribution,
     stationary_rates,
-    transition_matrix,
 )
 from .register import (
     RegisterTopology,
     step_count_bounds,
-    verify_monotone_assignment,
 )
 from .scheduler import (
     CyclePlan,
@@ -74,6 +72,4 @@ __all__ = [
     "stationary_rates",
     "step_count_bounds",
     "storage_capacity",
-    "transition_matrix",
-    "verify_monotone_assignment",
 ]

@@ -70,7 +70,6 @@ __all__ = [
     "optimized_power",
     "stationary_distribution",
     "stationary_rates",
-    "transition_matrix",
 ]
 
 # a constrained chain walks all 4**K edge-row click patterns from every
@@ -278,12 +277,6 @@ def _chain_tables(
                 yield cells
 
     return blocks(), sums[:, 0], sums[:, 1], p_herald, relative
-
-
-def transition_matrix(config: SimConfig) -> np.ndarray:
-    """One-cycle transition matrix of the storage level."""
-    blocks, *_ = _chain_tables(config)
-    return np.concatenate([*blocks])
 
 
 def _drops(rows: np.ndarray, level: int) -> np.ndarray:

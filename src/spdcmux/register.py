@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ParameterError, check_source_count, check_step_count, is_whole
@@ -28,7 +26,6 @@ from .errors import ParameterError, check_source_count, check_step_count, is_who
 __all__ = [
     "RegisterTopology",
     "step_count_bounds",
-    "verify_monotone_assignment",
 ]
 
 
@@ -101,31 +98,3 @@ def _stage_window(topology: RegisterTopology, rows: int | np.ndarray):
     s = topology.source_count
     k = topology.step_count
     return np.maximum(0, k - (s - rows)), np.minimum(k, rows - 1)
-
-
-def verify_monotone_assignment(assignments: Sequence[tuple[int, int]]) -> bool:
-    """Check that routed (source, delay) pairs never cross.
-
-    Sorting by source index must give strictly increasing delays: the
-    fastest row that fires takes the shortest delay still open, and so on
-    down the stack.  A plan with crossings would need some photon pair to
-    swap register positions twice, which the hardware cannot do.
-
-    Raises
-    ------
-    ParameterError
-        If an entry is not a (source, delay) pair, or any source index or
-        delay value appears twice.
-    """
-    try:
-        sources = [s for s, _ in assignments]
-        delays = [d for _, d in assignments]
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"assignments must be (source, delay) pairs: {exc}") from None
-    if len(set(sources)) != len(sources):
-        raise ParameterError("assignment reuses a source index")
-    if len(set(delays)) != len(delays):
-        raise ParameterError("assignment reuses a delay value")
-    ordered = sorted(assignments)
-    return all(a[1] < b[1] for a, b in zip(ordered, ordered[1:]))
-

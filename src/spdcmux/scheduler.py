@@ -16,17 +16,16 @@ gone for the cycle; there is no later target it could legally take.
 By the register's interval rule the rows that reach a delay of popcount
 c are rows c+1 .. S-K+c, so one bisection finds a target's only candidate.
 
-Storage is a plain tuple of pair multiplicities, position 0 first.  The
-greedy walk sees only the clicked rows and the open delays, which follow
-from the storage level; the multiplicities are looked up afterwards, so
-they cannot influence a routing choice.
+The storage level, the number of photons held over, is the only state a
+cycle carries into the next.  The greedy walk sees only the clicked rows
+and the open delays, which follow from that level: pair multiplicities
+never reach the planner, so they cannot influence a routing choice.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,120 +49,69 @@ def storage_capacity(step_count: int, multiple: int) -> int:
     return span - int(multiple)
 
 
-@dataclass(frozen=True)
-class CyclePlan:
+class CyclePlan(NamedTuple):
     """Complete routing decision for one cycle.
 
-    ``slots[j]`` is the pair multiplicity leaving in output slot j, 0 for
-    a lack.  ``storage_out[k]`` is the multiplicity parked at storage
-    position k for the next cycle, position 0 closest to the output.
+    ``assignments`` lists the (row, delay) of every fresh photon kept, in
+    row order and so in delay order; delays below the train length are
+    output slots, the rest storage positions.  ``storage_level`` is the
+    number of photons stored for the next cycle.
     """
 
-    slots: tuple[int, ...]
-    storage_out: tuple[int, ...]
-    new_assignments: tuple[tuple[int, int], ...]
-    discarded: int
+    assignments: list[tuple[int, int]]
     herald_count: int
-    stored_in_level: int
-
-    @property
-    def multiple(self) -> int:
-        return len(self.slots)
-
-    @property
-    def filled_count(self) -> int:
-        return self.multiple - self.lack_count
-
-    @property
-    def lack_count(self) -> int:
-        return self.slots.count(0)
-
-    @property
-    def multi_count(self) -> int:
-        """Filled slots carrying more than one pair."""
-        return self.filled_count - self.slots.count(1)
-
-    def conservation_ok(self) -> bool:
-        """Every herald and every stored photon is emitted, re-stored or discarded."""
-        placed = self.filled_count + len(self.storage_out) + self.discarded
-        return self.herald_count + self.stored_in_level == placed
+    lack_count: int
+    storage_level: int
+    discarded: int
 
 
 def plan_cycle(
     topology: RegisterTopology,
     clicks: np.ndarray,
-    counts: np.ndarray,
-    storage_in: tuple[int, ...],
+    level: int,
     multiple: int,
     *,
     boundary_limits: bool = True,
 ) -> CyclePlan:
     """Route one cycle with the monotone greedy policy.
 
-    The L stored photons drain into the leading slots first, so the open
-    targets are delays L .. 2**K - 1: the slots they leave empty, then the
-    storage positions behind the photons still stored.  Heralded rows and
-    these targets are walked together, fastest row to earliest target.
-    With ``boundary_limits`` true a row is only eligible for delays inside
-    its reachability window; rows walked past while locating an eligible
-    one are discarded, which is what keeps the plan monotone.  Storage
-    filling stops at the first position nobody can reach, since stored
-    photons must sit contiguously behind the train.
-
-    ``storage_in`` holds the stored pair multiplicities, position 0
-    first.  Routing depends on ``clicks`` and the storage level alone;
-    ``counts`` (whose nonzero entries must be exactly the clicks) and the
-    stored multiplicities are only copied into the plan for accounting.
+    The ``level`` stored photons drain into the leading slots first, so the
+    open targets are delays level .. 2**K - 1: the slots they leave empty,
+    then the storage positions behind the photons still stored.  Heralded
+    rows and these targets are walked together, fastest row to earliest
+    target.  With ``boundary_limits`` true a row is only eligible for
+    delays inside its reachability window; rows walked past while locating
+    an eligible one are discarded, which is what keeps the plan monotone.
+    Storage filling stops at the first position nobody can reach, since
+    stored photons must sit contiguously behind the train.
 
     Returns
     -------
     CyclePlan
     """
-    if not isinstance(clicks, np.ndarray) or not isinstance(counts, np.ndarray):
-        raise ParameterError("clicks and pair counts must be numpy arrays")
-    if clicks.shape != (topology.source_count,) or counts.shape != clicks.shape:
+    if not isinstance(clicks, np.ndarray) or clicks.shape != (topology.source_count,):
         raise ParameterError(
-            f"clicks {clicks.shape} and pair counts {counts.shape} must both "
-            f"cover the topology's {topology.source_count} sources"
+            f"clicks must be a numpy array over the topology's {topology.source_count} sources"
         )
     capacity = storage_capacity(topology.step_count, multiple)
-    m = int(multiple)
-    storage_in = tuple(storage_in)
-    if len(storage_in) > capacity:
+    if not is_whole(level) or not 0 <= level <= capacity:
         raise ParameterError(
-            f"{len(storage_in)} stored photons exceed capacity {capacity}"
+            f"storage level must be an integer in [0, {capacity}], got {level!r}"
         )
-    try:
-        # a float, text or None among them makes the sum fail the index check
-        operator.index(sum(storage_in))
-        valid = min(storage_in, default=1) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ParameterError(
-            f"stored multiplicities must be integers of at least 1, got {storage_in!r}"
-        )
-
-    fired = clicks.nonzero()[0]
-    rows = [i + 1 for i in fired.tolist()]
-    pairs = dict(zip(rows, counts[fired].tolist()))
+    m, level = int(multiple), int(level)
+    rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
     slack = topology.source_count - topology.step_count if boundary_limits else None
-    assignments = _route_greedy(slack, rows, len(storage_in), m, m + capacity)
-
-    slots = [*storage_in[:m], *[0] * (m - len(storage_in))]
-    stored = list(storage_in[m:])
-    for row, delay in assignments:
-        if delay < m:
-            slots[delay] = pairs[row]
-        else:
-            stored.append(pairs[row])
+    assignments = _route_greedy(slack, rows, level, m, m + capacity)
+    # stored photons sit contiguously behind the train, so the last delay
+    # taken sets the next level; every other kept photon fills a slot
+    end = assignments[-1][1] + 1 if assignments else 0
+    level_out = max(level, end, m) - m
     return CyclePlan(
-        slots=tuple(slots),
-        storage_out=tuple(stored),
-        new_assignments=tuple(assignments),
-        discarded=len(rows) - len(assignments),
+        assignments=assignments,
         herald_count=len(rows),
-        stored_in_level=len(storage_in),
+        lack_count=m - level - len(assignments) + level_out,
+        storage_level=level_out,
+        discarded=len(rows) - len(assignments),
     )
 
 

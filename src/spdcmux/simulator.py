@@ -1,8 +1,8 @@
 """Cycle-by-cycle Monte Carlo of the multiplexed source.
 
 A run strings together emission sampling, heralding and routing for a
-configured number of clock cycles, carrying the storage register state
-across cycles, and tallies lack and multi-pair errors on the emitted
+configured number of clock cycles, carrying the storage level across
+cycles, and tallies lack and multi-pair errors on the emitted
 train.  Runs are deterministic in the configuration: the same config
 replays the same uniforms and therefore the same plans.
 """
@@ -10,6 +10,7 @@ replays the same uniforms and therefore the same plans.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -186,21 +187,17 @@ class SimMetrics:
 
 def run_cycle(
     config: SimConfig,
-    storage_in: tuple[int, ...],
+    storage_level: int,
     rng: np.random.Generator,
 ) -> CyclePlan:
-    """Simulate a single cycle: feedback, emission, heralding, routing.
-
-    ``storage_in`` holds the stored pair multiplicities, position 0 first.
-    """
-    mean = apply_feedback(config, len(storage_in))
+    """Simulate a single cycle that starts with ``storage_level`` photons
+    stored: feedback, emission, heralding, routing."""
+    mean = apply_feedback(config, storage_level)
     counts = sample_cycle_emissions(config.source_count, mean, rng)
-    clicks = herald(counts)
     return plan_cycle(
         config.topology,
-        clicks,
-        counts,
-        storage_in,
+        herald(counts),
+        storage_level,
         config.multiple,
         boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
     )
@@ -209,10 +206,17 @@ def run_cycle(
 def run_simulation(config: SimConfig) -> SimMetrics:
     """Run the configured number of cycles and aggregate error statistics.
 
-    Conservation (heralds in plus storage in equals filled plus storage
-    out plus discarded) is re-checked on every cycle and again on the run
-    totals; a violation aborts the run, since it would mean the planner
-    lost or invented a photon.
+    The storage level is the only state carried from cycle to cycle.
+    Photons leave the device in the order they were kept: storage drains
+    from position 0, and fresh photons take the later slots and then the
+    positions behind, in row order.  So the multi-pair slots are the
+    multi-pair photons kept over the run, less those among the last
+    ``final_storage_level`` kept, which are still stored at the end.
+
+    Every cycle's delays must rise strictly from the storage level, so
+    that no two photons share a target and none lands on a stored photon;
+    a plan that breaks this aborts the run, since it would mean the
+    planner lost or invented a photon.
 
     Parameters
     ----------
@@ -225,45 +229,41 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     rng = np.random.default_rng(config.seed)
     pumps, m = config.pumps, config.multiple
     constrained = config.boundary is BoundaryMode.CONSTRAINED
-    storage: tuple[int, ...] = ()
-
-    lack = 0
-    multi = 0
-    filled = 0
-    discarded = 0
-    heralds = 0
-    level_sum = 0
+    level = 0
+    lack = discarded = heralds = level_sum = 0
+    kept = multi_kept = 0
+    # positions in keeping order of the latest multi-pair photons, enough
+    # to count those among the last ``capacity`` photons kept
+    recent_multis: deque[int] = deque(maxlen=config.capacity)
 
     for cycle in range(config.cycles):
-        counts = sample_cycle_emissions(config.source_count, pumps[len(storage)], rng)
-        plan = plan_cycle(
-            config.topology, herald(counts), counts, storage, m, boundary_limits=constrained
-        )
-        # one count per slot kind: empty slots are lacks, the rest are
-        # filled, and filled slots that do not hold exactly one pair are multi
-        lacks = plan.slots.count(0)
-        if plan.herald_count + len(storage) != m - lacks + len(plan.storage_out) + plan.discarded:
-            raise ConservationError(f"photon conservation violated at cycle {cycle}")
-        lack += lacks
-        filled += m - lacks
-        multi += m - lacks - plan.slots.count(1)
+        counts = sample_cycle_emissions(config.source_count, pumps[level], rng)
+        plan = plan_cycle(config.topology, herald(counts), level, m, boundary_limits=constrained)
+        last = level - 1
+        for row, delay in plan.assignments:
+            if delay <= last:
+                raise ConservationError(f"photon conservation violated at cycle {cycle}")
+            last = delay
+            if counts[row - 1] > 1:
+                recent_multis.append(kept)
+                multi_kept += 1
+            kept += 1
+        lack += plan.lack_count
         discarded += plan.discarded
         heralds += plan.herald_count
-        storage = plan.storage_out
-        level_sum += len(storage)
+        level = plan.storage_level
+        level_sum += level
 
-    if heralds != filled + len(storage) + discarded:
-        raise ConservationError("photon conservation violated across the run totals")
-
+    stored_multis = sum(1 for position in recent_multis if position >= kept - level)
     return SimMetrics(
         cycles=config.cycles,
-        multiple=config.multiple,
+        multiple=m,
         lack_count=lack,
-        multi_count=multi,
-        filled_count=filled,
+        multi_count=multi_kept - stored_multis,
+        filled_count=m * config.cycles - lack,
         discarded_count=discarded,
         herald_count=heralds,
-        final_storage_level=len(storage),
+        final_storage_level=level,
         mean_storage_level=level_sum / config.cycles if config.cycles else math.nan,
     )
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from cycle_reference import reference_cycles, verify_monotone_assignment
 from spdcmux import (
     BoundaryMode,
     ParameterError,
@@ -17,11 +18,9 @@ from spdcmux import (
     SimConfig,
     herald,
     plan_cycle,
-    run_cycle,
     run_simulation,
     stationary_rates,
     storage_capacity,
-    verify_monotone_assignment,
 )
 from spdcmux.cli import run_command
 
@@ -125,22 +124,18 @@ def _random_chain_configs(count: int) -> list[SimConfig]:
 def _batched_rates(
     config: SimConfig, batch_count: int, batch_cycles: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-batch lack and multi rates from one continuous run."""
-    rng = np.random.default_rng(config.seed)
-    storage = ()
-    lack_batches = np.zeros(batch_count)
-    multi_batches = np.zeros(batch_count)
-    slots = batch_cycles * config.multiple
-    for batch in range(batch_count):
-        lacks = multis = 0
-        for _ in range(batch_cycles):
-            plan = run_cycle(config, storage, rng)
-            lacks += plan.lack_count
-            multis += plan.multi_count
-            storage = plan.storage_out
-        lack_batches[batch] = lacks / slots
-        multi_batches[batch] = multis / slots
-    return lack_batches, multi_batches
+    """Per-batch lack and multi rates from one continuous run, read off the
+    pair counts that the reference loop keeps in each slot."""
+    m = config.multiple
+    lacks = np.zeros(batch_count)
+    multis = np.zeros(batch_count)
+    run = replace(config, cycles=batch_count * batch_cycles)
+    for cycle, (*_, slots, _) in enumerate(reference_cycles(run)):
+        lack = slots.count(0)
+        lacks[cycle // batch_cycles] += lack
+        multis[cycle // batch_cycles] += m - lack - slots.count(1)
+    slots_per_batch = batch_cycles * m
+    return lacks / slots_per_batch, multis / slots_per_batch
 
 
 def _chain_deviations(config: SimConfig, batch_count: int, batch_cycles: int) -> list[str]:
@@ -236,19 +231,30 @@ def test_a5_storage_capacity_rule() -> None:
 
 
 def test_a6_per_cycle_conservation() -> None:
+    # photons counted from the routed (row, delay) pairs themselves: each
+    # kept photon comes from its own clicked row and takes its own target
+    # at or behind the stored ones, and heralds plus stored photons equal
+    # filled slots plus photons stored plus discards
     config = SimConfig(
         source_count=100, multiple=4, mean_pairs=0.1, cycles=100_000, seed=7
     )
-    rng = np.random.default_rng(config.seed)
-    storage = ()
+    m = config.multiple
     violations = 0
-    for _ in range(config.cycles):
-        plan = run_cycle(config, storage, rng)
-        inflow = plan.herald_count + len(storage)
-        outflow = plan.filled_count + len(plan.storage_out) + plan.discarded
-        if inflow != outflow:
+    for counts, storage, plan, _, _ in reference_cycles(config):
+        level = len(storage)
+        rows = [row for row, _ in plan.assignments]
+        delays = [delay for _, delay in plan.assignments]
+        clicked = set((np.flatnonzero(counts) + 1).tolist())
+        own_targets = delays == sorted(set(delays)) and all(d >= level for d in delays)
+        own_rows = len(set(rows)) == len(rows) and set(rows) <= clicked
+        in_slots = sum(1 for d in delays if d < m)
+        filled = min(level, m) + in_slots
+        stored = max(level - m, 0) + len(delays) - in_slots
+        inflow = len(clicked) + level
+        outflow = filled + stored + plan.discarded
+        counted = plan.lack_count == m - filled and plan.storage_level == stored
+        if inflow != outflow or not (own_targets and own_rows and counted):
             violations += 1
-        storage = plan.storage_out
     ok = violations == 0
     detail = f"{config.cycles} cycles checked, violations={violations}"
     _verdict("A6 photon conservation", ok, detail)
@@ -298,16 +304,13 @@ def test_a8_monotone_routing() -> None:
         capacity = storage_capacity(3, multiple)
         for _ in range(10_000):
             level = int(rng.integers(0, capacity + 1))
-            state = (1,) * level
             fired = rng.random(11) < 0.3
             counts = np.where(fired, rng.integers(1, 4, 11), 0).astype(np.int64)
             clicks = herald(counts)
             for limits in (True, False):
-                plan = plan_cycle(
-                    topology, clicks, counts, state, multiple, boundary_limits=limits
-                )
+                plan = plan_cycle(topology, clicks, level, multiple, boundary_limits=limits)
                 checked += 1
-                if not verify_monotone_assignment(plan.new_assignments):
+                if not verify_monotone_assignment(plan.assignments):
                     failures += 1
     ok = failures == 0
     detail = f"{checked} plans checked, non-monotone={failures}"

@@ -561,9 +561,10 @@ def test_unsampleable_pump_exits_one(capsys: pytest.CaptureFixture) -> None:
 def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFixture) -> None:
     real_plan_cycle = simulator.plan_cycle
 
-    def leaky_plan_cycle(*args, **kwargs):
-        plan = real_plan_cycle(*args, **kwargs)
-        return replace(plan, discarded=plan.discarded + 1)
+    def leaky_plan_cycle(topology, clicks, level, multiple, **kwargs):
+        plan = real_plan_cycle(topology, clicks, level, multiple, **kwargs)
+        # two photons routed to the same target
+        return plan._replace(assignments=[(1, level), (2, level), *plan.assignments])
 
     monkeypatch.setattr(simulator, "plan_cycle", leaky_plan_cycle)
     code = run_command(
@@ -660,6 +661,20 @@ GOLDEN_OUTPUTS = [
          "--mean-pairs", "0.01", "--cycles", "500", "--seed", "42",
          "--feedback", "turbo_boost", "--boundary", "unconstrained"],
         HEADER + "\n0.01,0.00775,0.007375,0.0074326,7938,15,6.342,monte_carlo,42,500\n",
+    ),
+    (
+        # deep storage that ends holding 4,069 photons, 19 of them multi-pair
+        ["simulate", "--sources", "2000", "--steps", "12", "--multiple", "16",
+         "--mean-pairs", "0.0081", "--boundary", "unconstrained", "--feedback", "turbo_boost",
+         "--cycles", "2000", "--seed", "42"],
+        HEADER + "\n0.0081,0,0.004875,0.004875,32000,364,3589.51,monte_carlo,42,2000\n",
+    ),
+    (
+        # a constrained bank that ends with 13 multi-pair photons stored
+        ["simulate", "--sources", "40", "--steps", "6", "--multiple", "8",
+         "--mean-pairs", "0.3", "--boundary", "constrained", "--feedback", "boost",
+         "--cycles", "3000", "--seed", "42"],
+        HEADER + "\n0.3,0,0.172292,0.172292,24000,11508,55.5323,monte_carlo,42,3000\n",
     ),
     (
         ["simulate", "--sources", "30", "--steps", "2", "--multiple", "4",

@@ -29,7 +29,6 @@ from spdcmux import (
     plan_cycle,
     stationary_distribution,
     stationary_rates,
-    transition_matrix,
 )
 from spdcmux.oracle import MAX_CONSTRAINED_STEP_COUNT
 
@@ -84,6 +83,13 @@ def test_herald_count_distribution_validation() -> None:
     for source_count, p_herald in ((0, 0.5), ("3", 0.5), (5, 0.0), (5, 1.0), (5, "0.5")):
         with pytest.raises(ParameterError):
             herald_count_distribution(source_count, p_herald)
+
+
+def transition_matrix(config: SimConfig) -> np.ndarray:
+    """One-cycle transition matrix of the storage level, the oracle's row
+    blocks stacked."""
+    blocks, *_ = oracle._chain_tables(config)
+    return np.concatenate([*blocks])
 
 
 def test_transition_matrix_rows_are_stochastic() -> None:
@@ -219,10 +225,10 @@ def _click_pattern_outcomes(config: SimConfig, level: int):
     p = Fraction(_level_pump(config, level).p_herald)
     for bits in itertools.product((0, 1), repeat=config.source_count):
         clicks = np.array(bits, dtype=bool)
-        plan = plan_cycle(topology, clicks, clicks.astype(np.int64), (1,) * level, config.multiple)
+        plan = plan_cycle(topology, clicks, level, config.multiple)
         clicked = sum(bits)
         weight = p**clicked * (1 - p) ** (config.source_count - clicked)
-        yield weight, len(plan.storage_out), plan.lack_count, len(plan.new_assignments)
+        yield weight, plan.storage_level, plan.lack_count, len(plan.assignments)
 
 
 def _exact_stationary_rates(config: SimConfig, outcomes) -> tuple[Fraction, Fraction, Fraction]:
@@ -339,11 +345,11 @@ def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]
                 clicks = np.zeros(config.source_count, dtype=bool)
                 clicks[np.array(rows, dtype=int) - 1] = True
                 plan = plan_cycle(
-                    topology, clicks, clicks.astype(np.int64), (1,) * level, config.multiple,
+                    topology, clicks, level, config.multiple,
                     boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
                 )
                 outcomes.setdefault((level, min(n, targets), bits), set()).add(
-                    (len(plan.storage_out), plan.lack_count, len(plan.new_assignments))
+                    (plan.storage_level, plan.lack_count, len(plan.assignments))
                 )
     counts, lacks, kept = Counter(), Counter(), Counter()
     for (level, n, bits), found in outcomes.items():

@@ -5,11 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cycle_reference import verify_monotone_assignment
 from spdcmux import (
     ParameterError,
     RegisterTopology,
     step_count_bounds,
-    verify_monotone_assignment,
 )
 
 # reachable-delay sets for the boundary rows of an 11-source, 3-step bank,

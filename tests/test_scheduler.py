@@ -1,8 +1,12 @@
 """Cycle planning: storage drain, monotone greedy fill, test-only matching ceiling."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
+from cycle_reference import place_photons, verify_monotone_assignment
 from spdcmux import (
     CyclePlan,
     ParameterError,
@@ -10,22 +14,35 @@ from spdcmux import (
     herald,
     plan_cycle,
     storage_capacity,
-    verify_monotone_assignment,
 )
 
 
-def plan_cycle_optimal(topology, clicks, counts, storage_in, multiple, *, boundary_limits=True):
+def _level_plan(assignments, herald_count: int, level: int, multiple: int) -> CyclePlan:
+    """The plan of ``assignments`` from ``level``, its counts read photon by
+    photon: the stored photons drain into the leading slots, and each kept
+    photon fills the slot or storage position at its delay."""
+    fresh_slots = sum(1 for _, delay in assignments if delay < multiple)
+    return CyclePlan(
+        assignments=list(assignments),
+        herald_count=herald_count,
+        lack_count=multiple - min(level, multiple) - fresh_slots,
+        storage_level=max(level - multiple, 0) + len(assignments) - fresh_slots,
+        discarded=herald_count - len(assignments),
+    )
+
+
+def plan_cycle_optimal(topology, clicks, level, multiple, *, boundary_limits=True):
     """Most slots any routing could fill, ignoring the monotone switching
     restriction: the ceiling for the greedy walk.  A maximum matching of
     clicked rows to open slots, then storage topped up contiguously from
     the rows left over.  ``plan_cycle`` runs first, so the arguments pass
     the library's own checks."""
-    plan_cycle(topology, clicks, counts, storage_in, multiple, boundary_limits=boundary_limits)
+    plan_cycle(topology, clicks, level, multiple, boundary_limits=boundary_limits)
     if topology.source_count > 20 or multiple > 8:
         # the recursive augmenting search stays instant only on small banks
         raise ParameterError("the matching ceiling takes at most 20 sources and multiple 8")
-    m, storage_in = int(multiple), tuple(storage_in)
-    drained = min(len(storage_in), m)
+    m, level = int(multiple), int(level)
+    drained = min(level, m)
     rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
     table = topology.access_table
 
@@ -49,36 +66,28 @@ def plan_cycle_optimal(topology, clicks, counts, storage_in, multiple, *, bounda
     assignments = sorted(holder.items(), key=lambda pair: pair[1])
     leftovers = [row for row in rows if row not in holder]
     capacity = storage_capacity(topology.step_count, m)
-    for delay in range(m + len(storage_in) - drained, m + capacity):
+    for delay in range(m + level - drained, m + capacity):
         pick = next((row for row in leftovers if reaches(row, delay)), None)
         if pick is None:
             break
         leftovers.remove(pick)
         assignments.append((pick, delay))
-    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
-    return CyclePlan(
-        slots=storage_in[:drained] + tuple(fresh.get(d, 0) for d in range(drained, m)),
-        storage_out=storage_in[drained:] + tuple(fresh[d] for d in sorted(fresh) if d >= m),
-        new_assignments=tuple(assignments),
-        discarded=len(leftovers),
-        herald_count=len(rows),
-        stored_in_level=len(storage_in),
-    )
+    return _level_plan(assignments, len(rows), level, m)
 
 
-def plan_cycle_literal(topology, clicks, counts, storage_in, multiple, *, boundary_limits=True):
+def plan_cycle_literal(topology, clicks, level, multiple, *, boundary_limits=True):
     """The greedy walk read cell by cell off ``access_table``: each open
     target, slots then storage, takes the first clicked row at or after
     the pointer that reaches it.  Rows passed over are discarded, a slot
     nobody reaches stays a lack and a storage position nobody reaches ends
     the walk.  The library routes on the interval rule instead."""
-    m, storage_in = int(multiple), tuple(storage_in)
-    drained = min(len(storage_in), m)
+    m, level = int(multiple), int(level)
+    drained = min(level, m)
     capacity = storage_capacity(topology.step_count, m)
     rows = [int(i) + 1 for i in np.flatnonzero(clicks)]
     table = topology.access_table
     assignments, pointer = [], 0
-    for delay in [*range(drained, m), *range(m + len(storage_in) - drained, m + capacity)]:
+    for delay in [*range(drained, m), *range(m + level - drained, m + capacity)]:
         takers = [
             p for p in range(pointer, len(rows))
             if not boundary_limits or table[rows[p] - 1, delay]
@@ -88,19 +97,12 @@ def plan_cycle_literal(topology, clicks, counts, storage_in, multiple, *, bounda
             pointer = takers[0] + 1
         elif delay >= m:
             break
-    fresh = {delay: int(counts[row - 1]) for row, delay in assignments}
-    return CyclePlan(
-        slots=storage_in[:drained] + tuple(fresh.get(d, 0) for d in range(drained, m)),
-        storage_out=storage_in[drained:] + tuple(fresh[d] for d in sorted(fresh) if d >= m),
-        new_assignments=tuple(assignments),
-        discarded=len(rows) - len(assignments),
-        herald_count=len(rows),
-        stored_in_level=len(storage_in),
-    )
+    return _level_plan(assignments, len(rows), level, m)
 
 
 def _report(source_count: int, multiplicities: dict[int, int]):
-    """Clicks and pair counts of one cycle, as the planners take them."""
+    """Clicks and pair counts of one cycle: the planners take the clicks,
+    the slot contents come from the counts."""
     counts = np.zeros(source_count, dtype=np.int64)
     for source, mult in multiplicities.items():
         counts[source - 1] = mult
@@ -128,73 +130,83 @@ def test_storage_capacity_validation() -> None:
 
 
 def test_planners_validate_storage() -> None:
-    # storage is a plain tuple of multiplicities, so both planners check
-    # it fits the span behind the train and holds only real photons
+    # the storage level is all either planner knows of storage: an integer
+    # that must fit the span behind the train
     topo = RegisterTopology(source_count=11, step_count=3)
+    clicks, _ = _report(11, {})
     for planner in (plan_cycle, plan_cycle_optimal):
-        assert planner(topo, *_report(11, {}), [1, 2], 4).stored_in_level == 2
-        assert planner(topo, *_report(11, {}), (1,) * 4, 4).storage_out == ()
-        assert planner(topo, *_report(11, {}), (np.int64(2), 1), 4).slots == (2, 1, 0, 0)
-        with pytest.raises(ParameterError):
-            planner(topo, *_report(11, {}), (1,) * 5, 4)
-        for bad in ((0,), (1.5,), (2.0,), (np.float64(1),), ("a",), (None,), (1, 2.5)):
+        assert planner(topo, clicks, 2, 4).lack_count == 2
+        assert planner(topo, clicks, 4, 4).storage_level == 0
+        assert planner(topo, clicks, np.int64(2), 4) == planner(topo, clicks, 2, 4)
+        assert planner(topo, clicks, 2.0, 4) == planner(topo, clicks, 2, 4)
+        for bad in (5, -1, 1.5, np.float64(0.5), "2", None, math.inf, math.nan):
             with pytest.raises(ParameterError):
-                planner(topo, *_report(11, {}), bad, 4)
+                planner(topo, clicks, bad, 4)
+
+
+def test_plan_cycle_rejects_a_level_outside_the_register() -> None:
+    topo = RegisterTopology(source_count=11, step_count=3)
+    clicks = _report(11, {3: 1, 7: 2})[0]
+    for m in range(1, 9):
+        capacity = storage_capacity(3, m)
+        assert plan_cycle(topo, clicks, capacity, m).storage_level <= capacity
+        for level in (-1, capacity + 1, capacity + 0.5, 0.5, -0.5):
+            with pytest.raises(ParameterError, match=rf"storage level must be an integer in \[0, {capacity}\]"):
+                plan_cycle(topo, clicks, level, m)
 
 
 def test_empty_cycle_is_all_lacks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {}), (), 4)
-    assert plan.lack_count == 4
-    assert plan.filled_count == 0
-    assert plan.multi_count == 0
-    assert plan.discarded == 0
-    assert plan.storage_out == ()
-    assert plan.new_assignments == ()
-    assert plan.conservation_ok()
+    clicks, counts = _report(11, {})
+    plan = plan_cycle(topo, clicks, 0, 4)
+    assert plan == CyclePlan(
+        assignments=[], herald_count=0, lack_count=4, storage_level=0, discarded=0
+    )
+    assert place_photons((), counts, plan, 4) == ((0, 0, 0, 0), ())
 
 
 def test_storage_drains_into_leading_slots() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {}), (1, 1, 2), 4)
-    assert plan.slots == (1, 1, 2, 0)
-    assert plan.new_assignments == ()
-    assert plan.filled_count == 3
-    assert plan.multi_count == 1
-    assert plan.storage_out == ()
-    assert plan.conservation_ok()
+    clicks, counts = _report(11, {})
+    plan = plan_cycle(topo, clicks, 3, 4)
+    assert plan.assignments == []
+    assert plan.lack_count == 1
+    assert plan.storage_level == 0
+    slots, storage = place_photons((1, 1, 2), counts, plan, 4)
+    assert slots == (1, 1, 2, 0)  # three filled, one of them multi
+    assert storage == ()
 
 
 def test_overfull_storage_carries_forward() -> None:
     # a 2-photon train with a 3-step register stores up to 6; the photons
     # beyond the first two shift down and wait another cycle
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {}), (1, 1, 1, 2, 1), 2)
-    assert plan.slots == (1, 1)
-    assert plan.storage_out == (1, 2, 1)
-    assert plan.conservation_ok()
+    clicks, counts = _report(11, {})
+    plan = plan_cycle(topo, clicks, 5, 2)
+    assert plan.lack_count == 0
+    assert plan.storage_level == 3
+    assert place_photons((1, 1, 1, 2, 1), counts, plan, 2) == ((1, 1), (1, 2, 1))
 
 
 def test_fresh_fill_follows_row_order() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {4: 1, 6: 2, 8: 1}), (), 4)
-    assert plan.slots == (1, 2, 1, 0)
-    assert plan.new_assignments == ((4, 0), (6, 1), (8, 2))
+    clicks, counts = _report(11, {4: 1, 6: 2, 8: 1})
+    plan = plan_cycle(topo, clicks, 0, 4)
+    assert plan.assignments == [(4, 0), (6, 1), (8, 2)]
     assert plan.lack_count == 1
-    assert plan.multi_count == 1
     assert plan.discarded == 0
-    assert plan.conservation_ok()
+    assert place_photons((), counts, plan, 4) == ((1, 2, 1, 0), ())
 
 
 def test_surplus_goes_to_storage_positions_behind_train() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    report = _report(11, {4: 1, 5: 1, 6: 1, 7: 2, 8: 1, 9: 1})
-    plan = plan_cycle(topo, *report, (), 4)
-    assert plan.slots == (1, 1, 1, 2)
-    assert plan.storage_out == (1, 1)  # sources 8 and 9 parked at delays 4, 5
-    assert plan.new_assignments == ((4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (9, 5))
+    clicks, counts = _report(11, {4: 1, 5: 1, 6: 1, 7: 2, 8: 1, 9: 1})
+    plan = plan_cycle(topo, clicks, 0, 4)
+    assert plan.assignments == [(4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (9, 5)]
+    assert plan.lack_count == 0
+    assert plan.storage_level == 2  # sources 8 and 9 parked at delays 4, 5
     assert plan.discarded == 0
-    assert plan.conservation_ok()
+    assert place_photons((), counts, plan, 4) == ((1, 1, 1, 2), (1, 1))
 
 
 def test_skipped_fast_row_is_discarded_not_stored() -> None:
@@ -202,35 +214,35 @@ def test_skipped_fast_row_is_discarded_not_stored() -> None:
     # which row 2 cannot reach; row 6 takes it and row 2 must be dropped,
     # because parking row 2 behind the train would cross assignment (6, 3)
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {2: 1, 6: 1}), (1, 1, 1), 4)
-    assert plan.new_assignments == ((6, 3),)
+    plan = plan_cycle(topo, _report(11, {2: 1, 6: 1})[0], 3, 4)
+    assert plan.assignments == [(6, 3)]
     assert plan.discarded == 1
-    assert plan.filled_count == 4
-    assert plan.storage_out == ()
-    assert verify_monotone_assignment(plan.new_assignments)
-    assert plan.conservation_ok()
+    assert plan.lack_count == 0
+    assert plan.storage_level == 0
+    assert verify_monotone_assignment(plan.assignments)
 
 
 def test_unreachable_slot_keeps_survivors_alive() -> None:
     # rows 9 and 10 cannot reach slot 0; the lack there must not consume them
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {9: 1, 10: 1}), (), 6)
-    assert plan.new_assignments == ((9, 1), (10, 3))
-    assert plan.slots == (0, 1, 0, 1, 0, 0)
+    clicks, counts = _report(11, {9: 1, 10: 1})
+    plan = plan_cycle(topo, clicks, 0, 6)
+    assert plan.assignments == [(9, 1), (10, 3)]
+    assert place_photons((), counts, plan, 6)[0] == (0, 1, 0, 1, 0, 0)
     assert plan.lack_count == 4
     assert plan.discarded == 0
-    assert verify_monotone_assignment(plan.new_assignments)
+    assert verify_monotone_assignment(plan.assignments)
 
 
 def test_storage_stops_at_first_unreachable_position() -> None:
     # row 11 only reaches delay 7, but with a 6-train the next storage
     # position is 6; storing at 7 would leave a hole, so row 11 is dropped
     topo = RegisterTopology(source_count=11, step_count=3)
-    plan = plan_cycle(topo, *_report(11, {10: 1, 11: 1}), (), 6)
-    assert plan.new_assignments == ((10, 3),)
-    assert plan.storage_out == ()
+    plan = plan_cycle(topo, _report(11, {10: 1, 11: 1})[0], 0, 6)
+    assert plan.assignments == [(10, 3)]
+    assert plan.storage_level == 0
     assert plan.discarded == 1
-    assert plan.conservation_ok()
+    assert plan.lack_count == 5
 
 
 def test_unconstrained_fill_matches_counting_formula() -> None:
@@ -243,14 +255,15 @@ def test_unconstrained_fill_matches_counting_formula() -> None:
         m = int(rng.integers(1, 9))
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
-        clicks, counts = _random_report(rng, 9, float(rng.uniform(0.05, 0.6)))
-        plan = plan_cycle(topo, clicks, counts, (1,) * level, m, boundary_limits=False)
+        clicks, _ = _random_report(rng, 9, float(rng.uniform(0.05, 0.6)))
+        plan = plan_cycle(topo, clicks, level, m, boundary_limits=False)
         available = level + int(np.count_nonzero(clicks))
-        assert plan.filled_count == min(m, available)
-        assert len(plan.storage_out) == min(capacity, available - min(m, available))
-        assert plan.discarded == available - plan.filled_count - len(plan.storage_out)
-        assert plan.conservation_ok()
-        assert verify_monotone_assignment(plan.new_assignments)
+        filled = min(m, available)
+        assert plan.lack_count == m - filled
+        assert plan.storage_level == min(capacity, available - filled)
+        assert plan.discarded == available - filled - plan.storage_level
+        assert plan == _level_plan(plan.assignments, plan.herald_count, level, m)
+        assert verify_monotone_assignment(plan.assignments)
 
 
 def test_interval_router_matches_literal_greedy() -> None:
@@ -261,17 +274,20 @@ def test_interval_router_matches_literal_greedy() -> None:
         step_count = int(rng.integers(1, 6))
         topo = RegisterTopology(int(rng.integers(1, 3 * step_count + 8)), step_count)
         m = int(rng.integers(1, 2**step_count + 1))
-        capacity = storage_capacity(step_count, m)
-        stored = tuple(rng.integers(1, 4, int(rng.integers(0, capacity + 1))).tolist())
-        report = _random_report(rng, topo.source_count, float(rng.uniform(0.05, 0.9)))
+        level = int(rng.integers(0, storage_capacity(step_count, m) + 1))
+        clicks, _ = _random_report(rng, topo.source_count, float(rng.uniform(0.05, 0.9)))
         for limits in (True, False):
-            plan = plan_cycle(topo, *report, stored, m, boundary_limits=limits)
-            assert plan == plan_cycle_literal(topo, *report, stored, m, boundary_limits=limits)
+            plan = plan_cycle(topo, clicks, level, m, boundary_limits=limits)
+            assert plan == plan_cycle_literal(topo, clicks, level, m, boundary_limits=limits)
 
 
 def test_planner_is_blind_to_multiplicities() -> None:
-    # same herald pattern and storage level, different pair counts in the
-    # bank and in storage: identical routing, multiplicities looked up
+    # the planner takes the clicks and the storage level, never a pair
+    # count; multiplicities only decide what the slots and storage carry,
+    # stored photons first and fresh ones in delay order
+    assert list(inspect.signature(plan_cycle).parameters) == [
+        "topology", "clicks", "level", "multiple", "boundary_limits"
+    ]
     rng = np.random.default_rng(7)
     stored_rng = np.random.default_rng(8)
     topo = RegisterTopology(source_count=11, step_count=3)
@@ -282,17 +298,15 @@ def test_planner_is_blind_to_multiplicities() -> None:
         level = int(rng.integers(0, 5))
         stored = tuple(int(v) for v in stored_rng.integers(1, 5, level))
         for planner in (plan_cycle, plan_cycle_optimal):
-            plan_a = planner(topo, herald(ones), ones, (1,) * level, 4)
-            plan_b = planner(topo, herald(varied), varied, stored, 4)
-            assert plan_a.new_assignments == plan_b.new_assignments
-            assert plan_a.discarded == plan_b.discarded
-            assert len(plan_a.storage_out) == len(plan_b.storage_out)
-            source_at = {d: s for s, d in plan_b.new_assignments}
+            plan = planner(topo, herald(varied), level, 4)
+            assert plan == planner(topo, herald(ones), level, 4)
+            slots, storage = place_photons(stored, varied, plan, 4)
+            source_at = {d: s for s, d in plan.assignments}
             fresh = [
                 int(varied[source_at[d] - 1]) if d in source_at else 0 for d in range(level, 8)
             ]
-            assert plan_b.slots == stored + tuple(fresh[: 4 - level])
-            assert plan_b.storage_out == tuple(fresh[4 - level :][: len(plan_b.storage_out)])
+            assert slots == stored + tuple(fresh[: 4 - level])
+            assert storage == tuple(fresh[4 - level :][: plan.storage_level])
 
 
 def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
@@ -304,63 +318,62 @@ def test_greedy_never_beats_optimal_and_gap_is_at_most_one() -> None:
         topo = RegisterTopology(source_count=source_count, step_count=3)
         capacity = storage_capacity(3, m)
         level = int(rng.integers(0, capacity + 1))
-        state = (1,) * level
-        clicks, counts = _random_report(rng, source_count, float(rng.uniform(0.1, 0.8)))
-        greedy = plan_cycle(topo, clicks, counts, state, m)
-        best = plan_cycle_optimal(topo, clicks, counts, state, m)
-        assert greedy.filled_count <= best.filled_count
-        if best.filled_count - greedy.filled_count > 1:
-            wide_gaps.append(
-                (trial, source_count, m, level, counts.tolist())
-            )
+        clicks, _ = _random_report(rng, source_count, float(rng.uniform(0.1, 0.8)))
+        greedy = plan_cycle(topo, clicks, level, m)
+        best = plan_cycle_optimal(topo, clicks, level, m)
+        assert best.lack_count <= greedy.lack_count
+        if greedy.lack_count - best.lack_count > 1:
+            wide_gaps.append((trial, source_count, m, level, clicks.tolist()))
     assert not wide_gaps, f"greedy trailed optimal by more than one slot: {wide_gaps}"
 
 
 def test_optimal_planner_conserves_and_refuses_large_banks() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
-    report = _report(11, {2: 1, 6: 2, 9: 1})
-    plan = plan_cycle_optimal(topo, *report, (1,), 4)
-    assert plan.conservation_ok()
-    assert plan.filled_count >= 3
+    plan = plan_cycle_optimal(topo, _report(11, {2: 1, 6: 2, 9: 1})[0], 1, 4)
+    filled = 4 - plan.lack_count
+    assert plan.herald_count + 1 == filled + plan.storage_level + plan.discarded
+    assert filled >= 3
 
     big = RegisterTopology(source_count=21, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(big, *_report(21, {}), (), 4)
+        plan_cycle_optimal(big, _report(21, {})[0], 0, 4)
     wide = RegisterTopology(source_count=12, step_count=4)
     with pytest.raises(ParameterError):
-        plan_cycle_optimal(wide, *_report(12, {}), (), 9)
+        plan_cycle_optimal(wide, _report(12, {})[0], 0, 9)
 
 
 def test_optimal_recovers_fill_greedy_forfeits() -> None:
     # the drop of row 2 in the monotone policy is a real cost: the
     # unrestricted matcher parks it behind the train instead
     topo = RegisterTopology(source_count=11, step_count=3)
-    report = _report(11, {2: 1, 6: 1})
-    greedy = plan_cycle(topo, *report, (1, 1, 1), 4)
-    best = plan_cycle_optimal(topo, *report, (1, 1, 1), 4)
-    assert greedy.filled_count == best.filled_count == 4
-    assert best.storage_out == (1,)
-    assert greedy.storage_out == ()
+    clicks, counts = _report(11, {2: 1, 6: 1})
+    greedy = plan_cycle(topo, clicks, 3, 4)
+    best = plan_cycle_optimal(topo, clicks, 3, 4)
+    assert greedy.lack_count == best.lack_count == 0
+    assert best.storage_level == 1
+    assert greedy.storage_level == 0
+    assert place_photons((1, 1, 1), counts, best, 4)[1] == (1,)
 
 
 def test_plan_cycle_validates_inputs() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, *_report(10, {}), (), 4)
+        plan_cycle(topo, _report(10, {})[0], 0, 4)
     with pytest.raises(ParameterError):
         # 7 stored photons fit behind a 1-train (capacity 7), not a 2-train
-        plan_cycle(topo, *_report(11, {}), (1,) * 7, 2)
+        plan_cycle(topo, _report(11, {})[0], 7, 2)
     with pytest.raises(ParameterError):
-        plan_cycle(topo, *_report(11, {}), (), 9)
-    clicks, counts = _report(11, {2: 1})
-    for bad in ((list(clicks), counts), (clicks, list(counts)), (list(clicks), list(counts))):
+        plan_cycle(topo, _report(11, {})[0], 0, 9)
+    clicks = _report(11, {2: 1})[0]
+    for bad in (list(clicks), clicks.tolist(), clicks[None, :]):
         with pytest.raises(ParameterError):
-            plan_cycle(topo, *bad, (), 4)
+            plan_cycle(topo, bad, 0, 4)
 
 
 def test_slot_delays_are_consecutive_from_zero() -> None:
     topo = RegisterTopology(source_count=11, step_count=3)
     # slot j leaves at delay j: the stored photon takes 0, row 5 the next one
-    plan = plan_cycle(topo, *_report(11, {5: 1}), (2,), 4)
-    assert plan.slots == (2, 1, 0, 0)
-    assert plan.new_assignments == ((5, 1),)
+    clicks, counts = _report(11, {5: 1})
+    plan = plan_cycle(topo, clicks, 1, 4)
+    assert plan.assignments == [(5, 1)]
+    assert place_photons((2,), counts, plan, 4) == ((2, 1, 0, 0), ())

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cycle_reference import reference_cycles, reference_metrics
 from spdcmux import (
     BoundaryMode,
+    ConservationError,
     FeedbackMode,
     ParameterError,
     SimConfig,
@@ -16,6 +18,7 @@ from spdcmux import (
     herald_probabilities,
     run_cycle,
     run_simulation,
+    simulator,
 )
 
 # p_multi / p_herald at mean 0.1, frozen from 40-digit arithmetic
@@ -176,27 +179,82 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
     banks.append(replace(base, multiple=8, feedback="boost"))
     for config in banks:
         rng = np.random.default_rng(config.seed)
-        storage = ()
-        lack = multi = filled = discarded = heralds = 0
-        level_sum = 0
+        level = 0
+        lack = discarded = heralds = level_sum = 0
         for _ in range(config.cycles):
-            plan = run_cycle(config, storage, rng)
+            plan = run_cycle(config, level, rng)
             lack += plan.lack_count
-            multi += plan.multi_count
-            filled += plan.filled_count
             discarded += plan.discarded
             heralds += plan.herald_count
-            storage = plan.storage_out
-            level_sum += len(storage)
+            level = plan.storage_level
+            level_sum += level
 
         metrics = run_simulation(config)
         assert metrics.lack_count == lack, config
-        assert metrics.multi_count == multi, config
-        assert metrics.filled_count == filled, config
+        assert metrics.filled_count == config.multiple * config.cycles - lack, config
         assert metrics.discarded_count == discarded, config
         assert metrics.herald_count == heralds, config
-        assert metrics.final_storage_level == len(storage), config
+        assert metrics.final_storage_level == level, config
         assert metrics.mean_storage_level == pytest.approx(level_sum / config.cycles), config
+        # the multi-pair slots need the pair counts, which only the reference keeps
+        assert metrics.multi_count == reference_metrics(config).multi_count, config
+
+
+def _random_banks(rng: np.random.Generator, count: int) -> list[SimConfig]:
+    banks = []
+    for _ in range(count):
+        step_count = int(rng.integers(1, 7))
+        span = 2**step_count
+        banks.append(SimConfig(
+            source_count=int(rng.integers(1, 41)),
+            # a full-span train, capacity 0, one time in eight
+            multiple=span if rng.random() < 0.125 else int(rng.integers(1, span + 1)),
+            mean_pairs=float(rng.choice([rng.uniform(0.005, 0.3), rng.uniform(0.3, 2.0)])),
+            step_count=step_count,
+            cycles=0 if rng.random() < 0.05 else int(rng.integers(1, 801)),
+            seed=int(rng.integers(0, 2**31)),
+            feedback=list(FeedbackMode)[rng.integers(3)],
+            feedback_strength=float(rng.uniform(0.0, 3.0)),
+            boundary=list(BoundaryMode)[rng.integers(2)],
+        ))
+    return banks
+
+
+def test_run_simulation_matches_the_reference_loop_on_random_banks() -> None:
+    # the FIFO tally against the slot and storage contents kept photon by
+    # photon, on the same uniforms
+    banks = _random_banks(np.random.default_rng(1616), 240)
+    for feedback in FeedbackMode:
+        for boundary in BoundaryMode:
+            assert any(b.feedback is feedback and b.boundary is boundary for b in banks)
+    assert any(b.capacity == 0 for b in banks) and any(b.cycles == 0 for b in banks)
+    stored_multis = 0
+    for config in banks:
+        assert run_simulation(config) == reference_metrics(config), config
+        storage = ()
+        for *_, storage in reference_cycles(config):
+            pass
+        stored_multis += any(count > 1 for count in storage)
+    # runs that end with multi-pair photons still stored
+    assert stored_multis >= 20
+
+
+def test_plan_that_reuses_or_overwrites_a_target_aborts_the_run(monkeypatch) -> None:
+    real_plan_cycle = simulator.plan_cycle
+    config = SimConfig(source_count=11, multiple=2, mean_pairs=0.3, cycles=200, seed=1)
+    for bad_delay in (lambda level: level, lambda level: level - 1):
+        def faulty_plan_cycle(topology, clicks, level, multiple, **kwargs):
+            plan = real_plan_cycle(topology, clicks, level, multiple, **kwargs)
+            if level == 0:
+                return plan
+            # one photon more, routed to the first open target or onto a stored photon
+            return plan._replace(assignments=[(1, bad_delay(level)), *plan.assignments])
+
+        monkeypatch.setattr(simulator, "plan_cycle", faulty_plan_cycle)
+        with pytest.raises(ConservationError, match="photon conservation violated at cycle"):
+            run_simulation(config)
+    monkeypatch.undo()
+    assert run_simulation(config) == reference_metrics(config)
 
 
 def test_run_totals_conserve_photons() -> None:
