@@ -204,7 +204,7 @@ def _oracle_row(config: SimConfig, param: float) -> SweepRow:
     """Exact-chain counterpart of a run: rates are stationary, counts are
     stationary expectations over the same number of cycles."""
     rates = stationary_rates(config)
-    filled = (1.0 - rates.lack_rate) * config.multiple * config.cycles
+    filled = rates.fill_rate * config.multiple * config.cycles
     discarded = max(0.0, rates.mean_heralds * config.cycles - filled)
     return SweepRow(
         param, rates.lack_rate, rates.multi_rate, rates.relative_multi_rate, filled,

@@ -66,8 +66,16 @@ def herald_probabilities(mean_pairs: float) -> HeraldProbabilities:
     """
     mean = check_mean_pairs(mean_pairs)
     p_herald = -math.expm1(-mean)
-    p_multi = p_herald - mean * math.exp(-mean)
-    return HeraldProbabilities(p_herald=p_herald, p_multi=p_multi)
+    if mean >= 0.5:
+        return HeraldProbabilities(p_herald, p_herald - mean * math.exp(-mean))
+    # p_herald - mean e**-mean cancels at a small pump: sum the Poisson tail
+    # e**-mean (mean**2/2! + mean**3/3! + ...) until a term adds nothing
+    term, tail, k = mean * mean / 2.0, 0.0, 2
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= mean / k
+    return HeraldProbabilities(p_herald, math.exp(-mean) * tail)
 
 
 def sample_cycle_emissions(

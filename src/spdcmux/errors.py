@@ -63,9 +63,3 @@ def check_mean_pairs(mean_pairs: float) -> float:
         raise ParameterError(f"mean pair number must be positive and finite, got {mean_pairs!r}")
     return mean
 
-
-def check_p_herald(p_herald: float) -> float:
-    p = as_real(p_herald)
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p_herald must lie strictly in (0, 1), got {p_herald!r}")
-    return p

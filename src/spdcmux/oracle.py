@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .emission import herald_probabilities
-from .errors import ConvergenceError, ParameterError, as_real, check_p_herald, check_source_count
+from .errors import ConvergenceError, ParameterError, as_real, check_mean_pairs, check_source_count
 from .scheduler import _route_greedy
 from .simulator import BoundaryMode, SimConfig
 
@@ -79,33 +79,39 @@ MAX_CONSTRAINED_STEP_COUNT = 5
 
 
 class OracleRates(NamedTuple):
-    """Steady-state error rates, storage occupancy and herald flow."""
+    """Steady-state error rates, storage occupancy, herald flow and filled slots."""
 
     lack_rate: float
     multi_rate: float
     relative_multi_rate: float
     mean_storage: float
     mean_heralds: float
+    fill_rate: float
 
 
-def herald_count_distribution(source_count: int, p_herald: float) -> np.ndarray:
-    """Exact binomial pmf of the number of heralds in one cycle.
+def herald_count_distribution(source_count: int, mean_pairs: float) -> np.ndarray:
+    """Exact binomial pmf of the number of heralds in one cycle at pump ``mean_pairs``.
 
-    Computed in log space, so large banks neither overflow the binomial
-    coefficient nor lose the tail to subnormal powers of ``p_herald``.
-    The rounding of the log terms leaves the sum ~1e-12 off one at S in
-    the thousands, so the pmf is divided by its sum.
+    Computed in log space from the pump, so any finite pump keeps its dark
+    terms and large banks neither overflow the binomial coefficient nor lose
+    the tail to subnormal powers.  The rounding of the log terms leaves the
+    sum ~1e-12 off one at S in the thousands, so the pmf is divided by its sum.
     """
     s = check_source_count(source_count)
-    p = check_p_herald(p_herald)
+    mean = check_mean_pairs(mean_pairs)
     log_factorial = _log_factorials(s)
-    h = np.arange(s + 1)
-    log_pmf = (
-        log_factorial[s] - log_factorial - log_factorial[::-1]
-        + h * math.log(p) + (s - h) * math.log1p(-p)
-    )
-    pmf = np.exp(log_pmf)
+    log_binomial = log_factorial[s] - log_factorial - log_factorial[::-1]
+    pmf = np.exp(log_binomial + _log_click_weights(s, mean))
     return pmf / pmf.sum()
+
+
+def _log_click_weights(rows: int, mean: float) -> np.ndarray:
+    """log(p**n e**(-mean (rows - n))) for n = 0 .. rows, with p = 1 - e**-mean:
+    a source stays dark with probability exactly e**-mean, no rounded 1 - p.
+    Past a pump of ~1e305 the dark terms overflow to -inf, the log of zero."""
+    n = np.arange(rows + 1)
+    with np.errstate(over="ignore"):
+        return n * math.log(-math.expm1(-mean)) - (rows - n) * mean
 
 
 @lru_cache(maxsize=8)
@@ -191,10 +197,9 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
     return walks
 
 
-def _weigh(table: np.ndarray, p: float) -> np.ndarray:
-    """Sum a walk table over its click counts n, a pattern weighing p**n (1-p)**(rows-n)."""
-    n = np.arange(table.shape[1])
-    weight = np.exp(n * math.log(p) + (n[-1] - n) * math.log1p(-p))
+def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
+    """Sum a walk table over its click counts, each pattern weighed at pump ``mean``."""
+    weight = np.exp(_log_click_weights(table.shape[1] - 1, mean))
     return np.einsum("n,xnj->xj", weight, table)
 
 
@@ -231,14 +236,14 @@ def _chain_tables(
         # runs of levels under one pump: a monotone feedback repeats no pump
         cuts = [level for level in range(1, size) if pumps[level] != pumps[level - 1]]
         for first, last in zip([0, *cuts], [*cuts, size]):
-            probs = herald_probabilities(pumps[first])
-            p = check_p_herald(probs.p_herald)
-            p_herald[first:last] = p
-            relative[first:last] = probs.p_multi / p
+            pump = pumps[first]
+            probs = herald_probabilities(pump)  # also rejects an infinite fed-back pump
+            p_herald[first:last] = probs.p_herald
+            relative[first:last] = probs.p_multi / probs.p_herald
             rows = walks.interior_rows
-            interior = herald_count_distribution(rows, p) if rows else np.ones(1)
-            stored = _weigh(walks.bottom, p)[:, :size]  # [stop, j]
-            bottom_sums = _weigh(walks.bottom_sums, p)
+            interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
+            stored = _weigh(walks.bottom, pump)[:, :size]  # [stop, j]
+            bottom_sums = _weigh(walks.bottom_sums, pump)
             # at least one interior click: tail[n] = P(max(n, 1) or more) for
             # n <= span, and running sums of run[c] and c run[c] over c < n
             run[1:interior.size] = interior[1:span]
@@ -252,7 +257,7 @@ def _chain_tables(
                 cells = np.empty((high - low, size))
                 # the top rows hand over after i targets; stops[level, s] is the
                 # chance that the interior run then stops at delay s
-                top = _weigh(walks.top[low:high], p)
+                top = _weigh(walks.top[low:high], pump)
                 stops = np.empty((high - low, span + 1))
                 np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
                 left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
@@ -270,10 +275,10 @@ def _chain_tables(
                     top * (offsets * below[left] + weighted_below[left] + (span - level) * tail[left])
                 ).sum(axis=1)
                 # no interior click: the edge rows walk jointly from the level
-                joint = interior[0] * _weigh(walks.joint[low:high], p)
+                joint = interior[0] * _weigh(walks.joint[low:high], pump)
                 columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
                 np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
-                sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], p)
+                sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], pump)
                 yield cells
 
     return blocks(), sums[:, 0], sums[:, 1], p_herald, relative
@@ -409,8 +414,9 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     Returns
     -------
     OracleRates
-        Rates per emitted slot, the multi-pair fraction of filled slots,
-        the mean storage occupancy and the mean heralds per cycle.
+        Lack and multi-pair rates per emitted slot, the multi-pair
+        fraction of filled slots, the mean storage occupancy, the mean
+        heralds per cycle and the fraction of slots filled.
 
     Raises
     ------
@@ -419,15 +425,17 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     """
     blocks, lacks, kept, p_herald, relative = _chain_tables(config)
     pi = _solve_rows(blocks, config.capacity + 1, config.multiple)
-    lack_rate = float(pi @ lacks) / config.multiple
     multi_rate = float(pi @ (relative * kept)) / config.multiple
-    fill_rate = 1.0 - lack_rate
+    # every kept photon leaves in some slot, so kept photons count the filled
+    # slots in full precision, where 1 - lack cancels
+    fill_rate = float(pi @ kept) / config.multiple
     return OracleRates(
-        lack_rate=lack_rate,
+        lack_rate=float(pi @ lacks) / config.multiple,
         multi_rate=multi_rate,
         relative_multi_rate=multi_rate / fill_rate if fill_rate > 0.0 else math.nan,
         mean_storage=float(pi @ np.arange(pi.size)),
         mean_heralds=config.source_count * float(pi @ p_herald),
+        fill_rate=fill_rate,
     )
 
 
@@ -451,7 +459,7 @@ def _gap_bounds(config: SimConfig) -> tuple[float, float]:
     rows = config.source_count
     if config.boundary is BoundaryMode.CONSTRAINED:
         rows = max(rows - 2 * config.step_count, 0)
-    short = herald_count_distribution(rows, low.p_herald)[:m] if rows else np.ones(1)
+    short = herald_count_distribution(rows, min(config.pumps))[:m] if rows else np.ones(1)
     lack_ceiling = float(short @ (m - np.arange(short.size))) / m
     return (
         lack_floor - r_max * (1.0 - lack_floor),
@@ -459,10 +467,9 @@ def _gap_bounds(config: SimConfig) -> tuple[float, float]:
     )
 
 
-# the bracket stops doubling at 32 mean pairs, where p_herald = 1 - e**-32 is
-# still below 1.0 in floats; feedback multiplies the mean, so the search also
-# ends once the bank's highest pump rounds p_herald to exactly 1.0, where the
-# chain degenerates
+# the bracket stops doubling once the bank's highest pump would pass 32 mean
+# pairs: there a source stays dark in one cycle in e**32, so a bank that still
+# lacks more than it multi-pairs lacks for want of sources, not of pump
 _MAX_MEAN = 32.0
 
 
@@ -477,7 +484,8 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     minimises the larger of the two errors.  Solved by bisection on
     lack - multi, starting from the bracket (1e-6, 1] and doubling the
     upper end while both rates still sit on the same side (small banks
-    can push the crossing above one mean pair per cycle).
+    can push the crossing above one mean pair per cycle), until the
+    bank's highest pump, feedback included, would pass 32 mean pairs.
 
     Most steps sit far from the crossing, where two closed-form bounds
     already fix the sign of lack - multi.  With p_max, p_min the herald
@@ -500,9 +508,8 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     Raises
     ------
     ConvergenceError
-        If no sign change is found below the bracket cap or before the
-        bank's highest pump saturates the herald probability, or bisection
-        stalls without reaching ``tolerance``.
+        If no sign change is found before the bank's highest pump passes
+        32 mean pairs, or bisection stalls without reaching ``tolerance``.
     ParameterError
         For a bad ``tolerance``, or a constrained bank deeper than
         ``MAX_CONSTRAINED_STEP_COUNT``.
@@ -512,15 +519,10 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
     _check_depth(bank.step_count, bank.boundary is BoundaryMode.CONSTRAINED)
     decisive = limit + max(limit, 1e-9)
+    gain = max(bank.pumps) / bank.mean_pairs
 
     def gap(mean: float) -> float:
         config = replace(bank, mean_pairs=mean)
-        pump = max(config.pumps)
-        if herald_probabilities(pump).p_herald == 1.0:
-            raise ConvergenceError(
-                f"no lack/multi crossing below mean pair number {mean}, where the "
-                f"bank's highest pump {pump} saturates the herald probability"
-            )
         # a bound this far past the tolerance takes the step the exact gap would
         lower, upper = _gap_bounds(config)
         if lower >= decisive:
@@ -538,9 +540,9 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
         )
     while gap(high) > 0.0:
         high *= 2.0
-        if high > _MAX_MEAN:
+        if high * gain > _MAX_MEAN:
             raise ConvergenceError(
-                f"no lack/multi crossing below mean pair number {_MAX_MEAN}"
+                f"no lack/multi crossing below mean pair number {_MAX_MEAN / gain}"
             )
 
     for _ in range(200):

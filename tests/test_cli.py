@@ -299,10 +299,25 @@ def test_oracle_row_bookkeeping_follows_the_chain(capsys: pytest.CaptureFixture)
     config = SimConfig(source_count=20, multiple=4, mean_pairs=0.15, cycles=1000,
                        feedback="turbo_boost", boundary="unconstrained")
     rates = stationary_rates(config)
-    filled = (1.0 - rates.lack_rate) * 4 * 1000
-    assert row[3] == pytest.approx(rates.multi_rate / (1.0 - rates.lack_rate), rel=1e-5)
+    filled = rates.fill_rate * 4 * 1000
+    assert filled == pytest.approx((1.0 - rates.lack_rate) * 4 * 1000, rel=1e-12)
+    assert row[3] == pytest.approx(rates.multi_rate / rates.fill_rate, rel=1e-5)
     assert row[4] == pytest.approx(filled, rel=1e-5)
     assert row[5] == pytest.approx(rates.mean_heralds * 1000 - filled, rel=1e-5)
+    # filled slots come from the kept photons, not from 1 - lack: a bank whose
+    # rows reach no delay fills none and has no relative multi rate, as its
+    # Monte Carlo row says, and a faint pump keeps every digit of its fill
+    for argv, fields in (
+        (["oracle", "--sources", "3", "--steps", "3", "--multiple", "2",
+          "--mean-pairs", "0.3", "--boundary", "constrained"], {3: "nan", 4: "0"}),
+        (["sweep", "--param", "size", "--values", "2", "--mean-pairs", "0.1",
+          "--multiple", "1", "--cycles", "10", "--engine", "both"], {3: "nan", 4: "0"}),
+        (["oracle", "--sources", "100", "--multiple", "4", "--mean-pairs", "1e-15"],
+         {3: "5e-16", 4: "1e-08"}),
+    ):
+        assert run_command(argv) == 0, argv
+        for row in _rows(capsys.readouterr().out):
+            assert {index: row[index] for index in fields} == fields, argv
 
 
 def test_constrained_oracle_depth_limit_exits_one(capsys: pytest.CaptureFixture) -> None:
@@ -345,6 +360,18 @@ def test_sweep_values_with_both_engines(capsys: pytest.CaptureFixture) -> None:
     # every grid point runs on its own derived stream
     assert int(rows[0][8]) == derive_point_seed(5, 0)
     assert int(rows[2][8]) == derive_point_seed(5, 1)
+    # at 40 mean pairs p_herald rounds to one, yet the exact chain still
+    # weighs each dark source by e**-40
+    code = run_command(
+        ["sweep", "--param", "power", "--values", "0.05,40", "--sources", "11",
+         "--multiple", "4", "--cycles", "300", "--engine", "both"]
+    )
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r[7] for r in rows] == ["monte_carlo", "oracle", "monte_carlo", "oracle"]
+    exact = stationary_rates(SimConfig(source_count=11, multiple=4, mean_pairs=40.0))
+    assert 0.0 < exact.lack_rate < 1e-250
+    assert rows[3][1] == format(exact.lack_rate, ".6g")
 
 
 def test_sweep_range_grid_is_inclusive(capsys: pytest.CaptureFixture) -> None:
@@ -475,15 +502,22 @@ def test_domain_errors_exit_one(capsys: pytest.CaptureFixture, tmp_path) -> None
     assert run_command(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert run_command(["optimize", "--sources", "1", "--multiple", "2", "--steps", "1"]) == 1
     capsys.readouterr()
-    # boost triples the pump: at a mean of 16 the herald probability rounds to 1
+    # boost triples the pump, so the bracket stops at a third of 32
     assert run_command(
         ["optimize", "--sources", "4", "--multiple", "8", "--steps", "4",
          "--feedback", "boost", "--feedback-strength", "2"]
     ) == 1
     assert capsys.readouterr().err == (
-        "error: no lack/multi crossing below mean pair number 16.0, where the "
-        "bank's highest pump 48.0 saturates the herald probability\n"
+        "error: no lack/multi crossing below mean pair number 10.666666666666666\n"
     )
+    # a finite pump whose fed-back pump overflows to infinity
+    assert run_command(
+        ["oracle", "--sources", "5", "--multiple", "4", "--boundary", "constrained",
+         "--mean-pairs", "1e200", "--feedback", "boost", "--feedback-strength", "1e200"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
     missing_key = tmp_path / "partial.cfg"
     missing_key.write_text("sources=5\n")
     assert run_command(["simulate", "--config", str(missing_key)]) == 1

@@ -23,6 +23,13 @@ P_HERALD_0049 = 0.047818870301495147
 P_MULTI_0049 = 0.0011619949462684088
 P_HERALD_01 = 0.095162581964040427
 P_MULTI_01 = 0.0046788401604444695
+# p_multi at pumps where p_herald - mean e**-mean cancels, from 60-digit sums
+P_MULTI_AT_SMALL_PUMPS = {
+    1e-8: 4.9999999666666668e-17,
+    1e-12: 4.9999999999966667e-25,
+    1e-15: 4.9999999999999967e-31,
+    1e-18: 5.0e-37,
+}
 
 
 def test_pair_pmf_reference_values() -> None:
@@ -53,6 +60,8 @@ def test_herald_probabilities_reference_values() -> None:
     probs = herald_probabilities(0.1)
     assert probs.p_herald == pytest.approx(P_HERALD_01, rel=1e-14)
     assert probs.p_multi == pytest.approx(P_MULTI_01, rel=1e-14)
+    for mean, p_multi in P_MULTI_AT_SMALL_PUMPS.items():
+        assert herald_probabilities(mean).p_multi == pytest.approx(p_multi, rel=1e-14), mean
 
 
 def test_herald_probabilities_rejects_bad_pumps() -> None:

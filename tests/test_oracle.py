@@ -1,11 +1,13 @@
 """Exact chain solution: transition structure, stationary rates, optimizer."""
 
+import decimal
 import gc
 import itertools
 import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +59,7 @@ def _spec(source_count: int, multiple: int, step_count: int, mean: float) -> Sim
 def test_herald_count_distribution_matches_scipy() -> None:
     for source_count, mean in [(6, 0.2), (50, 0.05), (100, 0.049)]:
         p = herald_probabilities(mean).p_herald
-        pmf = herald_count_distribution(source_count, p)
+        pmf = herald_count_distribution(source_count, mean)
         reference = stats.binom.pmf(np.arange(source_count + 1), source_count, p)
         assert pmf == pytest.approx(reference, rel=1e-10, abs=1e-300)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -66,7 +68,7 @@ def test_herald_count_distribution_matches_scipy() -> None:
 def test_herald_count_distribution_large_bank() -> None:
     # math.comb(2000, h) times a float overflows, and p**h goes subnormal
     # in the far tail of a 500-source bank; neither may reach the pmf
-    pmf = herald_count_distribution(2000, herald_probabilities(0.0025).p_herald)
+    pmf = herald_count_distribution(2000, 0.0025)
     assert np.all(np.isfinite(pmf))
     assert abs(pmf.sum() - 1.0) <= 4 * np.finfo(float).eps
     rates = stationary_rates(_spec(2000, 4, 3, 0.0025))
@@ -74,15 +76,16 @@ def test_herald_count_distribution_large_bank() -> None:
 
     p = herald_probabilities(0.03).p_herald
     exact = math.comb(500, 211) * Fraction(p) ** 211 * (1 - Fraction(p)) ** 289
-    assert herald_count_distribution(500, p)[211] == pytest.approx(
+    assert herald_count_distribution(500, 0.03)[211] == pytest.approx(
         float(exact), rel=1e-10, abs=0.0
     )
 
 
 def test_herald_count_distribution_validation() -> None:
-    for source_count, p_herald in ((0, 0.5), ("3", 0.5), (5, 0.0), (5, 1.0), (5, "0.5")):
+    bad = ((0, 0.5), ("3", 0.5), (5, 0.0), (5, -1.0), (5, math.inf), (5, "0.5"))
+    for source_count, mean in bad:
         with pytest.raises(ParameterError):
-            herald_count_distribution(source_count, p_herald)
+            herald_count_distribution(source_count, mean)
 
 
 def transition_matrix(config: SimConfig) -> np.ndarray:
@@ -211,7 +214,7 @@ def _herald_count_outcomes(config: SimConfig, level: int):
     """(weight, next level, lacks, kept) per herald count of an unconstrained
     bank, with weights taken exactly from the float pmf."""
     m, capacity = config.multiple, config.capacity
-    pmf = herald_count_distribution(config.source_count, _level_pump(config, level).p_herald)
+    pmf = herald_count_distribution(config.source_count, apply_feedback(config, level))
     for heralds, weight in enumerate(pmf):
         filled = min(m, level + heralds)
         kept = min(heralds, m + capacity - level)
@@ -306,6 +309,7 @@ def test_kept_photon_multi_rate_identity() -> None:
             relative = probs.p_multi / probs.p_herald
             rates = stationary_rates(config)
             assert abs(rates.multi_rate - relative * (1.0 - rates.lack_rate)) <= 1e-15
+            assert abs(rates.fill_rate - (1.0 - rates.lack_rate)) <= 1e-15
             assert rates.relative_multi_rate == pytest.approx(relative, rel=1e-12)
             assert rates.mean_heralds == pytest.approx(
                 config.source_count * probs.p_herald, rel=1e-12
@@ -427,9 +431,9 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
     pumps: list[float] = []
     real = oracle.herald_count_distribution
 
-    def recording(source_count: int, p_herald: float) -> np.ndarray:
-        pumps.append(p_herald)
-        return real(source_count, p_herald)
+    def recording(source_count: int, mean: float) -> np.ndarray:
+        pumps.append(mean)
+        return real(source_count, mean)
 
     monkeypatch.setattr(oracle, "herald_count_distribution", recording)
     oracle._walks.cache_clear()
@@ -437,17 +441,14 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
     for mean in (0.03, 0.049, 0.06):
         stationary_rates(replace(config, mean_pairs=mean))
     assert oracle._walks.cache_info().misses == 1
-    assert pumps == [herald_probabilities(mean).p_herald for mean in (0.03, 0.049, 0.06)]
+    assert pumps == [0.03, 0.049, 0.06]
     assert oracle._walks(100, 3, 4, False).joint.shape[1] == 1
 
     for mode, distinct in (("boost", 2), ("turbo_boost", config.capacity + 1)):
         pumps.clear()
         feedback = replace(config, feedback=mode)
         stationary_rates(feedback)
-        expected = {
-            herald_probabilities(apply_feedback(feedback, level)).p_herald
-            for level in range(config.capacity + 1)
-        }
+        expected = {apply_feedback(feedback, level) for level in range(config.capacity + 1)}
         assert len(pumps) == len(expected) == distinct
         assert set(pumps) == expected
 
@@ -546,6 +547,25 @@ def test_rates_with_no_storage_reduce_to_binomial_expectation() -> None:
     assert rates.mean_storage == 0.0
 
 
+def test_lack_rate_at_large_pumps_matches_decimal_sum() -> None:
+    # 40 sources filling a 32-photon train with no storage: the lack rate is
+    # the binomial shortfall E[max(32 - H, 0)] / 32, made of dark terms
+    # e**-mean that 1 - p_herald keeps only to a few digits and, past a mean
+    # of 37.4, not at all; summed here in 60-digit decimals
+    spec = _spec(40, 32, 5, 1.0)
+    assert spec.capacity == 0
+    for mean in (12.0, 20.0, 30.0, 36.0, 40.0, 60.0):
+        with decimal.localcontext() as context:
+            context.prec = 60
+            dark = (-Decimal(mean)).exp()
+            shortfall = sum(
+                math.comb(40, h) * (1 - dark) ** h * dark ** (40 - h) * (32 - h)
+                for h in range(32)
+            )
+        rates = stationary_rates(replace(spec, mean_pairs=mean))
+        assert rates.lack_rate == pytest.approx(float(shortfall / 32), rel=1e-12, abs=0.0), mean
+
+
 def test_single_source_never_stores() -> None:
     # one source cannot outrun a single-photon train, so storage stays
     # empty and the lack rate is just the no-click probability
@@ -599,16 +619,14 @@ def test_more_storage_means_fewer_lacks() -> None:
 
 def test_chain_spec_validation() -> None:
     # the chain reads a SimConfig, so these are the bad chains it can still
-    # be asked for: no sources, a train longer than the register, a register
-    # past the depth limit, and a pump whose click probability rounds to one
+    # be asked for: no sources, a train longer than the register and a
+    # register past the depth limit
     with pytest.raises(ParameterError):
         stationary_rates(_spec(0, 1, 1, 0.1))
     with pytest.raises(ParameterError):
         stationary_rates(_spec(5, 3, 1, 0.1))
     with pytest.raises(ParameterError):
         stationary_rates(_spec(5, 1, 13, 0.1))
-    with pytest.raises(ParameterError):
-        stationary_rates(_spec(5, 1, 1, 40.0))
 
 
 def test_chain_pump_wiring() -> None:
@@ -645,11 +663,10 @@ def test_optimized_power_failure_modes() -> None:
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
         optimized_power(_spec(1, 2, 1, 1.0))
-    # a fed-back pump saturates the herald probability (1 - e**-48 rounds to
-    # 1.0) before the bracket reaches its cap
+    # feedback triples the highest pump, so the bracket stops three times lower
     for feedback in ("boost", "turbo_boost"):
         bank = replace(_spec(4, 8, 4, 1.0), feedback=feedback, feedback_strength=2.0)
-        with pytest.raises(ConvergenceError, match="highest pump 48.0 saturates"):
+        with pytest.raises(ConvergenceError, match="below mean pair number 10.666666666666666$"):
             optimized_power(bank)
     # too deep a constrained chain is refused before any bound is asked
     with pytest.raises(ParameterError, match="at most 5 register steps, got 6"):
@@ -676,13 +693,12 @@ def test_optimized_power_balances_the_bank_as_given() -> None:
 
 def _reference_optimized_power(bank: SimConfig, tolerance: float = 1e-6) -> float:
     """The bisection solving the chain at every step, as optimized_power did
-    before it consulted the load bounds, stopping where a pump saturates."""
+    before it consulted the load bounds, stopping once the highest pump
+    would pass 32."""
+    gain = max(bank.pumps) / bank.mean_pairs
 
     def gap(mean: float) -> float:
-        config = replace(bank, mean_pairs=mean)
-        if herald_probabilities(max(config.pumps)).p_herald == 1.0:
-            raise ConvergenceError("the highest pump saturates the herald probability")
-        rates = oracle.stationary_rates(config)
+        rates = oracle.stationary_rates(replace(bank, mean_pairs=mean))
         return rates.lack_rate - rates.multi_rate
 
     low, high = 1e-6, 1.0
@@ -690,7 +706,7 @@ def _reference_optimized_power(bank: SimConfig, tolerance: float = 1e-6) -> floa
         raise ConvergenceError("no crossing at vanishing pump")
     while gap(high) > 0.0:
         high *= 2.0
-        if high > 32.0:
+        if high * gain > 32.0:
             raise ConvergenceError("no crossing below the cap")
     for _ in range(200):
         mid = 0.5 * (low + high)
