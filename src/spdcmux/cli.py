@@ -205,10 +205,9 @@ def _oracle_row(config: SimConfig, param: float) -> SweepRow:
     stationary expectations over the same number of cycles."""
     rates = stationary_rates(config)
     filled = rates.fill_rate * config.multiple * config.cycles
-    discarded = max(0.0, rates.mean_heralds * config.cycles - filled)
     return SweepRow(
         param, rates.lack_rate, rates.multi_rate, rates.relative_multi_rate, filled,
-        discarded, rates.mean_storage, "oracle", config.seed, config.cycles,
+        rates.mean_discards * config.cycles, rates.mean_storage, "oracle", config.seed, config.cycles,
     )
 
 
@@ -432,7 +431,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (
         ParameterError, ConvergenceError, ConservationError, OverflowError, MemoryError, OSError
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -20,16 +20,22 @@ tabulated once per bank and reweighted per pump:
 * otherwise the greedy walk splits.  The clicked top rows fill targets
   l .. l+i-1 with no gap before the first interior row takes one (so
   i <= K), and the c interior clicks run on to stop at delay
-  s = min(l + i + c, 2**K).  A table counts top patterns per (level,
-  top clicks, i);
+  s = min(l + i + c, 2**K).  The top rows walk past a train of no slots,
+  so they stop at the first target none of them reaches, where the first
+  interior row takes over.  A table counts top patterns per (level, top
+  clicks, i);
 * from s on the bottom rows walk alone and the level drops out: they
   fill some slots and j storage positions, so the next level is
   max(s - m, 0) + j.  A table counts bottom patterns per (s, bottom
-  clicks, j) and sums their lacks and kept photons.
+  clicks, j).
 
-Per pump, the run is the interior herald pmf shifted by l + i, read
-through a sliding window without a copy, weighted by the top table and
-folded through the bottom table into the matrix columns.
+Each walk also sums the lacks, kept photons and discards (clicks less
+kept photons) of its patterns.  Per pump, the run is the interior herald
+pmf shifted by l + i, read through a sliding window without a copy,
+weighted by the top table and folded through the bottom table into the
+matrix columns.  The run keeps E[min(c, left)] of the targets left and
+discards E[max(c - left, 0)], running sums of the pmf's tail, and the top
+rows it passes are discarded too.
 
 The rows are built in blocks of whole levels, in level order, and solved
 as they arrive.  A cycle drops at most m levels (the next level is at
@@ -39,7 +45,8 @@ only ones that can drop to it, are built, and back-substitution needs
 just its m folded entries and its exit rate.  So a solve holds the rows
 not yet eliminated and m + 1 numbers per level, never the dense
 (capacity + 1)**2 matrix.  The lowest level with no way up is the
-ceiling of the chain: the levels above it get exactly zero.
+ceiling of the chain: the levels above it get exactly zero, and no row
+past the block that holds it is built.
 
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
@@ -79,7 +86,9 @@ MAX_CONSTRAINED_STEP_COUNT = 5
 
 
 class OracleRates(NamedTuple):
-    """Steady-state error rates, storage occupancy, herald flow and filled slots."""
+    """Steady-state error rates, storage occupancy, herald flow, filled
+    slots and discards; ``mean_heralds`` = ``fill_rate`` * multiple +
+    ``mean_discards``."""
 
     lack_rate: float
     multi_rate: float
@@ -87,6 +96,7 @@ class OracleRates(NamedTuple):
     mean_storage: float
     mean_heralds: float
     fill_rate: float
+    mean_discards: float
 
 
 def herald_count_distribution(source_count: int, mean_pairs: float) -> np.ndarray:
@@ -117,7 +127,7 @@ def _log_click_weights(rows: int, mean: float) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _log_factorials(source_count: int) -> np.ndarray:
     """log(n!) for n = 0 .. source_count, shared by every pump of a bank."""
-    table = np.array([math.lgamma(n + 1) for n in range(source_count + 1)])
+    table = np.fromiter(map(math.lgamma, range(1, source_count + 2)), float, source_count + 1)
     table.flags.writeable = False
     return table
 
@@ -129,15 +139,17 @@ class _Walks(NamedTuple):
     ``joint[level, n, j]`` and ``bottom[stop, n, j]`` count the patterns
     of the edge rows walking from ``level`` and of the bottom rows walking
     from delay ``stop`` that fill j storage positions; ``joint_sums`` and
-    ``bottom_sums`` hold their summed lacks and kept photons.
+    ``bottom_sums`` hold their summed lacks, kept photons and discards.
     ``top[level, n, i]`` counts the top-row patterns that fill i targets
-    before the first interior row takes one.
+    before the first interior row takes one, and ``top_sums[level, n, 2]``
+    sums the clicked top rows they pass, n - i.
     """
 
     interior_rows: int
     joint: np.ndarray
     joint_sums: np.ndarray
     top: np.ndarray
+    top_sums: np.ndarray
     bottom: np.ndarray
     bottom_sums: np.ndarray
 
@@ -162,36 +174,30 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
     # the top rows are the K edge rows above the first interior row
     top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
 
-    def tally(rows: list[int], starts: int, then: tuple[int, ...] = ()) -> np.ndarray:
-        """Columns start, clicks, targets filled and storage positions filled
-        by every click pattern of ``rows``, ahead of rows ``then``, walking
-        greedily from each delay below ``starts``."""
+    def walk(rows: list[int], starts: int, slots: int = multiple) -> tuple[np.ndarray, np.ndarray]:
+        """Patterns per (start, clicks, positions stored) and their summed
+        lacks, kept photons and discards: every click pattern of ``rows``
+        walks greedily from each delay below ``starts`` past a train of
+        ``slots`` slots, and the targets it fills from ``slots`` on are stored."""
         patterns = [p for n in range(len(rows) + 1) for p in itertools.combinations(rows, n)]
         columns = []
         for start in range(starts):
             for pattern in patterns:
-                taken = _route_greedy(slack, [*pattern, *then], start, multiple, span)
-                delays = [delay for row, delay in taken if row not in then]
-                stored = sum(delay >= multiple for delay in delays)
-                columns.append((start, len(pattern), len(delays), stored))
-        return np.array(columns).T
-
-    def walk(rows: list[int], starts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Patterns per (start, clicks, positions stored), summed lacks and kept."""
-        start, clicks, kept, stored = tally(rows, starts)
+                taken = _route_greedy(slack, list(pattern), start, slots, span)
+                stored = sum(delay >= slots for _, delay in taken)
+                columns.append((start, len(pattern), len(taken), stored))
+        start, clicks, kept, stored = np.array(columns).T
         counts = np.zeros((starts, len(rows) + 1, len(rows) + 1), dtype=np.int64)
         np.add.at(counts, (start, clicks, stored), 1)
-        sums = np.zeros((starts, len(rows) + 1, 2), dtype=np.int64)
-        lacks = np.maximum(multiple - start, 0) - kept + stored
-        np.add.at(sums, (start, clicks), np.stack((lacks, kept), axis=1))
+        sums = np.zeros((starts, len(rows) + 1, 3), dtype=np.int64)
+        lacks = np.maximum(slots - start, 0) - kept + stored
+        np.add.at(sums, (start, clicks), np.stack((lacks, kept, clicks - kept), axis=1))
         return counts, sums
 
     size = span - multiple + 1
-    # the first interior row stands in for the run
-    level, clicks, filled, _ = tally(top, size, (len(top) + 1,))
-    top_table = np.zeros((size, len(top) + 1, len(top) + 1), dtype=np.int64)
-    np.add.at(top_table, (level, clicks, filled), 1)
-    walks = _Walks(interior, *walk(edge, size), top_table, *walk(bottom, span + 1))
+    # with no slot to leave empty the top rows stop at the first target none
+    # of them reaches, where the first interior row takes over
+    walks = _Walks(interior, *walk(edge, size), *walk(top, size, 0), *walk(bottom, span + 1))
     for table in walks[1:]:
         table.flags.writeable = False  # shared by every caller of the cache
     return walks
@@ -205,13 +211,13 @@ def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
 
 def _chain_tables(
     config: SimConfig,
-) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row blocks of the transition matrix in level order, expected lacks
-    and kept photons per level, and each level's p_herald and
+) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row blocks of the transition matrix in level order, expected lacks,
+    kept photons and discards per level, and each level's p_herald and
     p_multi / p_herald.
 
     The blocks come from a generator that fills the per-level vectors as
-    it runs; they are complete once it is exhausted.
+    it runs; the levels it has not reached read zero.
     """
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
@@ -219,8 +225,8 @@ def _chain_tables(
     span = 2**config.step_count
     size = config.capacity + 1
     pumps = config.pumps
-    sums = np.empty((size, 2))  # expected lacks and kept photons
-    p_herald, relative = np.empty((2, size))
+    sums = np.zeros((size, 3))  # expected lacks, kept photons and discards
+    p_herald, relative = np.zeros((2, size))
 
     def blocks() -> Iterator[np.ndarray]:
         offsets = np.arange(walks.top.shape[2])
@@ -244,13 +250,13 @@ def _chain_tables(
             interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
             stored = _weigh(walks.bottom, pump)[:, :size]  # [stop, j]
             bottom_sums = _weigh(walks.bottom_sums, pump)
-            # at least one interior click: tail[n] = P(max(n, 1) or more) for
-            # n <= span, and running sums of run[c] and c run[c] over c < n
+            # at least one interior click: for n <= span, tail[n] = P(max(n, 1) or
+            # more), reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
             run[1:interior.size] = interior[1:span]
             rest = np.cumsum(interior[:0:-1])[::-1]
             tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
-            below = np.concatenate(([0.0], np.cumsum(run)))
-            weighted_below = np.concatenate(([0.0], np.cumsum(np.arange(span) * run)))
+            reach = np.concatenate(([0.0], np.cumsum(tail[1:])))
+            over = np.concatenate((np.cumsum(rest[::-1])[::-1], np.zeros(span + 1)))[:span + 1]
             for low in range(first, last, block):
                 high = min(last, low + block)
                 level = np.arange(low, high)[:, None]
@@ -258,6 +264,7 @@ def _chain_tables(
                 # the top rows hand over after i targets; stops[level, s] is the
                 # chance that the interior run then stops at delay s
                 top = _weigh(walks.top[low:high], pump)
+                passed = _weigh(walks.top_sums[low:high], pump)[:, 2]
                 stops = np.empty((high - low, span + 1))
                 np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
                 left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
@@ -270,10 +277,10 @@ def _chain_tables(
                     cells[:, j + 1:] += stops[:, m + 1:cut] * stored[m + 1:cut, j]
                 cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
                 sums[low:high] = stops @ bottom_sums
-                # the top rows and the run keep s - level photons
-                sums[low:high, 1] += (
-                    top * (offsets * below[left] + weighted_below[left] + (span - level) * tail[left])
-                ).sum(axis=1)
+                # the top rows and the run keep s - level photons; the run
+                # discards its clicks past the targets left, the top rows those passed
+                sums[low:high, 1] += (top * (offsets * tail[0] + reach[left])).sum(axis=1)
+                sums[low:high, 2] += (top * over[left]).sum(axis=1) + tail[0] * passed
                 # no interior click: the edge rows walk jointly from the level
                 joint = interior[0] * _weigh(walks.joint[low:high], pump)
                 columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
@@ -281,7 +288,7 @@ def _chain_tables(
                 sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], pump)
                 yield cells
 
-    return blocks(), sums[:, 0], sums[:, 1], p_herald, relative
+    return blocks(), *sums.T, p_herald, relative
 
 
 def _drops(rows: np.ndarray, level: int) -> np.ndarray:
@@ -301,8 +308,9 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
     have arrived, and back-substitution needs only its exit rate and its
     folded column P'[l+1 .. l+width, l].  Only the rows not yet eliminated
     are held, at most ``width`` plus one block.  The lowest level with no
-    way up is the ceiling: the levels above it get exactly zero.  A row
-    that drops more than ``width`` levels raises :class:`ParameterError`.
+    way up is the ceiling: the levels above it get exactly zero, and no
+    block after the one that holds it is read.  A row that drops more than
+    ``width`` levels raises :class:`ParameterError`.
     """
     width = min(width, size - 1)
     exit_rate = np.zeros(size)
@@ -317,8 +325,6 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
                 f"drops more than {width} levels"
             )
         read += len(rows)
-        if ceiling is not None:
-            continue  # the builder still fills its per-level vectors
         window = np.concatenate((window, rows))
         ready = read if read == size else max(done, read - width)
         for level in range(done, ready):
@@ -335,6 +341,8 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
             window[row + 1:row + 1 + width, level + 1:level + 1 + up.size] += (
                 column[:, None] * (up / exit_rate[level])
             )
+        if ceiling is not None:
+            break  # pi is zero above the ceiling, so no later row is needed
         window = window[ready - done:]
         done = ready
     pi = np.zeros(size)
@@ -405,7 +413,8 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     call holds the (capacity + 1)**2 matrix, only the rows not yet
     eliminated (at most ``multiple`` plus one block of under 2**16 cells)
     and ``multiple + 1`` numbers per level.  The levels above the lowest
-    one with no way up get exactly zero.
+    one with no way up get exactly zero and their rows are never built, so
+    a bank whose storage never fills costs one block.
 
     Parameters
     ----------
@@ -416,14 +425,15 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     OracleRates
         Lack and multi-pair rates per emitted slot, the multi-pair
         fraction of filled slots, the mean storage occupancy, the mean
-        heralds per cycle and the fraction of slots filled.
+        heralds per cycle, the fraction of slots filled and the mean
+        photons discarded per cycle, each a sum of non-negative terms.
 
     Raises
     ------
     ParameterError
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    blocks, lacks, kept, p_herald, relative = _chain_tables(config)
+    blocks, lacks, kept, discards, p_herald, relative = _chain_tables(config)
     pi = _solve_rows(blocks, config.capacity + 1, config.multiple)
     multi_rate = float(pi @ (relative * kept)) / config.multiple
     # every kept photon leaves in some slot, so kept photons count the filled
@@ -436,6 +446,7 @@ def stationary_rates(config: SimConfig) -> OracleRates:
         mean_storage=float(pi @ np.arange(pi.size)),
         mean_heralds=config.source_count * float(pi @ p_herald),
         fill_rate=fill_rate,
+        mean_discards=float(pi @ discards),
     )
 
 

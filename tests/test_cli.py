@@ -290,8 +290,9 @@ def test_oracle_reads_boundary_and_feedback(capsys: pytest.CaptureFixture) -> No
 
 
 def test_oracle_row_bookkeeping_follows_the_chain(capsys: pytest.CaptureFixture) -> None:
-    # relative multi is multi per filled slot, and discards are the
-    # stationary herald flow less the filled slots, under feedback too
+    # relative multi is multi per filled slot, and discards come from the
+    # chain itself: the herald flow is the filled slots plus the discards,
+    # under feedback too
     device = ["--sources", "20", "--multiple", "4", "--mean-pairs", "0.15",
               "--feedback", "turbo_boost", "--cycles", "1000"]
     assert run_command(["oracle", *device]) == 0
@@ -303,7 +304,10 @@ def test_oracle_row_bookkeeping_follows_the_chain(capsys: pytest.CaptureFixture)
     assert filled == pytest.approx((1.0 - rates.lack_rate) * 4 * 1000, rel=1e-12)
     assert row[3] == pytest.approx(rates.multi_rate / rates.fill_rate, rel=1e-5)
     assert row[4] == pytest.approx(filled, rel=1e-5)
-    assert row[5] == pytest.approx(rates.mean_heralds * 1000 - filled, rel=1e-5)
+    assert row[5] == pytest.approx(rates.mean_discards * 1000, rel=1e-5)
+    assert rates.mean_heralds == pytest.approx(
+        rates.fill_rate * 4 + rates.mean_discards, rel=1e-12
+    )
     # filled slots come from the kept photons, not from 1 - lack: a bank whose
     # rows reach no delay fills none and has no relative multi rate, as its
     # Monte Carlo row says, and a faint pump keeps every digit of its fill
@@ -313,11 +317,25 @@ def test_oracle_row_bookkeeping_follows_the_chain(capsys: pytest.CaptureFixture)
         (["sweep", "--param", "size", "--values", "2", "--mean-pairs", "0.1",
           "--multiple", "1", "--cycles", "10", "--engine", "both"], {3: "nan", 4: "0"}),
         (["oracle", "--sources", "100", "--multiple", "4", "--mean-pairs", "1e-15"],
-         {3: "5e-16", 4: "1e-08"}),
+         {3: "5e-16", 4: "1e-08", 5: "1.90223e-118"}),
+        # at most 15 sources never outrun a 16-photon train: nothing is discarded
+        (["sweep", "--param", "size", "--values", "9,10,12,13", "--multiple", "16",
+          "--register-steps", "12", "--engine", "oracle", "--mean-pairs", "0.5",
+          "--boundary", "unconstrained"], {5: "0"}),
     ):
         assert run_command(argv) == 0, argv
         for row in _rows(capsys.readouterr().out):
             assert {index: row[index] for index in fields} == fields, argv
+    # the faint bank discards what passes the eight open targets at level 0:
+    # E[max(H - 8, 0)] per cycle with H ~ Binomial(100, p)
+    p = -math.expm1(-1e-15)
+    expected = sum(
+        math.comb(100, h) * p**h * math.exp(-1e-15 * (100 - h)) * (h - 8)
+        for h in range(9, 101)
+    )
+    faint = stationary_rates(SimConfig(source_count=100, multiple=4, mean_pairs=1e-15,
+                                       boundary="unconstrained"))
+    assert faint.mean_discards == pytest.approx(expected, rel=1e-10)
 
 
 def test_constrained_oracle_depth_limit_exits_one(capsys: pytest.CaptureFixture) -> None:
@@ -573,6 +591,16 @@ def test_out_of_memory_exits_one() -> None:
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error: "), result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_error_without_text_names_its_class(monkeypatch, capsys: pytest.CaptureFixture) -> None:
+    # a bare MemoryError has no message; the line still says what failed
+    def exhausted(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "stationary_rates", exhausted)
+    assert run_command(["oracle", "--sources", "10", "--multiple", "4", "--mean-pairs", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_unsampleable_pump_exits_one(capsys: pytest.CaptureFixture) -> None:

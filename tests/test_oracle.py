@@ -326,14 +326,17 @@ def _edge_rows(config: SimConfig) -> list[int]:
     return [*range(1, k + 1), *range(s - k + 1, s + 1)]
 
 
-def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]:
+def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter, Counter]:
     """Click patterns per (level, interior clicks, edge clicks, next level),
-    and their summed lacks and kept photons per (level, interior clicks,
-    edge clicks), one plan_cycle walk per edge pattern and interior count.
+    and their summed lacks, kept photons and discards per (level, interior
+    clicks, edge clicks), one plan_cycle walk per edge pattern and interior
+    count.
 
     The interior clicks sit on randomly chosen rows (the only choice when
     there is at most one interior row).  Counts at or past the number of
-    open targets must all give one outcome, and count once.
+    open targets must all give one outcome, and count once; each click past
+    the targets is one more discard, so discards are tallied as at the
+    number of targets.
     """
     topology = RegisterTopology(config.source_count, config.step_count)
     edge = _edge_rows(config)
@@ -352,21 +355,23 @@ def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]
                     topology, clicks, level, config.multiple,
                     boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
                 )
+                discards = len(rows) - len(plan.assignments) - max(n - targets, 0)
                 outcomes.setdefault((level, min(n, targets), bits), set()).add(
-                    (plan.storage_level, plan.lack_count, len(plan.assignments))
+                    (plan.storage_level, plan.lack_count, len(plan.assignments), discards)
                 )
-    counts, lacks, kept = Counter(), Counter(), Counter()
+    counts, lacks, kept, discarded = Counter(), Counter(), Counter(), Counter()
     for (level, n, bits), found in outcomes.items():
         assert len(found) == 1, (level, n, bits, found)
-        next_level, lack, keep = found.pop()
+        next_level, lack, keep, discards = found.pop()
         counts[(level, n, sum(bits), next_level)] += 1
         lacks[(level, n, sum(bits))] += lack
         kept[(level, n, sum(bits))] += keep
-    return counts, lacks, kept
+        discarded[(level, n, sum(bits))] += discards
+    return +counts, +lacks, +kept, +discarded
 
 
-def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]:
-    """The same three tallies composed from the oracle's walk tables: the
+def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter, Counter]:
+    """The same four tallies composed from the oracle's walk tables: the
     joint walk without interior clicks, else the top rows' handover, the
     interior run to its stop s, and the bottom rows' walk from s."""
     walks = oracle._walks(
@@ -376,25 +381,34 @@ def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter]:
         config.boundary is BoundaryMode.CONSTRAINED,
     )
     m, span = config.multiple, 2**config.step_count
-    counts, lacks, kept = Counter(), Counter(), Counter()
+    # the clicked top rows passed over: n - i of each pattern
+    clicks, filled = np.ogrid[:walks.top.shape[1], :walks.top.shape[2]]
+    assert np.array_equal(walks.top_sums[..., 2], (walks.top * (clicks - filled)).sum(axis=2))
+    counts, lacks, kept, discarded = Counter(), Counter(), Counter(), Counter()
     for level in range(config.capacity + 1):
         for e, j in itertools.product(*map(range, walks.joint.shape[1:])):
             counts[(level, 0, e, max(level - m, 0) + j)] += int(walks.joint[level, e, j])
         for e in range(walks.joint.shape[1]):
             lacks[(level, 0, e)] += int(walks.joint_sums[level, e, 0])
             kept[(level, 0, e)] += int(walks.joint_sums[level, e, 1])
+            discarded[(level, 0, e)] += int(walks.joint_sums[level, e, 2])
         for n in range(1, min(walks.interior_rows, span - level) + 1):
             for t, i in itertools.product(*map(range, walks.top.shape[1:])):
                 stop = min(level + i + n, span)
                 tops = int(walks.top[level, t, i])
+                # the top rows passed over and the run's clicks past the
+                # targets they leave are discarded
+                run_discards = t - i + max(level + i + n - span, 0)
                 for b, j in itertools.product(*map(range, walks.bottom.shape[1:])):
                     patterns = tops * int(walks.bottom[stop, b, j])
                     counts[(level, n, t + b, max(stop - m, 0) + j)] += patterns
                     kept[(level, n, t + b)] += patterns * (stop - level)
+                    discarded[(level, n, t + b)] += patterns * run_discards
                 for b in range(walks.bottom.shape[1]):
                     lacks[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 0])
                     kept[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 1])
-    return +counts, +lacks, +kept
+                    discarded[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 2])
+    return +counts, +lacks, +kept, +discarded
 
 
 def test_outcome_table_matches_every_click_pattern() -> None:
@@ -461,7 +475,10 @@ def test_turbo_boost_chain_builds_log_factorials_once() -> None:
     stationary_rates(config)
     info = oracle._log_factorials.cache_info()
     assert (info.misses, info.hits) == (1, config.capacity)
-    assert not oracle._log_factorials(300).flags.writeable
+    table = oracle._log_factorials(300)
+    assert not table.flags.writeable
+    # bit for bit the floats math.lgamma gives
+    assert table.tobytes() == np.array([math.lgamma(n + 1) for n in range(301)]).tobytes()
 
 
 def test_walk_tables_do_not_hold_the_matrix() -> None:
@@ -575,9 +592,52 @@ def test_single_source_never_stores() -> None:
         assert rates.lack_rate == pytest.approx(math.exp(-0.4), rel=1e-10)
         assert rates.multi_rate == pytest.approx(herald_probabilities(0.4).p_multi, rel=1e-10)
         assert rates.mean_storage == 0.0
-    # nor can three sources outrun an eight-photon train: every stored
-    # level is transient and gets exactly zero
-    assert stationary_rates(_spec(3, 8, 4, 0.4)).mean_storage == 0.0
+    # nor can three sources outrun an eight- or a four-photon train: every
+    # stored level is transient and gets exactly zero
+    for spec in (_spec(3, 8, 4, 0.4), _spec(3, 4, 12, 0.4)):
+        assert stationary_rates(spec).mean_storage == 0.0
+
+
+def test_solver_stops_at_the_ceiling(monkeypatch: pytest.MonkeyPatch) -> None:
+    # three sources never pass level 0 of a 4-photon train, so the solver
+    # reads the first block of rows and none of the other 272
+    pulled = []
+    real = oracle._chain_tables
+
+    def counting(config: SimConfig):
+        blocks, *vectors = real(config)
+        return (pulled.append(block) or block for block in blocks), *vectors
+
+    monkeypatch.setattr(oracle, "_chain_tables", counting)
+    spec = _spec(3, 4, 12, 0.4)
+    rates = stationary_rates(spec)
+    assert len(pulled) == 1
+    assert rates.mean_storage == 0.0
+    # the levels never built add exact zeros: the rates are those of level 0
+    assert rates.lack_rate == pytest.approx(
+        float(herald_count_distribution(3, 0.4) @ [4, 3, 2, 1]) / 4, rel=1e-14
+    )
+    assert rates.mean_heralds == pytest.approx(3 * herald_probabilities(0.4).p_herald, rel=1e-15)
+
+
+def test_kept_and_discarded_photons_add_up_to_the_heralds() -> None:
+    # every click is either kept or discarded, at every level and pump
+    banks = [
+        _spec(40, 4, 3, 0.05),
+        _spec(100, 16, 6, 0.3),
+        SimConfig(source_count=24, multiple=5, mean_pairs=0.2, step_count=3),
+        SimConfig(source_count=9, multiple=6, mean_pairs=0.7, step_count=4),
+        SimConfig(source_count=60, multiple=8, mean_pairs=0.08, step_count=4,
+                  feedback="turbo_boost"),
+        replace(_spec(30, 2, 5, 2.0), feedback="boost"),
+    ]
+    for config in banks:
+        blocks, _, kept, discards, p_herald, _ = oracle._chain_tables(config)
+        for _ in blocks:
+            pass
+        heralds = config.source_count * p_herald
+        assert (heralds > 0.0).all()
+        assert (np.abs(kept + discards - heralds) <= 1e-13 * heralds).all(), config
 
 
 def test_pinned_rates_for_reference_bank() -> None:
