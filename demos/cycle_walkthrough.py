@@ -7,26 +7,23 @@ monotone switching pattern is discarded.  The pump here is deliberately
 hot so that interesting cycles come up quickly.
 """
 
-import numpy as np
-
-from spdcmux import SimConfig, run_cycle
+from spdcmux import SimConfig, run_cycles
 
 config = SimConfig(
     source_count=11,
     multiple=4,
     mean_pairs=0.25,
     step_count=3,
+    cycles=8,
     seed=13,
 )
-rng = np.random.default_rng(config.seed)
 level = 0
 
 print(f"bank of {config.source_count}, train of {config.multiple}, "
       f"storage capacity {config.capacity}")
 print()
 
-for cycle in range(8):
-    plan = run_cycle(config, level, rng)
+for cycle, (_, plan) in enumerate(run_cycles(config)):
     # the leading slots drain storage; each routed row names its delay
     source_at = {delay: source for source, delay in plan.assignments}
     slots = []

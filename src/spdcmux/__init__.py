@@ -39,7 +39,7 @@ from .simulator import (
     SimMetrics,
     apply_feedback,
     derive_point_seed,
-    run_cycle,
+    run_cycles,
     run_simulation,
 )
 
@@ -65,7 +65,7 @@ __all__ = [
     "optimized_power",
     "pair_pmf",
     "plan_cycle",
-    "run_cycle",
+    "run_cycles",
     "run_simulation",
     "sample_cycle_emissions",
     "stationary_distribution",

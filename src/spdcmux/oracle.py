@@ -102,16 +102,25 @@ class OracleRates(NamedTuple):
 def herald_count_distribution(source_count: int, mean_pairs: float) -> np.ndarray:
     """Exact binomial pmf of the number of heralds in one cycle at pump ``mean_pairs``.
 
-    Computed in log space from the pump, so any finite pump keeps its dark
-    terms and large banks neither overflow the binomial coefficient nor lose
-    the tail to subnormal powers.  The rounding of the log terms leaves the
-    sum ~1e-12 off one at S in the thousands, so the pmf is divided by its sum.
+    Summed in log space out from the mode by neighbour ratios,
+    pmf[n + 1] / pmf[n] = (S - n) / (n + 1) * (e**mean - 1), with the odds
+    p / (1 - p) = e**mean - 1 formed from the pump.  So any finite pump
+    keeps its dark terms, large banks neither overflow a binomial
+    coefficient nor lose the tail to subnormal powers, and no large log
+    terms cancel: the terms keep close to full relative precision.  The
+    pmf is divided by its sum.
     """
     s = check_source_count(source_count)
     mean = check_mean_pairs(mean_pairs)
-    log_factorial = _log_factorials(s)
-    log_binomial = log_factorial[s] - log_factorial - log_factorial[::-1]
-    pmf = np.exp(log_binomial + _log_click_weights(s, mean))
+    p = -math.expm1(-mean)
+    step = np.log(np.arange(s, 0, -1) / np.arange(1, s + 1)) + (math.log(p) + mean)
+    mode = min(s, math.floor((s + 1) * p))
+    log_pmf = np.zeros(s + 1)  # log(pmf / pmf[mode])
+    # past a pump of ~1e305 / S the sums overflow: the far terms are exactly zero
+    with np.errstate(over="ignore"):
+        np.cumsum(step[mode:], out=log_pmf[mode + 1:])
+        np.cumsum(-step[:mode][::-1], out=log_pmf[:mode][::-1])
+    pmf = np.exp(log_pmf)
     return pmf / pmf.sum()
 
 
@@ -122,14 +131,6 @@ def _log_click_weights(rows: int, mean: float) -> np.ndarray:
     n = np.arange(rows + 1)
     with np.errstate(over="ignore"):
         return n * math.log(-math.expm1(-mean)) - (rows - n) * mean
-
-
-@lru_cache(maxsize=8)
-def _log_factorials(source_count: int) -> np.ndarray:
-    """log(n!) for n = 0 .. source_count, shared by every pump of a bank."""
-    table = np.fromiter(map(math.lgamma, range(1, source_count + 2)), float, source_count + 1)
-    table.flags.writeable = False
-    return table
 
 
 class _Walks(NamedTuple):
@@ -231,12 +232,12 @@ def _chain_tables(
     def blocks() -> Iterator[np.ndarray]:
         offsets = np.arange(walks.top.shape[2])
         # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
-        # shifted[level, s, i] = run[s - level - i] at stops s = 0 .. span-1 is a view
-        lead = span + offsets.size - 1
-        padded = np.zeros(lead + span)
-        run = padded[lead:]
-        windows = np.lib.stride_tricks.sliding_window_view
-        shifted = windows(windows(padded, span)[::-1], offsets.size, axis=0)
+        # band[k, s] = run[s - k] at stops s = 0 .. span-1 is a view for every
+        # level + offset k, and so is shifted[level, s, i] = band[level + i, s]
+        padded = np.zeros(2 * span + offsets.size - 1)
+        run = padded[-span:]
+        band = np.lib.stride_tricks.sliding_window_view(padded, span)[::-1]
+        shifted = np.lib.stride_tricks.sliding_window_view(band, offsets.size, axis=0)
         # blocks of whole levels bound the temporaries at 2**16 cells
         block = max(1, 2**16 // (span + 1))
         # runs of levels under one pump: a monotone feedback repeats no pump
@@ -266,6 +267,7 @@ def _chain_tables(
                 top = _weigh(walks.top[low:high], pump)
                 passed = _weigh(walks.top_sums[low:high], pump)[:, 2]
                 stops = np.empty((high - low, span + 1))
+                # one pass; a broadcast multiply over the band's view takes twice as long
                 np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
                 left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
                 stops[:, span] = (top * tail[left]).sum(axis=1)

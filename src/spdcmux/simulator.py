@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +37,7 @@ __all__ = [
     "SimMetrics",
     "apply_feedback",
     "derive_point_seed",
-    "run_cycle",
+    "run_cycles",
     "run_simulation",
 ]
 
@@ -185,33 +186,38 @@ class SimMetrics:
         return self.multi_count / self.filled_count
 
 
-def run_cycle(
-    config: SimConfig,
-    storage_level: int,
-    rng: np.random.Generator,
-) -> CyclePlan:
-    """Simulate a single cycle that starts with ``storage_level`` photons
-    stored: feedback, emission, heralding, routing."""
-    mean = apply_feedback(config, storage_level)
-    counts = sample_cycle_emissions(config.source_count, mean, rng)
-    return plan_cycle(
-        config.topology,
-        herald(counts),
-        storage_level,
-        config.multiple,
-        boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
-    )
+def run_cycles(config: SimConfig) -> Iterator[tuple[np.ndarray, CyclePlan]]:
+    """Yield the pair counts and the plan of each of ``config.cycles`` cycles.
+
+    The run starts from empty storage and replays one uniform stream from
+    ``config.seed``.  A cycle pumps at ``config.pumps`` of the level it
+    starts from, samples every source, heralds the clicks and routes them;
+    its plan's ``storage_level`` is where the next cycle starts.
+    """
+    rng = np.random.default_rng(config.seed)
+    pumps, topology, m = config.pumps, config.topology, config.multiple
+    constrained = config.boundary is BoundaryMode.CONSTRAINED
+    level = 0
+    for _ in range(config.cycles):
+        counts = sample_cycle_emissions(config.source_count, pumps[level], rng)
+        plan = plan_cycle(topology, herald(counts), level, m, boundary_limits=constrained)
+        yield counts, plan
+        level = plan.storage_level
 
 
 def run_simulation(config: SimConfig) -> SimMetrics:
     """Run the configured number of cycles and aggregate error statistics.
 
-    The storage level is the only state carried from cycle to cycle.
-    Photons leave the device in the order they were kept: storage drains
-    from position 0, and fresh photons take the later slots and then the
-    positions behind, in row order.  So the multi-pair slots are the
-    multi-pair photons kept over the run, less those among the last
-    ``final_storage_level`` kept, which are still stored at the end.
+    The cycles are those of :func:`run_cycles`.  Photons leave the device
+    in the order they were kept: storage drains from position 0, and fresh
+    photons take the later slots and then the positions behind, in row
+    order.  So the multi-pair slots are the multi-pair photons kept over
+    the run, less those among the last ``final_storage_level`` kept, which
+    are still stored at the end.  Photon conservation fixes the other
+    totals: every kept photon leaves in a slot except those still stored,
+    so the filled slots are the kept photons less the final level, the
+    lacks are the slots left over, and the discards are the heralds that
+    were not kept.
 
     Every cycle's delays must rise strictly from the storage level, so
     that no two photons share a target and none lands on a stored photon;
@@ -226,19 +232,12 @@ def run_simulation(config: SimConfig) -> SimMetrics:
     -------
     SimMetrics
     """
-    rng = np.random.default_rng(config.seed)
-    pumps, m = config.pumps, config.multiple
-    constrained = config.boundary is BoundaryMode.CONSTRAINED
-    level = 0
-    lack = discarded = heralds = level_sum = 0
-    kept = multi_kept = 0
+    level = heralds = level_sum = kept = multi_kept = 0
     # positions in keeping order of the latest multi-pair photons, enough
     # to count those among the last ``capacity`` photons kept
     recent_multis: deque[int] = deque(maxlen=config.capacity)
 
-    for cycle in range(config.cycles):
-        counts = sample_cycle_emissions(config.source_count, pumps[level], rng)
-        plan = plan_cycle(config.topology, herald(counts), level, m, boundary_limits=constrained)
+    for cycle, (counts, plan) in enumerate(run_cycles(config)):
         last = level - 1
         for row, delay in plan.assignments:
             if delay <= last:
@@ -248,20 +247,19 @@ def run_simulation(config: SimConfig) -> SimMetrics:
                 recent_multis.append(kept)
                 multi_kept += 1
             kept += 1
-        lack += plan.lack_count
-        discarded += plan.discarded
         heralds += plan.herald_count
         level = plan.storage_level
         level_sum += level
 
     stored_multis = sum(1 for position in recent_multis if position >= kept - level)
+    filled = kept - level
     return SimMetrics(
         cycles=config.cycles,
-        multiple=m,
-        lack_count=lack,
+        multiple=config.multiple,
+        lack_count=config.multiple * config.cycles - filled,
         multi_count=multi_kept - stored_multis,
-        filled_count=m * config.cycles - lack,
-        discarded_count=discarded,
+        filled_count=filled,
+        discarded_count=heralds - kept,
         herald_count=heralds,
         final_storage_level=level,
         mean_storage_level=level_sum / config.cycles if config.cycles else math.nan,

@@ -15,9 +15,12 @@ from spdcmux import (
     SimConfig,
     apply_feedback,
     derive_point_seed,
+    herald,
     herald_probabilities,
-    run_cycle,
+    plan_cycle,
+    run_cycles,
     run_simulation,
+    sample_cycle_emissions,
     simulator,
 )
 
@@ -178,17 +181,15 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
     # a full-span train: no storage, so the run never reads a raised pump
     banks.append(replace(base, multiple=8, feedback="boost"))
     for config in banks:
-        rng = np.random.default_rng(config.seed)
-        level = 0
-        lack = discarded = heralds = level_sum = 0
-        for _ in range(config.cycles):
-            plan = run_cycle(config, level, rng)
+        level = lack = discarded = heralds = level_sum = 0
+        for _, plan in run_cycles(config):
             lack += plan.lack_count
             discarded += plan.discarded
             heralds += plan.herald_count
             level = plan.storage_level
             level_sum += level
 
+        # the run's conservation totals against the plans' own counts
         metrics = run_simulation(config)
         assert metrics.lack_count == lack, config
         assert metrics.filled_count == config.multiple * config.cycles - lack, config
@@ -198,6 +199,28 @@ def test_manual_cycle_loop_reproduces_run_simulation() -> None:
         assert metrics.mean_storage_level == pytest.approx(level_sum / config.cycles), config
         # the multi-pair slots need the pair counts, which only the reference keeps
         assert metrics.multi_count == reference_metrics(config).multi_count, config
+
+
+def test_run_cycles_yields_each_cycle_once() -> None:
+    config = SimConfig(
+        source_count=12, multiple=2, mean_pairs=0.3, cycles=400, seed=7, feedback="boost"
+    )
+    assert list(run_cycles(replace(config, cycles=0))) == []
+    cycles = list(run_cycles(config))
+    assert len(cycles) == config.cycles
+    # each cycle starts where the one before it left storage, and draws at
+    # the pump of that level from the same uniform stream
+    rng = np.random.default_rng(config.seed)
+    level = 0
+    pumps = set()
+    for counts, plan in cycles:
+        pumps.add(config.pumps[level])
+        replayed = sample_cycle_emissions(config.source_count, config.pumps[level], rng)
+        assert np.array_equal(counts, replayed)
+        assert plan == plan_cycle(config.topology, herald(counts), level, config.multiple)
+        level = plan.storage_level
+    # the boost bank draws at both its pumps
+    assert pumps == set(config.pumps) and len(pumps) == 2
 
 
 def _random_banks(rng: np.random.Generator, count: int) -> list[SimConfig]:
