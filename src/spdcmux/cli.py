@@ -21,7 +21,9 @@ verify-topology
 
 Configuration comes from ``key=value`` lines in a file passed with
 ``--config``, from direct flags, or both; flags win.  The ``--config``
-help lists the recognised keys, one per device flag.
+help lists the recognised keys, one per device flag.  The file's blank
+lines and ``#`` comments are ignored; unknown and duplicate keys are
+rejected rather than ignored.  The library itself takes a ``SimConfig``.
 
 All rate output is CSV with a fixed header and newline-terminated lines,
 so identical invocations produce byte-identical files.  Measured values
@@ -52,14 +54,7 @@ from .simulator import (
     run_simulation,
 )
 
-__all__ = [
-    "SweepRow",
-    "emit_csv",
-    "format_config",
-    "main",
-    "parse_config",
-    "run_command",
-]
+__all__ = ["SweepRow", "emit_csv", "main", "run_command"]
 
 class _Setting(NamedTuple):
     """How one config key's text parses (int, float, or the enum of the
@@ -171,25 +166,6 @@ def _config_from_mapping(pairs: dict[str, str]) -> SimConfig:
         for key, setting in _SETTINGS.items()
         if key in pairs
     })
-
-
-def parse_config(text: str) -> SimConfig:
-    """Parse ``key=value`` config text into a validated run configuration.
-
-    Blank lines and ``#`` comments are ignored.  ``sources``, ``multiple``
-    and ``mean_pairs`` are mandatory; everything else has defaults.
-    Unknown and duplicate keys are rejected rather than ignored.
-    """
-    return _config_from_mapping(_parse_pairs(text))
-
-
-def format_config(config: SimConfig) -> str:
-    """Inverse of :func:`parse_config`: text that parses back to ``config``."""
-    lines = []
-    for key, setting in _SETTINGS.items():
-        value = getattr(config, setting.field)
-        lines.append(f"{key}={value.value if isinstance(value, Enum) else repr(value)}")
-    return "\n".join(lines) + "\n"
 
 
 def _monte_carlo_row(config: SimConfig, param: float) -> SweepRow:
@@ -360,20 +336,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     p.set_defaults(handler=_cmd_simulate)
 
+    # every command that solves the chain refuses a deeper constrained bank
+    depth = f"a constrained chain takes at most {MAX_CONSTRAINED_STEP_COUNT} register steps"
     p = sub.add_parser(
         "oracle",
         help="exact steady-state rates for one configuration",
         description=(
             "Exact steady-state rates of the storage-level chain, boundary and "
-            "feedback included.  The boundary defaults to unconstrained; a "
-            f"constrained chain takes at most {MAX_CONSTRAINED_STEP_COUNT} register steps."
+            f"feedback included.  The boundary defaults to unconstrained; {depth}."
         ),
     )
     _add_device_arguments(p)
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("sweep", help="scan a parameter over a grid")
+    p = sub.add_parser(
+        "sweep", help="scan a parameter over a grid",
+        description=f"Scan a parameter over a grid; in the oracle engine {depth}.",
+    )
     _add_device_arguments(p, flags={"--steps": "--register-steps"})
     p.add_argument("--param", required=True, choices=list(_SWEPT), help="quantity to scan")
     p.add_argument("--values", help="comma separated grid values")
@@ -387,7 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("optimize", help="balance lack against multi-pair rate")
+    p = sub.add_parser(
+        "optimize", help="balance lack against multi-pair rate",
+        description=(
+            "Balance lack against multi-pair rate on the exact chain of the bank as "
+            f"given.  The boundary defaults to unconstrained; {depth}."
+        ),
+    )
     # it solves for the pump, so it takes every other setting of the bank
     _add_device_arguments(p, [key for key in _SETTINGS if key != "mean_pairs"])
     p.add_argument("--tolerance", type=float, default=1e-6, help="|lack - multi| stop threshold")

@@ -108,10 +108,15 @@ def herald_count_distribution(source_count: int, mean_pairs: float) -> np.ndarra
     keeps its dark terms, large banks neither overflow a binomial
     coefficient nor lose the tail to subnormal powers, and no large log
     terms cancel: the terms keep close to full relative precision.  The
-    pmf is divided by its sum.
+    pmf is divided by its sum.  The array is read-only: it is cached.
     """
-    s = check_source_count(source_count)
-    mean = check_mean_pairs(mean_pairs)
+    return _herald_pmf(check_source_count(source_count), check_mean_pairs(mean_pairs))
+
+
+# two entries: an optimize step builds the pmf at the same pump for its
+# load bound and for the chain run that follows
+@lru_cache(maxsize=2)
+def _herald_pmf(s: int, mean: float) -> np.ndarray:
     p = -math.expm1(-mean)
     step = np.log(np.arange(s, 0, -1) / np.arange(1, s + 1)) + (math.log(p) + mean)
     mode = min(s, math.floor((s + 1) * p))
@@ -121,7 +126,9 @@ def herald_count_distribution(source_count: int, mean_pairs: float) -> np.ndarra
         np.cumsum(step[mode:], out=log_pmf[mode + 1:])
         np.cumsum(-step[:mode][::-1], out=log_pmf[:mode][::-1])
     pmf = np.exp(log_pmf)
-    return pmf / pmf.sum()
+    pmf /= pmf.sum()
+    pmf.flags.writeable = False
+    return pmf
 
 
 def _log_click_weights(rows: int, mean: float) -> np.ndarray:

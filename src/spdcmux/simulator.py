@@ -104,7 +104,7 @@ class SimConfig:
             )
         if not is_whole(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
-        # whole floats become ints, so format_config writes what parse_config reads
+        # whole floats become ints, so the repr of each field reads back through --config
         for name in ("source_count", "step_count", "multiple", "cycles", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name, mode in (("feedback", FeedbackMode), ("boundary", BoundaryMode)):

@@ -746,6 +746,27 @@ def test_optimized_power_balances_the_bank_as_given() -> None:
         assert mean == optimized_power(replace(bank, mean_pairs=0.01, cycles=1, seed=0))
 
 
+def test_optimize_builds_each_herald_pmf_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # a step the load bounds leave open asks for the pmf at its pump twice,
+    # for the bound and for the chain, and builds it once
+    calls: list[tuple[int, float]] = []
+    real = oracle.herald_count_distribution
+
+    def recording(source_count: int, mean: float) -> np.ndarray:
+        calls.append((source_count, mean))
+        return real(source_count, mean)
+
+    monkeypatch.setattr(oracle, "herald_count_distribution", recording)
+    oracle._herald_pmf.cache_clear()
+    optimized_power(_spec(100, 4, 3, 1.0))
+    assert len(calls) == 42
+    assert oracle._herald_pmf.cache_info().misses == len(set(calls)) == 24
+    pmf = real(100, 0.049)
+    assert not pmf.flags.writeable
+    with pytest.raises(ValueError):
+        pmf[0] = 1.0
+
+
 def _reference_optimized_power(bank: SimConfig, tolerance: float = 1e-6) -> float:
     """The bisection solving the chain at every step, as optimized_power did
     before it consulted the load bounds, stopping once the highest pump
