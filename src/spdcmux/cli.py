@@ -34,6 +34,7 @@ counts) are printed exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import MISSING, astuple, dataclass, fields, replace
@@ -324,6 +325,8 @@ def _add_device_arguments(
         )
 
 
+# built once per process: parsing leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdcmux",

@@ -40,13 +40,16 @@ rows it passes are discarded too.
 The rows are built in blocks of whole levels, in level order, and solved
 as they arrive.  A cycle drops at most m levels (the next level is at
 least l - m), so Grassmann-Taksar-Heyman state reduction can censor the
-levels out from the bottom: level l goes as soon as rows l+1 .. l+m, the
-only ones that can drop to it, are built, and back-substitution needs
-just its m folded entries and its exit rate.  So a solve holds the rows
-not yet eliminated and m + 1 numbers per level, never the dense
-(capacity + 1)**2 matrix.  The lowest level with no way up is the
-ceiling of the chain: the levels above it get exactly zero, and no row
-past the block that holds it is built.
+levels out from the bottom, in left-looking order: level l goes as soon
+as rows l+1 .. l+m, the only ones that can drop to it, are built.  Its
+reduced way up is one product of its entries at the m levels below it
+with their reduced ways up, and its reduced column, the entries of rows
+l+1 .. l+m at l, a second product of those rows with the same ways up;
+back-substitution needs just that column and the exit rate.  So a solve
+holds the last m rows eliminated, the rows not yet eliminated and m + 1
+numbers per level, never the dense (capacity + 1)**2 matrix.  The lowest
+level with no way up is the ceiling of the chain: the levels above it
+get exactly zero, and no row past the block that holds it is built.
 
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
@@ -300,60 +303,86 @@ def _chain_tables(
     return blocks(), *sums.T, p_herald, relative
 
 
-def _drops(rows: np.ndarray, level: int) -> np.ndarray:
-    """How many levels each row, the first one at ``level``, drops at most;
-    an all-zero row reads as dropping to level 0."""
-    return np.arange(level, level + len(rows)) - (rows != 0.0).argmax(axis=1)
+def _drops(nonzero: np.ndarray, level: int) -> np.ndarray:
+    """How many levels each row of the mask ``nonzero``, the first one at
+    ``level``, drops at most; an all-zero row reads as dropping to level 0."""
+    return np.arange(level, level + len(nonzero)) - nonzero.argmax(axis=1)
 
 
 def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarray:
     """Stationary vector, by GTH state reduction, of a ``size``-level chain
     whose rows arrive in level order and drop at most ``width`` levels.
 
-    Levels are censored out from the bottom.  Eliminating level l folds
-    its way up (row l right of the diagonal, divided by its sum, never by
-    ``1 - P[l, l]``) into rows l+1 .. l+width, the only rows that can drop
-    to l; the fold keeps that band.  So l can go as soon as those rows
-    have arrived, and back-substitution needs only its exit rate and its
-    folded column P'[l+1 .. l+width, l].  Only the rows not yet eliminated
-    are held, at most ``width`` plus one block.  The lowest level with no
-    way up is the ceiling: the levels above it get exactly zero, and no
-    block after the one that holds it is read.  A row that drops more than
-    ``width`` levels raises :class:`ParameterError`.
+    Levels are censored out from the bottom in left-looking (Crout) order.
+    With P' the chain with levels 0 .. k-1 censored out when level k goes,
+    exit_k the sum of P'[k, j] over j > k (never ``1 - P[k, k]``) and k
+    running over the ``width`` levels below l:
+
+    * the way up of level l is P'[l, j] = P[l, j] + sum_k P'[l, k]
+      P'[k, j] / exit_k for j > l, one matrix-vector product, and its sum
+      is exit_l;
+    * its column P'[i, l] = P[i, l] + sum_k P'[i, k] P'[k, l] / exit_k for
+      i = l+1 .. l+width, the only rows that can drop to l, is a second.
+
+    Every term is non-negative.  So l can go as soon as those rows have
+    arrived, and back-substitution needs only exit_l and the column.  The
+    window holds the last ``width`` levels eliminated, each with its way up
+    divided by its exit rate and its entries P'[l, k], and the rows not
+    yet eliminated, at most ``width`` plus one block, cut to the columns
+    from the first level it holds to the furthest any row has reached: no
+    product carries a row past that.  The lowest level with no way up is
+    the ceiling: the levels above it get exactly zero, and no block after
+    the one that holds it is read.  A row that drops more than ``width``
+    levels raises :class:`ParameterError`.
     """
     width = min(width, size - 1)
     exit_rate = np.zeros(size)
     below = np.zeros((size, width))  # below[l, d] = P'[l + 1 + d, l]
-    window = np.empty((0, size))  # rows done .. read - 1, folded so far
-    done = read = 0
+    # window[i, j] is row base + i at level base + j, for the last width levels
+    # eliminated (ways up divided by the exit rate) and the rows not yet eliminated
+    window = np.empty((0, 0))
+    base = done = read = 0
+    ends = [0]  # ends[l + 1] = 1 + the last nonzero of rows 0 .. l
     ceiling = None
     for rows in blocks:
-        if _drops(rows, read).max() > width:
+        nonzero = rows != 0.0
+        if _drops(nonzero, read).max() > width:
             raise ParameterError(
                 f"a row among levels {read} .. {read + len(rows) - 1} "
                 f"drops more than {width} levels"
             )
+        last = np.full(len(rows), ends[-1])
+        past = nonzero[:, ends[-1]:][:, ::-1]
+        if past.size:  # the rows reaching past ends[read], searched from the right
+            found = past.any(axis=1)
+            last[found] = size - past.argmax(axis=1)[found]
+        ends += np.maximum.accumulate(last).tolist()
+        # the band keeps the new rows at base or above, and none reaches past ends[-1]
+        grown = np.zeros((read + len(rows) - base, ends[-1] - base))
+        grown[:window.shape[0], :window.shape[1]] = window
+        grown[window.shape[0]:] = rows[:, base:ends[-1]]
+        window = grown
         read += len(rows)
-        window = np.concatenate((window, rows))
         ready = read if read == size else max(done, read - width)
         for level in range(done, ready):
-            row = level - done
-            up = window[row, level + 1:]
-            reach = up.nonzero()[0]
-            if reach.size == 0:
+            row = level - base
+            first = max(row - width, 0)
+            stop = ends[level + 1] - base  # no product carries row level further
+            window[row, row] = 1.0  # GTH never reads the diagonal
+            up = window[row, first:row + 1] @ window[first:row + 1, row + 1:stop]
+            exit_rate[level] = rate = np.add.reduce(up)
+            if rate == 0.0:
                 ceiling = level
                 break
-            up = up[:reach[-1] + 1]
-            exit_rate[level] = up.sum()
-            column = window[row + 1:row + 1 + width, level]
+            np.divide(up, rate, out=window[row, row + 1:stop])
+            column = window[row + 1:row + 1 + width, first:row + 1] @ window[first:row + 1, row]
             below[level, :column.size] = column
-            window[row + 1:row + 1 + width, level + 1:level + 1 + up.size] += (
-                column[:, None] * (up / exit_rate[level])
-            )
+            window[row + 1:row + 1 + width, row] = column
         if ceiling is not None:
             break  # pi is zero above the ceiling, so no later row is needed
-        window = window[ready - done:]
-        done = ready
+        keep = max(ready - width, base)
+        window = window[keep - base:, keep - base:]
+        base, done = keep, ready
     pi = np.zeros(size)
     pi[ceiling] = 1.0
     for level in range(ceiling - 1, -1, -1):
@@ -405,7 +434,7 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
             f"transition matrix rows must sum to one within {_ROW_SUM_TOLERANCE:g}"
         )
     size = matrix.shape[0]
-    width = max(int(_drops(matrix, 0).max()), 0)
+    width = max(int(_drops(matrix != 0.0, 0).max()), 0)
     step = max(1, 2**16 // size)
     return _solve_rows((matrix[low:low + step] for low in range(0, size, step)), size, width)
 
@@ -418,9 +447,11 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     ``seed`` play no part.  The chain drops at most ``multiple`` levels a
     cycle, so it is solved as it is built, by the subtraction-free GTH
     reduction of :func:`stationary_distribution`: each level is censored
-    out, bottom up, as soon as the ``multiple`` rows above it exist.  No
-    call holds the (capacity + 1)**2 matrix, only the rows not yet
-    eliminated (at most ``multiple`` plus one block of under 2**16 cells)
+    out, bottom up, by two matrix-vector products over the ``multiple``
+    levels below it, as soon as the ``multiple`` rows above it exist.  No
+    call holds the (capacity + 1)**2 matrix, only the last ``multiple``
+    rows eliminated, the rows not yet eliminated (at most ``multiple`` plus
+    one block of under 2**16 cells), each cut to the levels the rows reach,
     and ``multiple + 1`` numbers per level.  The levels above the lowest
     one with no way up get exactly zero and their rows are never built, so
     a bank whose storage never fills costs one block.

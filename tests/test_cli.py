@@ -794,6 +794,19 @@ GOLDEN_OUTPUTS = [
         "oracle,0,100000\n",
     ),
     (
+        # a 241-level chain, solved at every bisection step the load bounds leave
+        ["optimize", "--sources", "500", "--steps", "8", "--multiple", "16"],
+        HEADER + "\n0.0320056,0.0156678,0.015668,0.0159174,1.57493e+06,8.7826,28.2647,"
+        "oracle,0,100000\n",
+    ),
+    (
+        # a 1009-level chain at 0.95 of the load the train can take
+        ["oracle", "--sources", "200", "--steps", "10", "--multiple", "16",
+         "--mean-pairs", "0.07904320734045289"],
+        HEADER + "\n0.0790432,0.05,0.037051,0.039001,1.52e+06,2.25332e-44,6.89319,"
+        "oracle,0,100000\n",
+    ),
+    (
         ["verify-topology", "--sources", "11", "--steps", "3"],
         "source,d0,d1,d2,d3,d4,d5,d6,d7\n"
         "1,1,0,0,0,0,0,0,0\n"

@@ -212,6 +212,150 @@ def test_solver_rejects_a_row_outside_the_band() -> None:
     assert stationary_distribution(matrix) == pytest.approx([0.5, 0.25, 0.25], rel=1e-15)
 
 
+def _rank_one_solve_rows(blocks, size: int, width: int) -> np.ndarray:
+    """Right-looking GTH reduction, the reference for ``oracle._solve_rows``:
+    eliminating level l folds its way up, divided by its exit rate, into
+    rows l+1 .. l+width as a rank-one update of the band, and stops at the
+    first level with no way up.  Rows must keep to the band."""
+    width = min(width, size - 1)
+    exit_rate = np.zeros(size)
+    below = np.zeros((size, width))  # below[l, d] = P'[l + 1 + d, l]
+    window = np.empty((0, size))  # rows done .. read - 1, folded so far
+    done = read = 0
+    ceiling = None
+    for rows in blocks:
+        read += len(rows)
+        window = np.concatenate((window, rows))
+        ready = read if read == size else max(done, read - width)
+        for level in range(done, ready):
+            row = level - done
+            up = window[row, level + 1:]
+            reach = up.nonzero()[0]
+            if reach.size == 0:
+                ceiling = level
+                break
+            up = up[:reach[-1] + 1]
+            exit_rate[level] = up.sum()
+            column = window[row + 1:row + 1 + width, level]
+            below[level, :column.size] = column
+            window[row + 1:row + 1 + width, level + 1:level + 1 + up.size] += (
+                column[:, None] * (up / exit_rate[level])
+            )
+        if ceiling is not None:
+            break
+        window = window[ready - done:]
+        done = ready
+    pi = np.zeros(size)
+    pi[ceiling] = 1.0
+    for level in range(ceiling - 1, -1, -1):
+        inflow = pi[level + 1:level + 1 + width] @ below[level, :min(width, size - 1 - level)]
+        if inflow > exit_rate[level]:
+            pi[level + 1:ceiling + 1] *= exit_rate[level] / inflow
+            pi[level] = 1.0
+        else:
+            pi[level] = inflow / exit_rate[level]
+    return pi / pi.sum()
+
+
+def _assert_same_vector(pi: np.ndarray, reference: np.ndarray) -> None:
+    """Zeros in the same places, the other entries within 1e-12 relative."""
+    assert np.array_equal(pi == 0.0, reference == 0.0)
+    nonzero = reference != 0.0
+    assert np.allclose(pi[nonzero], reference[nonzero], rtol=1e-12, atol=0.0)
+
+
+def _banded_chain(rng: np.random.Generator, size: int, width: int) -> np.ndarray:
+    """A stochastic matrix whose rows drop at most ``width`` levels, each
+    reaching a random level at or above its own, so the reach shrinks from
+    some rows to the next and rows end in zeros; entries are scattered zeros."""
+    matrix = np.zeros((size, size))
+    for level in range(size):
+        low = max(level - width, 0)
+        high = int(rng.integers(level, size)) + 1
+        row = rng.random(high - low) * (rng.random(high - low) < 0.7)
+        if not row.any():
+            row[level - low] = 1.0
+        matrix[level, low:high] = row / row.sum()
+    return matrix
+
+
+def _blocks(matrix: np.ndarray, rng: np.random.Generator):
+    """The rows of ``matrix`` in level order, in blocks of random sizes."""
+    low = 0
+    while low < len(matrix):
+        high = low + int(rng.integers(1, 8))
+        yield matrix[low:high]
+        low = high
+
+
+def test_solver_matches_the_rank_one_reduction_on_banded_chains() -> None:
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        size = int(rng.integers(2, 40))
+        width = int(rng.integers(1, size))
+        matrix = _banded_chain(rng, size, width)
+        if rng.random() < 0.3:
+            # a subnormal way up from a level below the top
+            level = int(rng.integers(0, size - 1))
+            matrix[level, level + 1:] = 0.0
+            matrix[level, int(rng.integers(level + 1, size))] = 1e-310
+        reference = _rank_one_solve_rows([matrix], size, width)
+        # dividing by a subnormal exit rate neither overflows nor makes a nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pi = oracle._solve_rows([matrix], size, width)
+        _assert_same_vector(pi, reference)
+        # the bits do not depend on how the rows arrive
+        assert np.array_equal(oracle._solve_rows(_blocks(matrix, rng), size, width), pi)
+
+
+def _solve_with(solver, config: SimConfig) -> tuple[OracleRates, np.ndarray]:
+    """``stationary_rates(config)`` with ``solver`` in place of
+    ``oracle._solve_rows``, and the stationary vector it returned."""
+    found = []
+
+    def recording(blocks, size: int, width: int) -> np.ndarray:
+        found.append(solver(blocks, size, width))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_solve_rows", recording)
+        rates = stationary_rates(config)
+    return rates, found[0]
+
+
+def test_solver_matches_the_rank_one_reduction_on_random_banks() -> None:
+    rng = np.random.default_rng(2212)
+    banks = []
+    for index in range(64):
+        constrained = index % 2 == 0
+        steps = int(rng.integers(1, (MAX_CONSTRAINED_STEP_COUNT if constrained else 9) + 1))
+        sources = int(rng.integers(1, 400))
+        multiple = int(rng.integers(1, 2**steps + 1))
+        # from light to past the load the train can take
+        herald = min(float(rng.uniform(0.2, 1.5)) * multiple / sources, 0.9)
+        banks.append(SimConfig(
+            source_count=sources,
+            multiple=multiple,
+            mean_pairs=-math.log1p(-herald),
+            step_count=steps,
+            boundary="constrained" if constrained else "unconstrained",
+            feedback=("off", "boost", "turbo_boost")[index % 3],
+            feedback_strength=round(float(rng.uniform(0.0, 2.0)), 2),
+        ))
+    deep = _spec(2000, 16, 12, 0.0081)
+    banks += [deep, replace(deep, feedback="turbo_boost")]
+    for config in banks:
+        rates, pi = _solve_with(oracle._solve_rows, config)
+        reference_rates, reference = _solve_with(_rank_one_solve_rows, config)
+        _assert_same_vector(pi, reference)
+        for field, value in rates._asdict().items():
+            expected = getattr(reference_rates, field)
+            if math.isnan(expected):
+                assert math.isnan(value), (config, field)
+            else:
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (config, field)
+
+
 def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
     return herald_probabilities(apply_feedback(config, level))
 
