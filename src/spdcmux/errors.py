@@ -36,9 +36,11 @@ def as_real(value: object) -> float:
 
 
 def check_source_count(source_count: int) -> int:
-    if not is_whole(source_count) or source_count < 1:
+    # is_whole decides through a float, which holds every integer exactly only
+    # up to 2**53: past it a float has no fraction left to test
+    if not is_whole(source_count) or not 1 <= source_count <= 2**53:
         raise ParameterError(
-            f"source count must be an integer of at least 1, got {source_count!r}"
+            f"source count must be an integer in [1, 2**53], got {source_count!r}"
         )
     return int(source_count)
 

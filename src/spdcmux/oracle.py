@@ -29,13 +29,17 @@ tabulated once per bank and reweighted per pump:
   max(s - m, 0) + j.  A table counts bottom patterns per (s, bottom
   clicks, j).
 
-Each walk also sums the lacks, kept photons and discards (clicks less
-kept photons) of its patterns.  Per pump, the run is the interior herald
-pmf shifted by l + i, read through a sliding window without a copy,
-weighted by the top table and folded through the bottom table into the
-matrix columns.  The run keeps E[min(c, left)] of the targets left and
-discards E[max(c - left, 0)], running sums of the pmf's tail, and the top
-rows it passes are discarded too.
+Each walk is one integer table: its pattern counts, then the summed
+lacks, kept photons and discards (clicks less kept photons) of those
+patterns in three more columns, so one reweighing per pump gives both.
+Per pump, the run is the interior herald pmf shifted by l + i, read
+through a sliding window without a copy, weighted by the top table and
+folded through the bottom table into the matrix columns.  The run keeps
+E[min(c, left)] of the targets left and discards E[max(c - left, 0)],
+running sums of the pmf's tail, and the top rows it passes are discarded
+too.  The expected lacks, kept photons, discards, heralds and multi-pair
+photons kept fill one table per level, which the stationary distribution
+weighs into the rates.
 
 The rows are built in blocks of whole levels, in level order, and solved
 as they arrive.  A cycle drops at most m levels (the next level is at
@@ -146,23 +150,21 @@ def _log_click_weights(rows: int, mean: float) -> np.ndarray:
 class _Walks(NamedTuple):
     """Pump-independent walk tables of one bank; see the module docstring.
 
-    Axis 1 of each table is the number of clicks among the rows walking.
-    ``joint[level, n, j]`` and ``bottom[stop, n, j]`` count the patterns
-    of the edge rows walking from ``level`` and of the bottom rows walking
-    from delay ``stop`` that fill j storage positions; ``joint_sums`` and
-    ``bottom_sums`` hold their summed lacks, kept photons and discards.
-    ``top[level, n, i]`` counts the top-row patterns that fill i targets
-    before the first interior row takes one, and ``top_sums[level, n, 2]``
-    sums the clicked top rows they pass, n - i.
+    Each table is an int64 array indexed by (start, clicks, column): axis 1
+    is the number of clicks among the rows walking, and axis 2 holds the
+    pattern counts, then the summed lacks, kept photons and discards of
+    those patterns in its last three columns.  ``joint[level, n, j]`` and
+    ``bottom[stop, n, j]`` count the patterns of the edge rows walking from
+    ``level`` and of the bottom rows walking from delay ``stop`` that fill
+    j storage positions.  ``top[level, n, i]`` counts the top-row patterns
+    that fill i targets before the first interior row takes one, and
+    ``top[level, n, -1]`` sums the clicked top rows they pass, n - i.
     """
 
     interior_rows: int
     joint: np.ndarray
-    joint_sums: np.ndarray
     top: np.ndarray
-    top_sums: np.ndarray
     bottom: np.ndarray
-    bottom_sums: np.ndarray
 
 
 def _check_depth(step_count: int, constrained: bool) -> None:
@@ -180,13 +182,14 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
     span = 2**step_count
     slack = source_count - step_count if constrained else None
     bank = range(1, source_count + 1)
-    edge = [row for row in bank if not step_count < row <= slack] if constrained else []
+    # the edge rows, listed: rows 1 .. K and S-K+1 .. S, or every row if S <= 2K
+    edge = [*bank[:step_count], *bank[max(step_count, slack):]] if constrained else []
     interior = source_count - len(edge)
     # the top rows are the K edge rows above the first interior row
     top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
 
-    def walk(rows: list[int], starts: int, slots: int = multiple) -> tuple[np.ndarray, np.ndarray]:
-        """Patterns per (start, clicks, positions stored) and their summed
+    def walk(rows: list[int], starts: int, slots: int = multiple) -> np.ndarray:
+        """Patterns per (start, clicks, positions stored), then their summed
         lacks, kept photons and discards: every click pattern of ``rows``
         walks greedily from each delay below ``starts`` past a train of
         ``slots`` slots, and the targets it fills from ``slots`` on are stored."""
@@ -198,17 +201,16 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
                 stored = sum(delay >= slots for _, delay in taken)
                 columns.append((start, len(pattern), len(taken), stored))
         start, clicks, kept, stored = np.array(columns).T
-        counts = np.zeros((starts, len(rows) + 1, len(rows) + 1), dtype=np.int64)
-        np.add.at(counts, (start, clicks, stored), 1)
-        sums = np.zeros((starts, len(rows) + 1, 3), dtype=np.int64)
+        table = np.zeros((starts, len(rows) + 1, len(rows) + 4), dtype=np.int64)
+        np.add.at(table, (start, clicks, stored), 1)
         lacks = np.maximum(slots - start, 0) - kept + stored
-        np.add.at(sums, (start, clicks), np.stack((lacks, kept, clicks - kept), axis=1))
-        return counts, sums
+        np.add.at(table[..., -3:], (start, clicks), np.stack((lacks, kept, clicks - kept), axis=1))
+        return table
 
     size = span - multiple + 1
     # with no slot to leave empty the top rows stop at the first target none
     # of them reaches, where the first interior row takes over
-    walks = _Walks(interior, *walk(edge, size), *walk(top, size, 0), *walk(bottom, span + 1))
+    walks = _Walks(interior, walk(edge, size), walk(top, size, 0), walk(bottom, span + 1))
     for table in walks[1:]:
         table.flags.writeable = False  # shared by every caller of the cache
     return walks
@@ -220,15 +222,14 @@ def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
     return np.einsum("n,xnj->xj", weight, table)
 
 
-def _chain_tables(
-    config: SimConfig,
-) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row blocks of the transition matrix in level order, expected lacks,
-    kept photons and discards per level, and each level's p_herald and
-    p_multi / p_herald.
+def _chain_tables(config: SimConfig) -> tuple[Iterator[np.ndarray], np.ndarray]:
+    """Row blocks of the transition matrix in level order, and a per-level
+    table whose columns are the expected lacks, kept photons, discards,
+    heralds (S p_herald) and multi-pair photons kept (kept photons times
+    p_multi / p_herald of the level's pump).
 
-    The blocks come from a generator that fills the per-level vectors as
-    it runs; the levels it has not reached read zero.
+    The blocks come from a generator that fills the per-level table as it
+    runs; the levels it has not reached read zero.
     """
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
@@ -236,11 +237,12 @@ def _chain_tables(
     span = 2**config.step_count
     size = config.capacity + 1
     pumps = config.pumps
-    sums = np.zeros((size, 3))  # expected lacks, kept photons and discards
-    p_herald, relative = np.zeros((2, size))
+    # expected lacks, kept photons, discards, heralds and multi-pair photons kept
+    per_level = np.zeros((size, 5))
+    sums = per_level[:, :3]  # the three columns the walks sum
 
     def blocks() -> Iterator[np.ndarray]:
-        offsets = np.arange(walks.top.shape[2])
+        offsets = np.arange(walks.top.shape[2] - 3)
         # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
         # band[k, s] = run[s - k] at stops s = 0 .. span-1 is a view for every
         # level + offset k, and so is shifted[level, s, i] = band[level + i, s]
@@ -255,12 +257,12 @@ def _chain_tables(
         for first, last in zip([0, *cuts], [*cuts, size]):
             pump = pumps[first]
             probs = herald_probabilities(pump)  # also rejects an infinite fed-back pump
-            p_herald[first:last] = probs.p_herald
-            relative[first:last] = probs.p_multi / probs.p_herald
+            per_level[first:last, 3] = config.source_count * probs.p_herald
+            relative = probs.p_multi / probs.p_herald
             rows = walks.interior_rows
             interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
-            stored = _weigh(walks.bottom, pump)[:, :size]  # [stop, j]
-            bottom_sums = _weigh(walks.bottom_sums, pump)
+            bottom = _weigh(walks.bottom, pump)
+            stored = bottom[:, :-3][:, :size]  # [stop, j]
             # at least one interior click: for n <= span, tail[n] = P(max(n, 1) or
             # more), reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
             run[1:interior.size] = interior[1:span]
@@ -275,7 +277,7 @@ def _chain_tables(
                 # the top rows hand over after i targets; stops[level, s] is the
                 # chance that the interior run then stops at delay s
                 top = _weigh(walks.top[low:high], pump)
-                passed = _weigh(walks.top_sums[low:high], pump)[:, 2]
+                top, passed = top[:, :-3], top[:, -1]
                 stops = np.empty((high - low, span + 1))
                 # one pass; a broadcast multiply over the band's view takes twice as long
                 np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
@@ -288,19 +290,21 @@ def _chain_tables(
                     cut = span + 1 - j
                     cells[:, j + 1:] += stops[:, m + 1:cut] * stored[m + 1:cut, j]
                 cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
-                sums[low:high] = stops @ bottom_sums
+                sums[low:high] = stops @ bottom[:, -3:]
                 # the top rows and the run keep s - level photons; the run
                 # discards its clicks past the targets left, the top rows those passed
                 sums[low:high, 1] += (top * (offsets * tail[0] + reach[left])).sum(axis=1)
                 sums[low:high, 2] += (top * over[left]).sum(axis=1) + tail[0] * passed
                 # no interior click: the edge rows walk jointly from the level
                 joint = interior[0] * _weigh(walks.joint[low:high], pump)
+                sums[low:high] += joint[:, -3:]
+                joint = joint[:, :-3]
                 columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
                 np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
-                sums[low:high] += interior[0] * _weigh(walks.joint_sums[low:high], pump)
+                per_level[low:high, 4] = relative * sums[low:high, 1]
                 yield cells
 
-    return blocks(), *sums.T, p_herald, relative
+    return blocks(), per_level
 
 
 def _drops(nonzero: np.ndarray, level: int) -> np.ndarray:
@@ -473,20 +477,20 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     ParameterError
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    blocks, lacks, kept, discards, p_herald, relative = _chain_tables(config)
+    blocks, per_level = _chain_tables(config)
     pi = _solve_rows(blocks, config.capacity + 1, config.multiple)
-    multi_rate = float(pi @ (relative * kept)) / config.multiple
+    lacks, kept, discards, heralds, multi = (float(pi @ column) for column in per_level.T)
     # every kept photon leaves in some slot, so kept photons count the filled
     # slots in full precision, where 1 - lack cancels
-    fill_rate = float(pi @ kept) / config.multiple
+    fill_rate, multi_rate = kept / config.multiple, multi / config.multiple
     return OracleRates(
-        lack_rate=float(pi @ lacks) / config.multiple,
+        lack_rate=lacks / config.multiple,
         multi_rate=multi_rate,
         relative_multi_rate=multi_rate / fill_rate if fill_rate > 0.0 else math.nan,
         mean_storage=float(pi @ np.arange(pi.size)),
-        mean_heralds=config.source_count * float(pi @ p_herald),
+        mean_heralds=heralds,
         fill_rate=fill_rate,
-        mean_discards=float(pi @ discards),
+        mean_discards=discards,
     )
 
 

@@ -597,6 +597,25 @@ def test_overflow_exits_one(capsys: pytest.CaptureFixture) -> None:
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_huge_banks_exit_one(capsys: pytest.CaptureFixture) -> None:
+    # past 2**53 sources the count is refused before any array is sized
+    huge = ["--sources", "100000000000000000000", "--multiple", "4"]
+    for command in (
+        ["simulate", *huge, "--mean-pairs", "0.05", "--cycles", "10"],
+        ["oracle", *huge, "--mean-pairs", "0.05"],
+        ["optimize", *huge],
+        ["sweep", "--param", "size", "--values", "1e300", "--multiple", "4",
+         "--mean-pairs", "0.05", "--cycles", "10"],
+        ["sweep", "--param", "size", "--values", "1e300", "--multiple", "4",
+         "--mean-pairs", "0.05", "--engine", "oracle"],
+    ):
+        assert run_command(command) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: source count must be an integer in [1, 2**53]")
+        assert captured.err.count("\n") == 1, command
+
+
 def test_out_of_memory_exits_one() -> None:
     def limit_address_space() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))

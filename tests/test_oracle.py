@@ -4,6 +4,7 @@ import decimal
 import gc
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -531,33 +532,36 @@ def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter, 
         config.boundary is BoundaryMode.CONSTRAINED,
     )
     m, span = config.multiple, 2**config.step_count
+    joint, joint_sums = walks.joint[..., :-3], walks.joint[..., -3:]
+    top, top_sums = walks.top[..., :-3], walks.top[..., -3:]
+    bottom, bottom_sums = walks.bottom[..., :-3], walks.bottom[..., -3:]
     # the clicked top rows passed over: n - i of each pattern
-    clicks, filled = np.ogrid[:walks.top.shape[1], :walks.top.shape[2]]
-    assert np.array_equal(walks.top_sums[..., 2], (walks.top * (clicks - filled)).sum(axis=2))
+    clicks, filled = np.ogrid[:top.shape[1], :top.shape[2]]
+    assert np.array_equal(top_sums[..., 2], (top * (clicks - filled)).sum(axis=2))
     counts, lacks, kept, discarded = Counter(), Counter(), Counter(), Counter()
     for level in range(config.capacity + 1):
-        for e, j in itertools.product(*map(range, walks.joint.shape[1:])):
-            counts[(level, 0, e, max(level - m, 0) + j)] += int(walks.joint[level, e, j])
-        for e in range(walks.joint.shape[1]):
-            lacks[(level, 0, e)] += int(walks.joint_sums[level, e, 0])
-            kept[(level, 0, e)] += int(walks.joint_sums[level, e, 1])
-            discarded[(level, 0, e)] += int(walks.joint_sums[level, e, 2])
+        for e, j in itertools.product(*map(range, joint.shape[1:])):
+            counts[(level, 0, e, max(level - m, 0) + j)] += int(joint[level, e, j])
+        for e in range(joint.shape[1]):
+            lacks[(level, 0, e)] += int(joint_sums[level, e, 0])
+            kept[(level, 0, e)] += int(joint_sums[level, e, 1])
+            discarded[(level, 0, e)] += int(joint_sums[level, e, 2])
         for n in range(1, min(walks.interior_rows, span - level) + 1):
-            for t, i in itertools.product(*map(range, walks.top.shape[1:])):
+            for t, i in itertools.product(*map(range, top.shape[1:])):
                 stop = min(level + i + n, span)
-                tops = int(walks.top[level, t, i])
+                tops = int(top[level, t, i])
                 # the top rows passed over and the run's clicks past the
                 # targets they leave are discarded
                 run_discards = t - i + max(level + i + n - span, 0)
-                for b, j in itertools.product(*map(range, walks.bottom.shape[1:])):
-                    patterns = tops * int(walks.bottom[stop, b, j])
+                for b, j in itertools.product(*map(range, bottom.shape[1:])):
+                    patterns = tops * int(bottom[stop, b, j])
                     counts[(level, n, t + b, max(stop - m, 0) + j)] += patterns
                     kept[(level, n, t + b)] += patterns * (stop - level)
                     discarded[(level, n, t + b)] += patterns * run_discards
-                for b in range(walks.bottom.shape[1]):
-                    lacks[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 0])
-                    kept[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 1])
-                    discarded[(level, n, t + b)] += tops * int(walks.bottom_sums[stop, b, 2])
+                for b in range(bottom.shape[1]):
+                    lacks[(level, n, t + b)] += tops * int(bottom_sums[stop, b, 0])
+                    kept[(level, n, t + b)] += tops * int(bottom_sums[stop, b, 1])
+                    discarded[(level, n, t + b)] += tops * int(bottom_sums[stop, b, 2])
     return +counts, +lacks, +kept, +discarded
 
 
@@ -569,6 +573,7 @@ def test_outcome_table_matches_every_click_pattern() -> None:
         SimConfig(source_count=7, multiple=3, mean_pairs=0.1, step_count=3),  # S = 2K + 1
         SimConfig(source_count=5, multiple=9, mean_pairs=0.1, step_count=4),  # S < 2K
         SimConfig(source_count=3, multiple=2, mean_pairs=0.1, step_count=2),  # S < 2K
+        SimConfig(source_count=2, multiple=3, mean_pairs=0.1, step_count=3),  # S < K
         # the deepest constrained chain the oracle accepts
         SimConfig(source_count=11, multiple=8, mean_pairs=0.1, step_count=5),  # S = 2K + 1
         SimConfig(source_count=12, multiple=20, mean_pairs=0.1, step_count=5),  # S = 2K
@@ -587,6 +592,16 @@ def test_outcome_table_matches_every_click_pattern() -> None:
         )
         assert walks.joint.shape[1] == len(_edge_rows(config)) + 1
         assert _walk_table_outcomes(config) == _brute_force_outcomes(config), config
+
+
+def test_walks_list_the_edge_rows_of_a_huge_bank() -> None:
+    # the 2K edge rows are listed, not found by testing every row, so a
+    # bank of 10**12 rows tabulates at once
+    start = time.perf_counter()
+    walks = oracle._walks(10**12, 3, 4, True)
+    assert time.perf_counter() - start < 1.0
+    assert walks.interior_rows == 10**12 - 6
+    assert walks.joint.shape[1] == 7
 
 
 def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -771,10 +786,10 @@ def test_kept_and_discarded_photons_add_up_to_the_heralds() -> None:
         _spec(208, 6, 4, 6.848873694814347e-05),
     ]
     for config in banks:
-        blocks, _, kept, discards, p_herald, _ = oracle._chain_tables(config)
+        blocks, per_level = oracle._chain_tables(config)
         for _ in blocks:
             pass
-        heralds = config.source_count * p_herald
+        _, kept, discards, heralds, _ = per_level.T
         assert (heralds > 0.0).all()
         assert (np.abs(kept + discards - heralds) <= 1e-14 * heralds).all(), config
 
