@@ -40,9 +40,8 @@ for mean, lack, multi in zip(means, lacks, multis):
     marker = "  <- crossing region" if abs(lack - multi) < 0.005 else ""
     print(f"{mean:.3f}   {lack:.5f}    {multi:.5f}{marker}")
 
-optimum = optimized_power(bank)
+optimum, balanced = optimized_power(bank)
 config = replace(bank, mean_pairs=optimum)
-balanced = stationary_rates(config)
 print()
 print(f"balanced pump: mean {optimum:.6f} pairs per cycle")
 print(f"both error rates there: {balanced.lack_rate:.5f}")

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConservationError, ConvergenceError, ParameterError
-from .oracle import MAX_CONSTRAINED_STEP_COUNT, optimized_power, stationary_rates
+from .oracle import MAX_CONSTRAINED_STEP_COUNT, OracleRates, optimized_power, stationary_rates
 from .register import RegisterTopology
 from .simulator import (
     BoundaryMode,
@@ -177,10 +177,10 @@ def _monte_carlo_row(config: SimConfig, param: float) -> SweepRow:
     )
 
 
-def _oracle_row(config: SimConfig, param: float) -> SweepRow:
-    """Exact-chain counterpart of a run: rates are stationary, counts are
-    stationary expectations over the same number of cycles."""
-    rates = stationary_rates(config)
+def _oracle_row(config: SimConfig, param: float, rates: OracleRates) -> SweepRow:
+    """Exact-chain counterpart of a run from the ``rates`` of ``config``:
+    rates are stationary, counts are stationary expectations over the same
+    number of cycles."""
     filled = rates.fill_rate * config.multiple * config.cycles
     return SweepRow(
         param, rates.lack_rate, rates.multi_rate, rates.relative_multi_rate, filled,
@@ -216,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
     config = _gather_config(args, boundary=BoundaryMode.UNCONSTRAINED.value)
-    return emit_csv([_oracle_row(config, config.mean_pairs)])
+    return emit_csv([_oracle_row(config, config.mean_pairs, stationary_rates(config))])
 
 
 def _grid_values(args: argparse.Namespace) -> list[float]:
@@ -246,10 +246,13 @@ def _apply_sweep_param(config: SimConfig, param: str, value: float) -> SimConfig
     if setting.parse is int:
         if not math.isfinite(value):
             raise ParameterError(f"--param {param} needs finite grid values, got {value!r}")
-        rounded = round(value)
-        if abs(value - rounded) > 1e-9:
-            raise ParameterError(f"--param {param} needs integer grid values, got {value!r}")
-        value = int(rounded)
+        # past 2**53 every float is whole and past every bound the bank accepts:
+        # its own check refuses it as given, not as an int of hundreds of digits
+        if abs(value) <= 2**53:
+            rounded = round(value)
+            if abs(value - rounded) > 1e-9:
+                raise ParameterError(f"--param {param} needs integer grid values, got {value!r}")
+            value = int(rounded)
     return replace(config, **{setting.field: value})
 
 
@@ -267,16 +270,16 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         if args.engine in ("monte_carlo", "both"):
             rows.append(_monte_carlo_row(point, value))
         if args.engine in ("oracle", "both"):
-            rows.append(_oracle_row(point, value))
+            rows.append(_oracle_row(point, value, stationary_rates(point)))
     return emit_csv(rows)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> str:
     # the pump is solved for, so the bank is read with a stand-in for it
     bank = _gather_config(args, mean_pairs="1", boundary=BoundaryMode.UNCONSTRAINED.value)
-    mean = optimized_power(bank, tolerance=args.tolerance)
+    mean, rates = optimized_power(bank, tolerance=args.tolerance)
     config = replace(bank, mean_pairs=mean)
-    rows = [_oracle_row(config, mean)]
+    rows = [_oracle_row(config, mean, rates)]
     if args.confirm:
         rows.append(_monte_carlo_row(config, mean))
     return emit_csv(rows)

@@ -48,12 +48,16 @@ levels out from the bottom, in left-looking order: level l goes as soon
 as rows l+1 .. l+m, the only ones that can drop to it, are built.  Its
 reduced way up is one product of its entries at the m levels below it
 with their reduced ways up, and its reduced column, the entries of rows
-l+1 .. l+m at l, a second product of those rows with the same ways up;
-back-substitution needs just that column and the exit rate.  So a solve
-holds the last m rows eliminated, the rows not yet eliminated and m + 1
-numbers per level, never the dense (capacity + 1)**2 matrix.  The lowest
-level with no way up is the ceiling of the chain: the levels above it
-get exactly zero, and no row past the block that holds it is built.
+l+1 .. l+m at l, a second product of those rows with the same ways up.
+The per-level table rides in columns to the right of the levels, so the
+first product also sums the rewards a level collects until the chain
+first climbs back to it or above.  The lowest level with no way up is
+the ceiling of the chain: its sums cover one return cycle to it, and the
+renewal-reward theorem makes each rate their ratio to the cycle's
+length, with no stationary vector and no back-substitution.  So a solve
+holds the last m rows eliminated and the rows not yet eliminated, never
+the dense (capacity + 1)**2 matrix, and no row past the block that holds
+the ceiling is built: the levels above it are never visited.
 
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
@@ -226,10 +230,10 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """Row blocks of the transition matrix in level order, and a per-level
     table whose columns are the expected lacks, kept photons, discards,
     heralds (S p_herald) and multi-pair photons kept (kept photons times
-    p_multi / p_herald of the level's pump).
+    p_multi / p_herald of the level's pump), then the level itself.
 
     The blocks come from a generator that fills the per-level table as it
-    runs; the levels it has not reached read zero.
+    runs; the levels it has not reached read zero but for the level.
     """
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
@@ -237,8 +241,9 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[np.ndarray], np.ndarray]:
     span = 2**config.step_count
     size = config.capacity + 1
     pumps = config.pumps
-    # expected lacks, kept photons, discards, heralds and multi-pair photons kept
-    per_level = np.zeros((size, 5))
+    # expected lacks, kept photons, discards, heralds, multi-pair photons kept, and the level
+    per_level = np.zeros((size, 6))
+    per_level[:, 5] = np.arange(size)
     sums = per_level[:, :3]  # the three columns the walks sum
 
     def blocks() -> Iterator[np.ndarray]:
@@ -313,9 +318,13 @@ def _drops(nonzero: np.ndarray, level: int) -> np.ndarray:
     return np.arange(level, level + len(nonzero)) - nonzero.argmax(axis=1)
 
 
-def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarray:
+def _solve_rows(
+    blocks: Iterable[np.ndarray], size: int, width: int, rewards: np.ndarray | None = None
+) -> np.ndarray:
     """Stationary vector, by GTH state reduction, of a ``size``-level chain
-    whose rows arrive in level order and drop at most ``width`` levels.
+    whose rows arrive in level order and drop at most ``width`` levels; or,
+    given a (``size``, n) table of ``rewards`` per level, their stationary
+    means pi @ ``rewards``, without pi.
 
     Levels are censored out from the bottom in left-looking (Crout) order.
     With P' the chain with levels 0 .. k-1 censored out when level k goes,
@@ -338,13 +347,36 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
     the ceiling: the levels above it get exactly zero, and no block after
     the one that holds it is read.  A row that drops more than ``width``
     levels raises :class:`ParameterError`.
+
+    The rewards, then a column of ones, ride in columns to the right of the
+    levels, so the product that gives level l its way up also gives R_l =
+    r_l + sum_k P'[l, k] R_k / exit_k: the reward summed from l until the
+    chain first returns to l or above, the steps counted in the ones
+    column as T_l.  At the ceiling no way up is left, so R and T sum over
+    one return cycle to it, and the renewal-reward theorem makes R / T the
+    stationary means, with no back-substitution.  A reward row is read when
+    its block arrives, and rewards must lie in [0, 2**53].
+
+    A steep fall makes T_l / exit_l grow past any float.  So before R_l /
+    exit_l is stored, each column whose sum passes exit_l 2**900 is scaled,
+    in the window and in the rows still to come, by the power of two that
+    brings it to exit_l 2**800: only those rows are read again, and each
+    column's sums are linear in its rewards, so putting the scales back
+    gives the same ratio.  Each column takes its own scale, so a mean far
+    below the steps' keeps its digits; while the scales agree no sum passes
+    2**53 T_l, and T_l alone is checked.
     """
     width = min(width, size - 1)
+    carried = 0 if rewards is None else rewards.shape[1] + 1  # the rewards and the ones
     exit_rate = np.zeros(size)
-    below = np.zeros((size, width))  # below[l, d] = P'[l + 1 + d, l]
+    # below[l, d] = P'[l + 1 + d, l], which only back-substitution reads
+    below = None if carried else np.zeros((size, width))
+    shift = np.zeros(carried, dtype=int)  # the reward columns are scaled by 2**-shift
+    even = True  # every reward column has the same shift
     # window[i, j] is row base + i at level base + j, for the last width levels
-    # eliminated (ways up divided by the exit rate) and the rows not yet eliminated
-    window = np.empty((0, 0))
+    # eliminated (ways up divided by the exit rate) and the rows not yet
+    # eliminated; the reward columns follow the levels
+    window = np.empty((0, carried))
     base = done = read = 0
     ends = [0]  # ends[l + 1] = 1 + the last nonzero of rows 0 .. l
     ceiling = None
@@ -362,9 +394,15 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
             last[found] = size - past.argmax(axis=1)[found]
         ends += np.maximum.accumulate(last).tolist()
         # the band keeps the new rows at base or above, and none reaches past ends[-1]
-        grown = np.zeros((read + len(rows) - base, ends[-1] - base))
-        grown[:window.shape[0], :window.shape[1]] = window
-        grown[window.shape[0]:] = rows[:, base:ends[-1]]
+        held, kept = window.shape[0], window.shape[1] - carried
+        grown = np.zeros((read + len(rows) - base, ends[-1] - base + carried))
+        grown[:held, :kept] = window[:, :kept]
+        grown[held:, :ends[-1] - base] = rows[:, base:ends[-1]]
+        if carried:
+            grown[:held, -carried:] = window[:, kept:]
+            grown[held:, -carried:-1] = rewards[read:read + len(rows)]
+            grown[held:, -1] = 1.0
+            np.ldexp(grown[held:, -carried:], -shift, out=grown[held:, -carried:])
         window = grown
         read += len(rows)
         ready = read if read == size else max(done, read - width)
@@ -372,21 +410,38 @@ def _solve_rows(blocks: Iterable[np.ndarray], size: int, width: int) -> np.ndarr
             row = level - base
             first = max(row - width, 0)
             stop = ends[level + 1] - base  # no product carries row level further
+            # the rewards sit past the level columns, which are zero from stop
+            # on in every row the product reads
+            reach = window.shape[1] if carried else stop
             window[row, row] = 1.0  # GTH never reads the diagonal
-            up = window[row, first:row + 1] @ window[first:row + 1, row + 1:stop]
-            exit_rate[level] = rate = np.add.reduce(up)
+            up = window[row, first:row + 1] @ window[first:row + 1, row + 1:reach]
+            exit_rate[level] = rate = np.add.reduce(up[:stop - row - 1])
             if rate == 0.0:
                 ceiling = level
                 break
-            np.divide(up, rate, out=window[row, row + 1:stop])
+            # while every column is scaled alike, no reward sum passes 2**53 T_l
+            if carried and (up[-1] if even else max(up[-carried:].tolist())) > rate * 2.0**900:
+                # bring each sum past 2**800 exit_l down to it before it is stored
+                drop = np.maximum(np.frexp(up[-carried:])[1] - math.frexp(rate)[1] - 800, 0)
+                np.ldexp(window[:, -carried:], -drop, out=window[:, -carried:])
+                np.ldexp(up[-carried:], -drop, out=up[-carried:])
+                shift += drop
+                even = bool((shift == shift[0]).all())
+            np.divide(up, rate, out=window[row, row + 1:reach])
             column = window[row + 1:row + 1 + width, first:row + 1] @ window[first:row + 1, row]
-            below[level, :column.size] = column
+            if below is not None:
+                below[level, :column.size] = column
             window[row + 1:row + 1 + width, row] = column
         if ceiling is not None:
             break  # pi is zero above the ceiling, so no later row is needed
         keep = max(ready - width, base)
         window = window[keep - base:, keep - base:]
         base, done = keep, ready
+    if carried:
+        # R / T with the scales put back: the mantissas divide, the exponents subtract
+        sums, sums_exponent = np.frexp(up[-carried:-1])
+        steps, steps_exponent = math.frexp(up[-1])
+        return np.ldexp(sums / steps, sums_exponent - steps_exponent + shift[:-1] - shift[-1])
     pi = np.zeros(size)
     pi[ceiling] = 1.0
     for level in range(ceiling - 1, -1, -1):
@@ -452,13 +507,18 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     cycle, so it is solved as it is built, by the subtraction-free GTH
     reduction of :func:`stationary_distribution`: each level is censored
     out, bottom up, by two matrix-vector products over the ``multiple``
-    levels below it, as soon as the ``multiple`` rows above it exist.  No
-    call holds the (capacity + 1)**2 matrix, only the last ``multiple``
-    rows eliminated, the rows not yet eliminated (at most ``multiple`` plus
+    levels below it, as soon as the ``multiple`` rows above it exist.  The
+    first product also carries the level's expected lacks, kept photons,
+    discards, heralds, multi-pair photons and storage, summed up to its
+    first return to it or above; at the lowest level with no way up those
+    sums cover one return cycle, and each rate is their ratio to the
+    cycle's length (renewal-reward), with no stationary vector.  No call
+    holds the (capacity + 1)**2 matrix, only the last ``multiple`` rows
+    eliminated and the rows not yet eliminated (at most ``multiple`` plus
     one block of under 2**16 cells), each cut to the levels the rows reach,
-    and ``multiple + 1`` numbers per level.  The levels above the lowest
-    one with no way up get exactly zero and their rows are never built, so
-    a bank whose storage never fills costs one block.
+    with the sums beside them.  The levels above the lowest one with no
+    way up are never visited and their rows are never built, so a bank
+    whose storage never fills costs one block.
 
     Parameters
     ----------
@@ -478,8 +538,8 @@ def stationary_rates(config: SimConfig) -> OracleRates:
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
     blocks, per_level = _chain_tables(config)
-    pi = _solve_rows(blocks, config.capacity + 1, config.multiple)
-    lacks, kept, discards, heralds, multi = (float(pi @ column) for column in per_level.T)
+    means = _solve_rows(blocks, config.capacity + 1, config.multiple, per_level)
+    lacks, kept, discards, heralds, multi, storage = map(float, means)
     # every kept photon leaves in some slot, so kept photons count the filled
     # slots in full precision, where 1 - lack cancels
     fill_rate, multi_rate = kept / config.multiple, multi / config.multiple
@@ -487,7 +547,7 @@ def stationary_rates(config: SimConfig) -> OracleRates:
         lack_rate=lacks / config.multiple,
         multi_rate=multi_rate,
         relative_multi_rate=multi_rate / fill_rate if fill_rate > 0.0 else math.nan,
-        mean_storage=float(pi @ np.arange(pi.size)),
+        mean_storage=storage,
         mean_heralds=heralds,
         fill_rate=fill_rate,
         mean_discards=discards,
@@ -528,8 +588,9 @@ def _gap_bounds(config: SimConfig) -> tuple[float, float]:
 _MAX_MEAN = 32.0
 
 
-def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
-    """Pump level where the lack rate equals the multi-pair rate of ``bank``.
+def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> tuple[float, OracleRates]:
+    """Pump level where the lack rate equals the multi-pair rate of ``bank``,
+    and the rates of the bank there.
 
     Solved on the chain of the bank as given, boundary limits and pump
     feedback included: its ``mean_pairs`` is the unknown, and ``cycles``
@@ -557,8 +618,11 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
 
     Returns
     -------
-    float
+    mean_pairs : float
         Mean pair number at the crossing.
+    rates : OracleRates
+        The rates of the chain solved at that pump, the solve that ended the
+        bisection: a step inside the tolerance is never one a bound decided.
 
     Raises
     ------
@@ -576,24 +640,24 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
     decisive = limit + max(limit, 1e-9)
     gain = max(bank.pumps) / bank.mean_pairs
 
-    def gap(mean: float) -> float:
+    def gap(mean: float) -> tuple[float, OracleRates | None]:
+        """lack - multi at pump ``mean``, and the rates if the chain was solved."""
         config = replace(bank, mean_pairs=mean)
         # a bound this far past the tolerance takes the step the exact gap would
         lower, upper = _gap_bounds(config)
         if lower >= decisive:
-            return lower
+            return lower, None
         if upper <= -decisive:
-            return upper
+            return upper, None
         rates = stationary_rates(config)
-        return rates.lack_rate - rates.multi_rate
+        return rates.lack_rate - rates.multi_rate, rates
 
     low, high = 1e-6, 1.0
-    gap_low = gap(low)
-    if gap_low <= 0.0:
+    if gap(low)[0] <= 0.0:
         raise ConvergenceError(
             "lack does not exceed multi even at vanishing pump; no crossing to find"
         )
-    while gap(high) > 0.0:
+    while gap(high)[0] > 0.0:
         high *= 2.0
         if high * gain > _MAX_MEAN:
             raise ConvergenceError(
@@ -602,9 +666,10 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> float:
 
     for _ in range(200):
         mid = 0.5 * (low + high)
-        gap_mid = gap(mid)
+        gap_mid, rates = gap(mid)
+        # a bound decides only past +-decisive, so a gap inside the tolerance was solved
         if abs(gap_mid) < limit:
-            return mid
+            return mid, rates
         if gap_mid > 0.0:
             low = mid
         else:

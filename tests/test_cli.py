@@ -510,7 +510,7 @@ def test_optimize_balances_the_bank_as_given(capsys: pytest.CaptureFixture) -> N
     assert code == 0
     rows = _rows(capsys.readouterr().out)
     bank = SimConfig(100, 4, 1.0, 3, feedback="boost", cycles=2000)
-    mean = optimized_power(bank)
+    mean, _ = optimized_power(bank)
     assert rows[0][0] == format(mean, ".6g")
     # the confirming run simulates the same bank at the optimum
     run = run_simulation(replace(bank, mean_pairs=mean))
@@ -614,6 +614,17 @@ def test_huge_banks_exit_one(capsys: pytest.CaptureFixture) -> None:
         assert captured.out == "", command
         assert captured.err.startswith("error: source count must be an integer in [1, 2**53]")
         assert captured.err.count("\n") == 1, command
+
+
+def test_sweep_names_a_huge_grid_value_as_given(capsys: pytest.CaptureFixture) -> None:
+    # a grid value past 2**53 is refused as parsed, not as an int of 301 digits
+    code = run_command(["sweep", "--param", "size", "--values", "1e300", "--multiple", "4",
+                        "--mean-pairs", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "1e+300" in captured.err
 
 
 def test_out_of_memory_exits_one() -> None:

@@ -291,6 +291,7 @@ def _blocks(matrix: np.ndarray, rng: np.random.Generator):
 
 def test_solver_matches_the_rank_one_reduction_on_banded_chains() -> None:
     rng = np.random.default_rng(22)
+    reward_rng = np.random.default_rng(24)  # leaves the chains as they were
     for _ in range(200):
         size = int(rng.integers(2, 40))
         width = int(rng.integers(1, size))
@@ -302,21 +303,31 @@ def test_solver_matches_the_rank_one_reduction_on_banded_chains() -> None:
             matrix[level, int(rng.integers(level + 1, size))] = 1e-310
         reference = _rank_one_solve_rows([matrix], size, width)
         # dividing by a subnormal exit rate neither overflows nor makes a nan
+        rewards = reward_rng.random((size, 3))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             pi = oracle._solve_rows([matrix], size, width)
+            # the reward sums shrink past a subnormal way up rather than overflow
+            means = oracle._solve_rows(_blocks(matrix, reward_rng), size, width, rewards)
         _assert_same_vector(pi, reference)
+        assert means == pytest.approx(reference @ rewards, rel=1e-12, abs=0.0)
         # the bits do not depend on how the rows arrive
         assert np.array_equal(oracle._solve_rows(_blocks(matrix, rng), size, width), pi)
 
 
 def _solve_with(solver, config: SimConfig) -> tuple[OracleRates, np.ndarray]:
-    """``stationary_rates(config)`` with ``solver`` in place of
-    ``oracle._solve_rows``, and the stationary vector it returned."""
+    """``stationary_rates(config)`` with its stationary means from
+    ``solver``, and the stationary vector ``solver`` returns.  The means
+    are pi @ rewards, except that ``oracle._solve_rows`` itself gives them
+    by its reward reduction."""
     found = []
+    production = oracle._solve_rows
 
-    def recording(blocks, size: int, width: int) -> np.ndarray:
+    def recording(blocks, size: int, width: int, rewards: np.ndarray) -> np.ndarray:
+        blocks = list(blocks)  # fills the rewards of every level
         found.append(solver(blocks, size, width))
-        return found[-1]
+        if solver is production:
+            return production(blocks, size, width, rewards)
+        return found[-1] @ rewards
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_solve_rows", recording)
@@ -344,7 +355,8 @@ def test_solver_matches_the_rank_one_reduction_on_random_banks() -> None:
             feedback_strength=round(float(rng.uniform(0.0, 2.0)), 2),
         ))
     deep = _spec(2000, 16, 12, 0.0081)
-    banks += [deep, replace(deep, feedback="turbo_boost")]
+    # a bank whose ceiling is level 0 stores nothing
+    banks += [deep, replace(deep, feedback="turbo_boost"), _spec(3, 4, 12, 0.4)]
     for config in banks:
         rates, pi = _solve_with(oracle._solve_rows, config)
         reference_rates, reference = _solve_with(_rank_one_solve_rows, config)
@@ -355,6 +367,28 @@ def test_solver_matches_the_rank_one_reduction_on_random_banks() -> None:
                 assert math.isnan(value), (config, field)
             else:
                 assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (config, field)
+
+
+def test_reward_sums_match_the_stationary_vector_where_they_shrink() -> None:
+    # pi falls from its peak by more than 2**600 on the first three banks, so
+    # the reward sums are scaled down on their way up to the ceiling; on the
+    # faint third one a mean storage of 2.3e-279 keeps its digits only if the
+    # storage column is not scaled as the steps are.  The last bank has its
+    # ceiling at level 0, where no level is eliminated.
+    banks = (_spec(2000, 16, 12, 0.002025), _spec(200, 16, 10, 0.01), _spec(240, 46, 7, 1e-7),
+             _spec(3, 4, 12, 0.4))
+    for config in banks:
+        blocks, rewards = oracle._chain_tables(config)
+        blocks = list(blocks)  # fills the rewards of every level
+        size, width = config.capacity + 1, config.multiple
+        pi = oracle._solve_rows(blocks, size, width)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            means = oracle._solve_rows(blocks, size, width, rewards)
+        assert means == pytest.approx(pi @ rewards, rel=1e-12, abs=0.0), config
+        if not pi[1:].any():
+            assert means[-1] == 0.0 and stationary_rates(config).mean_storage == 0.0
+        else:
+            assert pi[pi > 0.0].min() < 2.0**-600 * pi.max(), config
 
 
 def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
@@ -789,7 +823,7 @@ def test_kept_and_discarded_photons_add_up_to_the_heralds() -> None:
         blocks, per_level = oracle._chain_tables(config)
         for _ in blocks:
             pass
-        _, kept, discards, heralds, _ = per_level.T
+        _, kept, discards, heralds, _ = per_level.T[:5]
         assert (heralds > 0.0).all()
         assert (np.abs(kept + discards - heralds) <= 1e-14 * heralds).all(), config
 
@@ -857,8 +891,8 @@ def test_chain_pump_wiring() -> None:
 
 
 def test_optimized_power_balances_the_two_error_rates() -> None:
-    mean = optimized_power(_spec(100, 4, 3, 1.0))
-    rates = stationary_rates(_spec(100, 4, 3, mean))
+    mean, rates = optimized_power(_spec(100, 4, 3, 1.0))
+    assert rates == stationary_rates(_spec(100, 4, 3, mean))
     assert abs(rates.lack_rate - rates.multi_rate) < 1e-6
     assert mean == pytest.approx(0.0477879, abs=5e-5)
 
@@ -868,8 +902,8 @@ def test_optimized_power_matches_closed_form_for_single_source() -> None:
     # exp(-n) * (2 + n) = 1, whose root sits above one pair per cycle;
     # this also exercises the bracket growing past its initial upper end
     root = brentq(lambda n: math.exp(-n) * (2.0 + n) - 1.0, 0.5, 3.0, xtol=1e-12)
-    assert optimized_power(_spec(1, 1, 1, 1.0)) == pytest.approx(root, abs=1e-4)
-    assert optimized_power(_spec(1, 1, 3, 1.0)) == pytest.approx(root, abs=1e-4)
+    assert optimized_power(_spec(1, 1, 1, 1.0))[0] == pytest.approx(root, abs=1e-4)
+    assert optimized_power(_spec(1, 1, 3, 1.0))[0] == pytest.approx(root, abs=1e-4)
 
 
 def test_optimized_power_failure_modes() -> None:
@@ -898,11 +932,11 @@ def test_optimized_power_balances_the_bank_as_given() -> None:
         (SimConfig(source_count=100, multiple=4, mean_pairs=0.3, step_count=3), 0.048594),
         (replace(_spec(100, 4, 3, 0.3), feedback="turbo_boost", cycles=7, seed=5), 0.029672),
     ):
-        mean = optimized_power(bank, tolerance=1e-6)
-        rates = stationary_rates(replace(bank, mean_pairs=mean))
+        mean, rates = optimized_power(bank, tolerance=1e-6)
+        assert rates == stationary_rates(replace(bank, mean_pairs=mean))
         assert abs(rates.lack_rate - rates.multi_rate) < 1e-6
         assert mean == pytest.approx(optimum, abs=5e-6)
-        assert mean == optimized_power(replace(bank, mean_pairs=0.01, cycles=1, seed=0))
+        assert mean == optimized_power(replace(bank, mean_pairs=0.01, cycles=1, seed=0))[0]
 
 
 def test_optimize_builds_each_herald_pmf_once(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -992,7 +1026,7 @@ def test_optimized_power_takes_the_reference_bisection_steps(monkeypatch) -> Non
     ]
     for bank in banks:
         outcomes = []
-        for optimize in (_reference_optimized_power, optimized_power):
+        for optimize in (_reference_optimized_power, lambda bank: optimized_power(bank)[0]):
             solves[0] = 0
             try:
                 outcomes.append((optimize(bank), solves[0]))
