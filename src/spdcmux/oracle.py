@@ -37,27 +37,35 @@ through a sliding window without a copy, weighted by the top table and
 folded through the bottom table into the matrix columns.  The run keeps
 E[min(c, left)] of the targets left and discards E[max(c - left, 0)],
 running sums of the pmf's tail, and the top rows it passes are discarded
-too.  The expected lacks, kept photons, discards, heralds and multi-pair
+too.  A walk over no rows weighs exactly one, so it is neither weighed
+nor multiplied in.  A bank with no edge rows is the finite-buffer
+Lindley recursion l' = min(max(l + c - m, 0), capacity): its run takes
+every cycle, none clicked included, and its rows are one strided copy
+of the pmf, P[l, j] = pmf[j - l + m], with the two end columns clamped.
+The expected lacks, kept photons, discards, heralds and multi-pair
 photons kept fill one table per level, which the stationary distribution
 weighs into the rates.
 
 The rows are built in blocks of whole levels, in level order, and solved
-as they arrive.  A cycle drops at most m levels (the next level is at
-least l - m), so Grassmann-Taksar-Heyman state reduction can censor the
-levels out from the bottom, in left-looking order: level l goes as soon
-as rows l+1 .. l+m, the only ones that can drop to it, are built.  Its
-reduced way up is one product of its entries at the m levels below it
-with their reduced ways up, and its reduced column, the entries of rows
-l+1 .. l+m at l, a second product of those rows with the same ways up.
-The per-level table rides in columns to the right of the levels, so the
-first product also sums the rewards a level collects until the chain
-first climbs back to it or above.  The lowest level with no way up is
-the ceiling of the chain: its sums cover one return cycle to it, and the
-renewal-reward theorem makes each rate their ratio to the cycle's
-length, with no stationary vector and no back-substitution.  So a solve
-holds the last m rows eliminated and the rows not yet eliminated, never
-the dense (capacity + 1)**2 matrix, and no row past the block that holds
-the ceiling is built: the levels above it are never visited.
+as they arrive.  A cycle drops at most m levels and stores at most S
+photons, so the rows of levels low .. high-1 are built, and scanned by
+the solver, only at the band of levels max(low - m, 0) .. high + S - 1.
+Since the next level is at least l - m, Grassmann-Taksar-Heyman state
+reduction can censor the levels out from the bottom, in left-looking
+order: level l goes as soon as rows l+1 .. l+m, the only ones that can
+drop to it, are built.  Its reduced way up is one product of its entries
+at the m levels below it with their reduced ways up, and its reduced
+column, the entries of rows l+1 .. l+m at l, a second product of those
+rows with the same ways up.  The per-level table rides in columns to the
+right of the levels, so the first product also sums the rewards a level
+collects until the chain first climbs back to it or above.  The lowest
+level with no way up is the ceiling of the chain: its sums cover one
+return cycle to it, and the renewal-reward theorem makes each rate their
+ratio to the cycle's length, with no stationary vector and no
+back-substitution.  So a solve holds the last m rows eliminated and the
+rows not yet eliminated, never the dense (capacity + 1)**2 matrix, and
+no row past the block that holds the ceiling is built: the levels above
+it are never visited.
 
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
@@ -226,14 +234,19 @@ def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
     return np.einsum("n,xnj->xj", weight, table)
 
 
-def _chain_tables(config: SimConfig) -> tuple[Iterator[np.ndarray], np.ndarray]:
-    """Row blocks of the transition matrix in level order, and a per-level
-    table whose columns are the expected lacks, kept photons, discards,
-    heralds (S p_herald) and multi-pair photons kept (kept photons times
-    p_multi / p_herald of the level's pump), then the level itself.
+def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
+    """Row blocks of the transition matrix in level order, as bands, and a
+    per-level table whose columns are the expected lacks, kept photons,
+    discards, heralds (S p_herald) and multi-pair photons kept (kept photons
+    times p_multi / p_herald of the level's pump), then the level itself.
 
-    The blocks come from a generator that fills the per-level table as it
-    runs; the levels it has not reached read zero but for the level.
+    The block of levels low .. high-1 is ``(first, rows)``, with
+    ``rows[i, k]`` the entry of level low + i at level first + k.  A cycle
+    drops at most m levels and stores at most S photons, so the band covers
+    levels max(low - m, 0) .. min(high + S, capacity + 1) - 1 and every
+    entry outside it is zero.  The blocks come from a generator that fills
+    the per-level table as it runs; the levels it has not reached read zero
+    but for the level.
     """
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
@@ -245,86 +258,132 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[np.ndarray], np.ndarray]:
     per_level = np.zeros((size, 6))
     per_level[:, 5] = np.arange(size)
     sums = per_level[:, :3]  # the three columns the walks sum
+    # a walk over no rows weighs exactly one, so it is neither weighed nor
+    # multiplied in: without edge rows the run covers every cycle, and
+    # without top and bottom rows it is the whole walk
+    edge, split = walks.joint.shape[1] > 1, walks.top.shape[1] > 1
 
-    def blocks() -> Iterator[np.ndarray]:
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
         offsets = np.arange(walks.top.shape[2] - 3)
-        # run[c] = P(c interior clicks) for 0 < c < span, behind enough zeros that
-        # band[k, s] = run[s - k] at stops s = 0 .. span-1 is a view for every
-        # level + offset k, and so is shifted[level, s, i] = band[level + i, s]
-        padded = np.zeros(2 * span + offsets.size - 1)
+        # blocks of whole levels bound the temporaries at 2**16 cells
+        block = max(1, 2**16 // (span + 1))
+        # run[c] = P(c interior clicks) for c < span, behind enough zeros that
+        # band[k, d] = run[d - k] is a view for every row k of a block plus
+        # offset, and so is shifted[k, d, i] = band[k + i, d]
+        padded = np.zeros(block + offsets.size - 2 + span)
         run = padded[-span:]
         band = np.lib.stride_tricks.sliding_window_view(padded, span)[::-1]
         shifted = np.lib.stride_tricks.sliding_window_view(band, offsets.size, axis=0)
-        # blocks of whole levels bound the temporaries at 2**16 cells
-        block = max(1, 2**16 // (span + 1))
+        # with edge rows the run takes the cycles with an interior click
+        clicked = int(edge)
         # runs of levels under one pump: a monotone feedback repeats no pump
         cuts = [level for level in range(1, size) if pumps[level] != pumps[level - 1]]
-        for first, last in zip([0, *cuts], [*cuts, size]):
-            pump = pumps[first]
+        for begin, end in zip([0, *cuts], [*cuts, size]):
+            pump = pumps[begin]
             probs = herald_probabilities(pump)  # also rejects an infinite fed-back pump
-            per_level[first:last, 3] = config.source_count * probs.p_herald
+            per_level[begin:end, 3] = config.source_count * probs.p_herald
             relative = probs.p_multi / probs.p_herald
             rows = walks.interior_rows
             interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
-            bottom = _weigh(walks.bottom, pump)
-            stored = bottom[:, :-3][:, :size]  # [stop, j]
-            # at least one interior click: for n <= span, tail[n] = P(max(n, 1) or
-            # more), reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
-            run[1:interior.size] = interior[1:span]
+            if split:
+                bottom = _weigh(walks.bottom, pump)
+                stored = bottom[:, :-3][:, :size]  # [stop, j]
+            run[clicked:interior.size] = interior[clicked:span]
+            # for n <= span, tail[n] = P(max(n, 1) or more interior clicks),
+            # reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
             rest = np.cumsum(interior[:0:-1])[::-1]
             tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
             reach = np.concatenate(([0.0], np.cumsum(tail[1:])))
             over = np.concatenate((np.cumsum(rest[::-1])[::-1], np.zeros(span + 1)))[:span + 1]
-            for low in range(first, last, block):
-                high = min(last, low + block)
+            for low in range(begin, end, block):
+                high = min(end, low + block)
                 level = np.arange(low, high)[:, None]
-                cells = np.empty((high - low, size))
-                # the top rows hand over after i targets; stops[level, s] is the
-                # chance that the interior run then stops at delay s
-                top = _weigh(walks.top[low:high], pump)
-                top, passed = top[:, :-3], top[:, -1]
-                stops = np.empty((high - low, span + 1))
-                # one pass; a broadcast multiply over the band's view takes twice as long
-                np.einsum("lsi,li->ls", shifted[low:high], top, out=stops[:, :span])
+                first = max(low - m, 0)
+                cells = np.zeros((high - low, min(high + config.source_count, size) - first))
+                # the top rows and the run click at most S times, so the run
+                # stops at delays low .. last-1; below delay span it reads the band
+                last = min(high + config.source_count, span + 1)
+                below = min(last, span) - low
+                under = min(last, m + 1) - low  # the stops at delay m or below
+                past = max(low, m + 1)  # the first stop past the slots
                 left = np.maximum(span - level - offsets, 0)  # targets left after the top rows
-                stops[:, span] = (top * tail[left]).sum(axis=1)
-                # from s the bottom rows store j photons: the next level is max(s - m, 0) + j
-                np.multiply(stops[:, m + 1:], stored[m + 1:, 0], out=cells[:, 1:])
-                cells[:, 0] = 0.0
-                for j in range(1, stored.shape[1]):
-                    cut = span + 1 - j
-                    cells[:, j + 1:] += stops[:, m + 1:cut] * stored[m + 1:cut, j]
-                cells[:, :stored.shape[1]] += stops[:, :m + 1] @ stored[:m + 1]
-                sums[low:high] = stops @ bottom[:, -3:]
-                # the top rows and the run keep s - level photons; the run
-                # discards its clicks past the targets left, the top rows those passed
-                sums[low:high, 1] += (top * (offsets * tail[0] + reach[left])).sum(axis=1)
-                sums[low:high, 2] += (top * over[left]).sum(axis=1) + tail[0] * passed
-                # no interior click: the edge rows walk jointly from the level
-                joint = interior[0] * _weigh(walks.joint[low:high], pump)
-                sums[low:high] += joint[:, -3:]
-                joint = joint[:, :-3]
-                columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
-                np.add.at(cells, (level - low, columns), joint)  # columns past capacity add 0
+                if split:
+                    # the top rows hand over after i targets; stops[l, s - low]
+                    # is the chance that the interior run then stops at delay s
+                    top = _weigh(walks.top[low:high], pump)
+                    top, passed = top[:, :-3], top[:, -1]
+                    stops = np.empty((high - low, last - low))
+                    # one pass; a broadcast multiply over the band's view takes twice as long
+                    np.einsum("lsi,li->ls", shifted[:high - low, :below], top, out=stops[:, :below])
+                    if last > span:
+                        stops[:, -1] = (top * tail[left]).sum(axis=1)
+                    # from s the bottom rows store j photons: the next level is
+                    # max(s - m, 0) + j, which lies in the band where j is possible
+                    for j in range(stored.shape[1]):
+                        stop = min(last, first + cells.shape[1] + m - j)
+                        if stop > past:
+                            cells[:, past - m + j - first:stop - m + j - first] += (
+                                stops[:, past - low:stop - low] * stored[past:stop, j]
+                            )
+                    if under > 0:
+                        cells[:, :stored.shape[1]] += stops[:, :under] @ stored[low:low + under]
+                    sums[low:high] = stops @ bottom[low:last, -3:]
+                    # the top rows and the run keep s - level photons; the run
+                    # discards its clicks past the targets left, the top rows those passed
+                    sums[low:high, 1] += (top * (offsets * tail[0] + reach[left])).sum(axis=1)
+                    sums[low:high, 2] += (top * over[left]).sum(axis=1) + tail[0] * passed
+                else:
+                    # the run alone: the next level is min(max(s - m, 0), capacity)
+                    runs = band[:high - low, :below]
+                    if below > past - low:
+                        cells[:, past - m - first:low + below - m - first] = runs[:, past - low:]
+                    if under > 0:
+                        cells[:, 0] += runs[:, :under].sum(axis=1)
+                    left = left[:, 0]
+                    if last > span:  # the run fills storage: the last column is capacity
+                        cells[:, -1] += tail[left]
+                    # from s < m the run leaves m - s slots empty
+                    empty = m - np.arange(low, min(m, low + below), dtype=float)
+                    sums[low:high, 0] = runs[:, :empty.size] @ empty
+                    sums[low:high, 1] = reach[left]
+                    sums[low:high, 2] = over[left]
+                if edge:
+                    # no interior click: the edge rows walk jointly from the level
+                    joint = interior[0] * _weigh(walks.joint[low:high], pump)
+                    sums[low:high] += joint[:, -3:]
+                    joint = joint[:, :-3]
+                    columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
+                    np.add.at(cells, (level - low, columns - first), joint)  # columns past capacity add 0
                 per_level[low:high, 4] = relative * sums[low:high, 1]
-                yield cells
+                yield first, cells
 
     return blocks(), per_level
 
 
-def _drops(nonzero: np.ndarray, level: int) -> np.ndarray:
+def _drops(nonzero: np.ndarray, level: int, first: int = 0) -> np.ndarray:
     """How many levels each row of the mask ``nonzero``, the first one at
-    ``level``, drops at most; an all-zero row reads as dropping to level 0."""
-    return np.arange(level, level + len(nonzero)) - nonzero.argmax(axis=1)
+    ``level`` and column k at level ``first`` + k, drops at most; an all-zero
+    row reads as dropping to level 0."""
+    lowest = nonzero.argmax(axis=1)
+    reached = nonzero[np.arange(len(nonzero)), lowest]
+    return np.arange(level, level + len(nonzero)) - np.where(reached, first + lowest, 0)
 
 
 def _solve_rows(
-    blocks: Iterable[np.ndarray], size: int, width: int, rewards: np.ndarray | None = None
+    blocks: Iterable[tuple[int, np.ndarray]],
+    size: int,
+    width: int,
+    rewards: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary vector, by GTH state reduction, of a ``size``-level chain
     whose rows arrive in level order and drop at most ``width`` levels; or,
     given a (``size``, n) table of ``rewards`` per level, their stationary
     means pi @ ``rewards``, without pi.
+
+    Each block of rows is a band ``(first, rows)``: ``rows[i, k]`` is the
+    entry of the block's i-th level at level ``first`` + k, and every entry
+    outside the band is zero.  The drop check, the search for each row's
+    last nonzero and the copy into the window read only the band's columns.
 
     Levels are censored out from the bottom in left-looking (Crout) order.
     With P' the chain with levels 0 .. k-1 censored out when level k goes,
@@ -380,24 +439,27 @@ def _solve_rows(
     base = done = read = 0
     ends = [0]  # ends[l + 1] = 1 + the last nonzero of rows 0 .. l
     ceiling = None
-    for rows in blocks:
+    for first, rows in blocks:
         nonzero = rows != 0.0
-        if _drops(nonzero, read).max() > width:
+        if _drops(nonzero, read, first).max() > width:
             raise ParameterError(
                 f"a row among levels {read} .. {read + len(rows) - 1} "
                 f"drops more than {width} levels"
             )
+        end = first + rows.shape[1]  # the level past the band
         last = np.full(len(rows), ends[-1])
-        past = nonzero[:, ends[-1]:][:, ::-1]
+        past = nonzero[:, max(ends[-1] - first, 0):][:, ::-1]
         if past.size:  # the rows reaching past ends[read], searched from the right
             found = past.any(axis=1)
-            last[found] = size - past.argmax(axis=1)[found]
+            last[found] = end - past.argmax(axis=1)[found]
         ends += np.maximum.accumulate(last).tolist()
         # the band keeps the new rows at base or above, and none reaches past ends[-1]
         held, kept = window.shape[0], window.shape[1] - carried
         grown = np.zeros((read + len(rows) - base, ends[-1] - base + carried))
         grown[:held, :kept] = window[:, :kept]
-        grown[held:, :ends[-1] - base] = rows[:, base:ends[-1]]
+        low, high = max(first, base), min(end, ends[-1])
+        if high > low:
+            grown[held:, low - base:high - base] = rows[:, low - first:high - first]
         if carried:
             grown[:held, -carried:] = window[:, kept:]
             grown[held:, -carried:-1] = rewards[read:read + len(rows)]
@@ -495,7 +557,7 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     size = matrix.shape[0]
     width = max(int(_drops(matrix != 0.0, 0).max()), 0)
     step = max(1, 2**16 // size)
-    return _solve_rows((matrix[low:low + step] for low in range(0, size, step)), size, width)
+    return _solve_rows(((0, matrix[low:low + step]) for low in range(0, size, step)), size, width)
 
 
 def stationary_rates(config: SimConfig) -> OracleRates:
@@ -513,12 +575,14 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     first return to it or above; at the lowest level with no way up those
     sums cover one return cycle, and each rate is their ratio to the
     cycle's length (renewal-reward), with no stationary vector.  No call
-    holds the (capacity + 1)**2 matrix, only the last ``multiple`` rows
-    eliminated and the rows not yet eliminated (at most ``multiple`` plus
-    one block of under 2**16 cells), each cut to the levels the rows reach,
-    with the sums beside them.  The levels above the lowest one with no
-    way up are never visited and their rows are never built, so a bank
-    whose storage never fills costs one block.
+    holds the (capacity + 1)**2 matrix.  A block of rows, at most 2**16 /
+    (2**K + 1) levels, is built only at the levels they can reach, from
+    ``multiple`` below the block to ``source_count`` above it, and the
+    solve holds only the last ``multiple`` rows eliminated and the rows
+    not yet eliminated (at most ``multiple`` plus one block), each cut to
+    the levels the rows reach, with the sums beside them.  The levels
+    above the lowest one with no way up are never visited and their rows
+    are never built, so a bank whose storage never fills costs one block.
 
     Parameters
     ----------

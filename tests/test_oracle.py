@@ -97,9 +97,17 @@ def test_herald_count_distribution_validation() -> None:
 
 def transition_matrix(config: SimConfig) -> np.ndarray:
     """One-cycle transition matrix of the storage level, the oracle's row
-    blocks stacked."""
+    blocks stacked, each band at its first column."""
     blocks, *_ = oracle._chain_tables(config)
-    return np.concatenate([*blocks])
+    return np.concatenate([_dense(block, config.capacity + 1) for block in blocks])
+
+
+def _dense(block: tuple[int, np.ndarray], size: int) -> np.ndarray:
+    """The rows of a band ``(first, rows)``, ``size`` levels wide."""
+    first, rows = block
+    dense = np.zeros((len(rows), size))
+    dense[:, first:first + rows.shape[1]] = rows
+    return dense
 
 
 def test_transition_matrix_rows_are_stochastic() -> None:
@@ -122,6 +130,67 @@ def test_transition_matrix_hand_case() -> None:
     assert matrix[0, 1] == pytest.approx(b2, rel=1e-12)
     assert matrix[1, 0] == pytest.approx(b0, rel=1e-12)
     assert matrix[1, 1] == pytest.approx(b1 + b2, rel=1e-12)
+
+
+def _lindley_row(config: SimConfig, level: int) -> np.ndarray:
+    """Row ``level`` of a bank with no edge rows in closed form: the next
+    level is min(max(level + c - m, 0), capacity) for c heralds, so P[l, j]
+    = pmf[j - l + m] with both ends clamped, the clamped sums exact."""
+    m, size = config.multiple, config.capacity + 1
+    pmf = herald_count_distribution(config.source_count, config.pumps[level])
+    heralds = np.arange(size) - level + m
+    row = np.where((heralds >= 0) & (heralds < pmf.size), pmf[np.clip(heralds, 0, pmf.size - 1)], 0.0)
+    row[0] = math.fsum(pmf[:max(m - level + 1, 0)])
+    row[-1] = math.fsum(pmf[max(size - 1 - level + m, 0):]) if size > 1 else 1.0
+    return row
+
+
+def test_chain_rows_arrive_as_bands() -> None:
+    # a row from level l reaches only levels l - m .. l + S, so a block of
+    # levels low .. high-1 starts at or above low - m and is at most m + S +
+    # (high - low) levels wide; without edge rows its rows are the Lindley rows
+    rng = np.random.default_rng(25)
+    narrower = 0
+    for index in range(48):
+        constrained = index % 2 == 0
+        steps = int(rng.integers(1, (MAX_CONSTRAINED_STEP_COUNT if constrained else 12) + 1))
+        sources = int(rng.integers(1, 41))
+        multiple = int(rng.integers(1, 2**steps + 1))
+        herald = min(float(rng.uniform(0.2, 1.5)) * multiple / sources, 0.9)
+        config = SimConfig(
+            source_count=sources,
+            multiple=multiple,
+            mean_pairs=-math.log1p(-herald),
+            step_count=steps,
+            boundary="constrained" if constrained else "unconstrained",
+            feedback=("off", "boost", "turbo_boost")[index // 2 % 3],
+            feedback_strength=round(float(rng.uniform(0.0, 2.0)), 2),
+        )
+        size = config.capacity + 1
+        blocks, _ = oracle._chain_tables(config)
+        low = 0
+        for first, rows in blocks:
+            high = low + len(rows)
+            assert first >= low - multiple, config
+            assert rows.shape[1] <= min(multiple + sources + high - low, size - first), config
+            narrower += rows.shape[1] < size
+            if not constrained:
+                dense = _dense((first, rows), size)
+                expected = np.array([_lindley_row(config, level) for level in range(low, high)])
+                assert np.array_equal(dense == 0.0, expected == 0.0), (config, low)
+                assert (np.abs(dense - expected) <= 1e-15 * expected).all(), (config, low)
+            low = high
+        assert low == size
+    # the bound has teeth: a builder of whole rows fails it
+    assert narrower > 0
+
+
+def test_solver_rejects_an_all_zero_row_in_a_band() -> None:
+    # level 3's band starts at level 2 but holds no entry: an all-zero row
+    # reads as dropping to level 0, not to the band's first level
+    head = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
+    with pytest.raises(ParameterError, match="drops more than 1 levels"):
+        oracle._solve_rows([(0, head), (2, np.zeros((1, 2)))], 4, 1)
 
 
 def test_stationary_distribution_known_two_state_chain() -> None:
@@ -200,7 +269,7 @@ def test_stationary_distribution_of_a_dense_random_matrix() -> None:
     assert np.max(np.abs(pi @ matrix - pi)) < 1e-12
     # the rows may arrive in blocks of any size: one row at a time gives
     # the same bits
-    rows = (matrix[level:level + 1] for level in range(40))
+    rows = ((0, matrix[level:level + 1]) for level in range(40))
     assert np.array_equal(oracle._solve_rows(rows, 40, 39), pi)
 
 
@@ -208,7 +277,7 @@ def test_solver_rejects_a_row_outside_the_band() -> None:
     # row 2 drops two levels, one more than the declared band
     matrix = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
     with pytest.raises(ParameterError, match="drops more than 1 levels"):
-        oracle._solve_rows((matrix[level:level + 1] for level in range(3)), 3, 1)
+        oracle._solve_rows(((0, matrix[level:level + 1]) for level in range(3)), 3, 1)
     # read from the data, the band is 2 and the chain solves
     assert stationary_distribution(matrix) == pytest.approx([0.5, 0.25, 0.25], rel=1e-15)
 
@@ -224,7 +293,8 @@ def _rank_one_solve_rows(blocks, size: int, width: int) -> np.ndarray:
     window = np.empty((0, size))  # rows done .. read - 1, folded so far
     done = read = 0
     ceiling = None
-    for rows in blocks:
+    for block in blocks:
+        rows = _dense(block, size)
         read += len(rows)
         window = np.concatenate((window, rows))
         ready = read if read == size else max(done, read - width)
@@ -285,7 +355,7 @@ def _blocks(matrix: np.ndarray, rng: np.random.Generator):
     low = 0
     while low < len(matrix):
         high = low + int(rng.integers(1, 8))
-        yield matrix[low:high]
+        yield 0, matrix[low:high]
         low = high
 
 
@@ -301,11 +371,11 @@ def test_solver_matches_the_rank_one_reduction_on_banded_chains() -> None:
             level = int(rng.integers(0, size - 1))
             matrix[level, level + 1:] = 0.0
             matrix[level, int(rng.integers(level + 1, size))] = 1e-310
-        reference = _rank_one_solve_rows([matrix], size, width)
+        reference = _rank_one_solve_rows([(0, matrix)], size, width)
         # dividing by a subnormal exit rate neither overflows nor makes a nan
         rewards = reward_rng.random((size, 3))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            pi = oracle._solve_rows([matrix], size, width)
+            pi = oracle._solve_rows([(0, matrix)], size, width)
             # the reward sums shrink past a subnormal way up rather than overflow
             means = oracle._solve_rows(_blocks(matrix, reward_rng), size, width, rewards)
         _assert_same_vector(pi, reference)
@@ -683,11 +753,12 @@ def test_walk_tables_do_not_hold_the_matrix() -> None:
 
 
 def test_stationary_rates_never_holds_the_matrix() -> None:
-    # rows are solved as they are built, so a warm call holds a window of
-    # rows, not the (capacity + 1)**2 matrix: 8.1 MB at K=10, 127 MiB at K=12
+    # rows are built only at the levels they reach and solved as they are
+    # built, so a warm call holds a window of band rows, not the
+    # (capacity + 1)**2 matrix: 8.1 MB at K=10, 127 MiB at K=12
     for config, mebibytes in [
-        (_spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200)), 4),
-        (_spec(2000, 16, 12, 0.002025), 8),
+        (_spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200)), 1.5),
+        (_spec(2000, 16, 12, 0.002025), 2),
     ]:
         stationary_rates(config)
         gc.collect()
