@@ -13,7 +13,7 @@ Clicks are independent across rows.  Rows c+1 .. S-K+c reach popcount c
 reach every delay (they are interior) and the others are edge rows; a
 bank of at most 2K rows is all edge rows, and without boundary limits
 every row is interior.  A cycle from level l is composed of three walks,
-tabulated once per bank and reweighted per pump:
+tabulated once per constrained bank and reweighted per pump:
 
 * with no interior click the edge rows walk jointly: one record per
   (level, edge pattern);
@@ -37,11 +37,13 @@ through a sliding window without a copy, weighted by the top table and
 folded through the bottom table into the matrix columns.  The run keeps
 E[min(c, left)] of the targets left and discards E[max(c - left, 0)],
 running sums of the pmf's tail, and the top rows it passes are discarded
-too.  A walk over no rows weighs exactly one, so it is neither weighed
-nor multiplied in.  A bank with no edge rows is the finite-buffer
-Lindley recursion l' = min(max(l + c - m, 0), capacity): its run takes
-every cycle, none clicked included, and its rows are one strided copy
-of the pmf, P[l, j] = pmf[j - l + m], with the two end columns clamped.
+too.  A walk over no rows weighs exactly one, so it is never built: a
+bank of at most 2K rows tabulates only the joint walk, and a bank with
+no edge rows no walk at all.  That bank is the finite-buffer Lindley
+recursion l' = min(max(l + c - m, 0), capacity) and needs only its S
+interior rows: its run takes every cycle, none clicked included, and its
+rows are one strided copy of the pmf, P[l, j] = pmf[j - l + m], with the
+two end columns clamped.
 The expected lacks, kept photons, discards, heralds and multi-pair
 photons kept fill one table per level, which the stationary distribution
 weighs into the rates.
@@ -159,8 +161,27 @@ def _log_click_weights(rows: int, mean: float) -> np.ndarray:
         return n * math.log(-math.expm1(-mean)) - (rows - n) * mean
 
 
-class _Walks(NamedTuple):
-    """Pump-independent walk tables of one bank; see the module docstring.
+def _interior_rows(config: SimConfig) -> int:
+    """The rows that reach every delay: K+1 .. S-K with boundary limits,
+    every row without them; see the module docstring."""
+    if config.boundary is BoundaryMode.CONSTRAINED:
+        return max(config.source_count - 2 * config.step_count, 0)
+    return config.source_count
+
+
+def _check_depth(step_count: int) -> None:
+    if step_count > MAX_CONSTRAINED_STEP_COUNT:
+        raise ParameterError(
+            f"the constrained chain supports at most {MAX_CONSTRAINED_STEP_COUNT} "
+            f"register steps, got {step_count}"
+        )
+
+
+@lru_cache(maxsize=4)
+def _walks(source_count: int, step_count: int, multiple: int) -> tuple[np.ndarray, ...]:
+    """Pump-independent walk tables of one constrained bank: the joint walk,
+    then, if the bank has interior rows, the top and bottom walks; see the
+    module docstring.
 
     Each table is an int64 array indexed by (start, clicks, column): axis 1
     is the number of clicks among the rows walking, and axis 2 holds the
@@ -172,33 +193,12 @@ class _Walks(NamedTuple):
     that fill i targets before the first interior row takes one, and
     ``top[level, n, -1]`` sums the clicked top rows they pass, n - i.
     """
-
-    interior_rows: int
-    joint: np.ndarray
-    top: np.ndarray
-    bottom: np.ndarray
-
-
-def _check_depth(step_count: int, constrained: bool) -> None:
-    if constrained and step_count > MAX_CONSTRAINED_STEP_COUNT:
-        raise ParameterError(
-            f"the constrained chain supports at most {MAX_CONSTRAINED_STEP_COUNT} "
-            f"register steps, got {step_count}"
-        )
-
-
-@lru_cache(maxsize=4)
-def _walks(source_count: int, step_count: int, multiple: int, constrained: bool) -> _Walks:
-    """Tabulate the three walks of one bank; see the module docstring."""
-    _check_depth(step_count, constrained)
+    _check_depth(step_count)
     span = 2**step_count
-    slack = source_count - step_count if constrained else None
+    slack = source_count - step_count
     bank = range(1, source_count + 1)
     # the edge rows, listed: rows 1 .. K and S-K+1 .. S, or every row if S <= 2K
-    edge = [*bank[:step_count], *bank[max(step_count, slack):]] if constrained else []
-    interior = source_count - len(edge)
-    # the top rows are the K edge rows above the first interior row
-    top, bottom = (edge[:step_count], edge[step_count:]) if interior else ([], [])
+    edge = [*bank[:step_count], *bank[max(step_count, slack):]]
 
     def walk(rows: list[int], starts: int, slots: int = multiple) -> np.ndarray:
         """Patterns per (start, clicks, positions stored), then their summed
@@ -220,12 +220,14 @@ def _walks(source_count: int, step_count: int, multiple: int, constrained: bool)
         return table
 
     size = span - multiple + 1
-    # with no slot to leave empty the top rows stop at the first target none
-    # of them reaches, where the first interior row takes over
-    walks = _Walks(interior, walk(edge, size), walk(top, size, 0), walk(bottom, span + 1))
-    for table in walks[1:]:
+    tables = [walk(edge, size)]
+    if source_count > len(edge):  # interior rows part the K top rows from the K bottom rows
+        # with no slot to leave empty the top rows stop at the first target none
+        # of them reaches, where the first interior row takes over
+        tables += walk(edge[:step_count], size, 0), walk(edge[step_count:], span + 1)
+    for table in tables:
         table.flags.writeable = False  # shared by every caller of the cache
-    return walks
+    return tuple(tables)
 
 
 def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
@@ -247,9 +249,11 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
     entry outside it is zero.  The blocks come from a generator that fills
     the per-level table as it runs; the levels it has not reached read zero
     but for the level.
+
+    Only a constrained bank reads walk tables, the joint walk of its edge
+    rows and, if it has interior rows, the top and bottom walks; a bank with
+    no edge rows needs only its interior row count.
     """
-    constrained = config.boundary is BoundaryMode.CONSTRAINED
-    walks = _walks(config.source_count, config.step_count, config.multiple, constrained)
     m = config.multiple
     span = 2**config.step_count
     size = config.capacity + 1
@@ -258,13 +262,19 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
     per_level = np.zeros((size, 6))
     per_level[:, 5] = np.arange(size)
     sums = per_level[:, :3]  # the three columns the walks sum
-    # a walk over no rows weighs exactly one, so it is neither weighed nor
-    # multiplied in: without edge rows the run covers every cycle, and
-    # without top and bottom rows it is the whole walk
-    edge, split = walks.joint.shape[1] > 1, walks.top.shape[1] > 1
+    rows = _interior_rows(config)
+    # a walk over no rows weighs exactly one, so it is never built: without
+    # edge rows the run covers every cycle, and without top and bottom rows
+    # the joint walk is the whole walk
+    edge = config.boundary is BoundaryMode.CONSTRAINED
+    split = edge and rows > 0
+    # the joint walk, then the top and bottom walks if the walk splits
+    walks = _walks(config.source_count, config.step_count, m) if edge else ()
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        offsets = np.arange(walks.top.shape[2] - 3)
+        # the top rows fill i = 0 .. K targets before the first interior row
+        # takes one; a walk with no top rows fills none
+        offsets = np.arange(config.step_count + 1 if split else 1)
         # blocks of whole levels bound the temporaries at 2**16 cells
         block = max(1, 2**16 // (span + 1))
         # run[c] = P(c interior clicks) for c < span, behind enough zeros that
@@ -283,10 +293,9 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
             probs = herald_probabilities(pump)  # also rejects an infinite fed-back pump
             per_level[begin:end, 3] = config.source_count * probs.p_herald
             relative = probs.p_multi / probs.p_herald
-            rows = walks.interior_rows
             interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
             if split:
-                bottom = _weigh(walks.bottom, pump)
+                bottom = _weigh(walks[2], pump)
                 stored = bottom[:, :-3][:, :size]  # [stop, j]
             run[clicked:interior.size] = interior[clicked:span]
             # for n <= span, tail[n] = P(max(n, 1) or more interior clicks),
@@ -310,7 +319,7 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
                 if split:
                     # the top rows hand over after i targets; stops[l, s - low]
                     # is the chance that the interior run then stops at delay s
-                    top = _weigh(walks.top[low:high], pump)
+                    top = _weigh(walks[1][low:high], pump)
                     top, passed = top[:, :-3], top[:, -1]
                     stops = np.empty((high - low, last - low))
                     # one pass; a broadcast multiply over the band's view takes twice as long
@@ -349,7 +358,7 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
                     sums[low:high, 2] = over[left]
                 if edge:
                     # no interior click: the edge rows walk jointly from the level
-                    joint = interior[0] * _weigh(walks.joint[low:high], pump)
+                    joint = interior[0] * _weigh(walks[0][low:high], pump)
                     sums[low:high] += joint[:, -3:]
                     joint = joint[:, :-3]
                     columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
@@ -427,9 +436,8 @@ def _solve_rows(
     """
     width = min(width, size - 1)
     carried = 0 if rewards is None else rewards.shape[1] + 1  # the rewards and the ones
-    exit_rate = np.zeros(size)
-    # below[l, d] = P'[l + 1 + d, l], which only back-substitution reads
-    below = None if carried else np.zeros((size, width))
+    # below[l, d] = P'[l + 1 + d, l] and exit_rate[l], which only back-substitution reads
+    below, exit_rate = (None, None) if carried else (np.zeros((size, width)), np.zeros(size))
     shift = np.zeros(carried, dtype=int)  # the reward columns are scaled by 2**-shift
     even = True  # every reward column has the same shift
     # window[i, j] is row base + i at level base + j, for the last width levels
@@ -477,7 +485,7 @@ def _solve_rows(
             reach = window.shape[1] if carried else stop
             window[row, row] = 1.0  # GTH never reads the diagonal
             up = window[row, first:row + 1] @ window[first:row + 1, row + 1:reach]
-            exit_rate[level] = rate = np.add.reduce(up[:stop - row - 1])
+            rate = np.add.reduce(up[:stop - row - 1])
             if rate == 0.0:
                 ceiling = level
                 break
@@ -493,6 +501,7 @@ def _solve_rows(
             column = window[row + 1:row + 1 + width, first:row + 1] @ window[first:row + 1, row]
             if below is not None:
                 below[level, :column.size] = column
+                exit_rate[level] = rate
             window[row + 1:row + 1 + width, row] = column
         if ceiling is not None:
             break  # pi is zero above the ceiling, so no later row is needed
@@ -635,9 +644,7 @@ def _gap_bounds(config: SimConfig) -> tuple[float, float]:
     low, high = (herald_probabilities(pump) for pump in (min(config.pumps), max(config.pumps)))
     r_min, r_max = low.p_multi / low.p_herald, high.p_multi / high.p_herald
     lack_floor = 1.0 - config.source_count * high.p_herald / m
-    rows = config.source_count
-    if config.boundary is BoundaryMode.CONSTRAINED:
-        rows = max(rows - 2 * config.step_count, 0)
+    rows = _interior_rows(config)
     short = herald_count_distribution(rows, min(config.pumps))[:m] if rows else np.ones(1)
     lack_ceiling = float(short @ (m - np.arange(short.size))) / m
     return (
@@ -700,7 +707,8 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> tuple[float,
     limit = as_real(tolerance)
     if not (math.isfinite(limit) and limit > 0.0):
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
-    _check_depth(bank.step_count, bank.boundary is BoundaryMode.CONSTRAINED)
+    if bank.boundary is BoundaryMode.CONSTRAINED:
+        _check_depth(bank.step_count)
     decisive = limit + max(limit, 1e-9)
     gain = max(bank.pumps) / bank.mean_pairs
 

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
@@ -625,6 +626,66 @@ def test_sweep_names_a_huge_grid_value_as_given(capsys: pytest.CaptureFixture) -
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "1e+300" in captured.err
+
+
+def _random_command(rng: np.random.Generator) -> list[str]:
+    """One command line drawn over every command, boundary and feedback mode,
+    with K <= 8, 1 .. 300 sources, 0 .. 500 cycles, gains 0 .. 50 and
+    pumps 1e-9 .. 316."""
+    command = str(rng.choice(["simulate", "oracle", "optimize", "sweep"]))
+    steps = int(rng.integers(1, 9))
+    bank = {
+        "--steps": steps,
+        "--sources": int(rng.integers(1, 301)),
+        "--multiple": int(rng.integers(1, 2**steps + 1)),
+        "--mean-pairs": 10 ** rng.uniform(-9, 2.5),
+        "--cycles": int(rng.integers(0, 501)),
+        "--seed": int(rng.integers(0, 2**16)),
+        "--feedback": str(rng.choice([mode.value for mode in FeedbackMode])),
+        "--feedback-strength": rng.uniform(0, 50),
+        "--boundary": str(rng.choice([mode.value for mode in BoundaryMode])),
+    }
+    argv = [command]
+    if command == "optimize":
+        del bank["--mean-pairs"]
+        if rng.random() < 0.2:
+            argv.append("--confirm")
+    if command == "sweep":
+        bank["--register-steps"] = bank.pop("--steps")
+        param = str(rng.choice(["power", "multiple", "size"]))
+        grid = {
+            "power": lambda: repr(10 ** rng.uniform(-9, 2.5)),
+            "multiple": lambda: str(rng.integers(1, 2**steps + 1)),
+            "size": lambda: str(rng.integers(1, 301)),
+        }[param]
+        values = ",".join(grid() for _ in range(rng.integers(1, 4)))
+        engine = str(rng.choice(["monte_carlo", "oracle", "both"]))
+        argv += ["--param", param, "--values", values, "--engine", engine]
+    for flag, value in bank.items():
+        argv += [flag, repr(value) if isinstance(value, float) else str(value)]
+    return argv
+
+
+def test_random_commands_exit_zero_or_one_with_one_error_line(
+    capsys: pytest.CaptureFixture,
+) -> None:
+    # a seeded fuzz: every call prints its rows and nothing on stderr, no
+    # numpy warning included, or prints nothing and one error: line
+    rng = np.random.default_rng(26)
+    for _ in range(400):
+        argv = _random_command(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command(argv)
+        captured = capsys.readouterr()
+        assert not caught, (argv, [str(w.message) for w in caught])
+        if code == 0:
+            assert captured.err == "", argv
+            _rows(captured.out)
+        else:
+            assert code == 1, argv
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
 def test_out_of_memory_exits_one() -> None:

@@ -625,20 +625,37 @@ def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter,
     return +counts, +lacks, +kept, +discarded
 
 
+def _walk_over_no_rows(starts: int, slots: int) -> np.ndarray:
+    """The walk table the oracle never builds: from each delay below
+    ``starts``, one pattern with no clicks that stores nothing and lacks
+    max(``slots`` - start, 0), keeps nothing and discards nothing."""
+    table = np.zeros((starts, 1, 4), dtype=np.int64)
+    table[:, 0, 0] = 1
+    table[:, 0, 1] = np.maximum(slots - np.arange(starts), 0)
+    return table
+
+
 def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter, Counter]:
     """The same four tallies composed from the oracle's walk tables: the
     joint walk without interior clicks, else the top rows' handover, the
-    interior run to its stop s, and the bottom rows' walk from s."""
-    walks = oracle._walks(
-        config.source_count,
-        config.step_count,
-        config.multiple,
-        config.boundary is BoundaryMode.CONSTRAINED,
-    )
+    interior run to its stop s, and the bottom rows' walk from s.  A walk
+    the oracle does not build is a walk over no rows."""
     m, span = config.multiple, 2**config.step_count
-    joint, joint_sums = walks.joint[..., :-3], walks.joint[..., -3:]
-    top, top_sums = walks.top[..., :-3], walks.top[..., -3:]
-    bottom, bottom_sums = walks.bottom[..., :-3], walks.bottom[..., -3:]
+    edge = _edge_rows(config)
+    interior_rows = config.source_count - len(edge)
+    walks = [
+        _walk_over_no_rows(span - m + 1, m),
+        _walk_over_no_rows(span - m + 1, 0),
+        _walk_over_no_rows(span + 1, m),
+    ]
+    if edge:
+        built = oracle._walks(config.source_count, config.step_count, m)
+        # the top and bottom walks exist where the bank has interior rows
+        assert len(built) == (3 if interior_rows else 1)
+        walks[:len(built)] = built
+    joint, joint_sums = walks[0][..., :-3], walks[0][..., -3:]
+    top, top_sums = walks[1][..., :-3], walks[1][..., -3:]
+    bottom, bottom_sums = walks[2][..., :-3], walks[2][..., -3:]
     # the clicked top rows passed over: n - i of each pattern
     clicks, filled = np.ogrid[:top.shape[1], :top.shape[2]]
     assert np.array_equal(top_sums[..., 2], (top * (clicks - filled)).sum(axis=2))
@@ -650,7 +667,7 @@ def _walk_table_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter, 
             lacks[(level, 0, e)] += int(joint_sums[level, e, 0])
             kept[(level, 0, e)] += int(joint_sums[level, e, 1])
             discarded[(level, 0, e)] += int(joint_sums[level, e, 2])
-        for n in range(1, min(walks.interior_rows, span - level) + 1):
+        for n in range(1, min(interior_rows, span - level) + 1):
             for t, i in itertools.product(*map(range, top.shape[1:])):
                 stop = min(level + i + n, span)
                 tops = int(top[level, t, i])
@@ -688,13 +705,9 @@ def test_outcome_table_matches_every_click_pattern() -> None:
         ),
     ]
     for config in configs:
-        walks = oracle._walks(
-            config.source_count,
-            config.step_count,
-            config.multiple,
-            config.boundary is BoundaryMode.CONSTRAINED,
-        )
-        assert walks.joint.shape[1] == len(_edge_rows(config)) + 1
+        if config.boundary is BoundaryMode.CONSTRAINED:
+            joint = oracle._walks(config.source_count, config.step_count, config.multiple)[0]
+            assert joint.shape[1] == len(_edge_rows(config)) + 1
         assert _walk_table_outcomes(config) == _brute_force_outcomes(config), config
 
 
@@ -702,10 +715,12 @@ def test_walks_list_the_edge_rows_of_a_huge_bank() -> None:
     # the 2K edge rows are listed, not found by testing every row, so a
     # bank of 10**12 rows tabulates at once
     start = time.perf_counter()
-    walks = oracle._walks(10**12, 3, 4, True)
+    joint, top, bottom = oracle._walks(10**12, 3, 4)
     assert time.perf_counter() - start < 1.0
-    assert walks.interior_rows == 10**12 - 6
-    assert walks.joint.shape[1] == 7
+    bank = SimConfig(source_count=10**12, multiple=4, mean_pairs=0.1, step_count=3)
+    assert oracle._interior_rows(bank) == 10**12 - 6
+    assert joint.shape[1] == 7
+    assert top.shape[1] == bottom.shape[1] == 4
 
 
 def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -722,10 +737,14 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
     oracle._walks.cache_clear()
     config = _spec(100, 4, 3, 0.049)
     for mean in (0.03, 0.049, 0.06):
-        stationary_rates(replace(config, mean_pairs=mean))
+        stationary_rates(replace(config, mean_pairs=mean, boundary="constrained"))
     assert oracle._walks.cache_info().misses == 1
     assert pumps == [0.03, 0.049, 0.06]
-    assert oracle._walks(100, 3, 4, False).joint.shape[1] == 1
+    # a bank with no edge rows builds no walk table at all
+    walks = oracle._walks.cache_info()
+    stationary_rates(config)
+    optimized_power(config)
+    assert oracle._walks.cache_info() == walks
 
     for mode, distinct in (("boost", 2), ("turbo_boost", config.capacity + 1)):
         pumps.clear()
@@ -737,19 +756,23 @@ def test_outcome_table_is_built_once_per_bank(monkeypatch: pytest.MonkeyPatch) -
 
 
 def test_walk_tables_do_not_hold_the_matrix() -> None:
-    # the cache keeps only pump-independent walks, O(levels + 2**K) numbers
-    # for an unconstrained bank, not one record per nonzero of the matrix
-    oracle._walks.cache_clear()
-    config = _spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rates = stationary_rates(config)
-        del rates
+    # the cache keeps only pump-independent walks, O(levels 4**K) numbers
+    # for a constrained bank and none for an unconstrained one, not one
+    # record per nonzero of the matrix
+    for config in [
+        _spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200)),
+        replace(_spec(200, 16, 5, -math.log1p(-0.95 * 16 / 200)), boundary="constrained"),
+    ]:
+        oracle._walks.cache_clear()
         gc.collect()
-        assert tracemalloc.get_traced_memory()[0] < 2**19
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            rates = stationary_rates(config)
+            del rates
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] < 2**19, config
+        finally:
+            tracemalloc.stop()
 
 
 def test_stationary_rates_never_holds_the_matrix() -> None:
