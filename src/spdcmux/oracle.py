@@ -69,6 +69,21 @@ rows not yet eliminated, never the dense (capacity + 1)**2 matrix, and
 no row past the block that holds the ceiling is built: the levels above
 it are never visited.
 
+A bank with no edge rows whose levels below the top share one pump (no
+feedback, or boost, whose top level pumps apart) repeats its rows: from
+level m up to the top each is the pmf shifted by one level.  Below the
+top column they are Toeplitz, and the clamped top column is the sum of
+the columns past it, which the elimination carries as it would carry
+them apart.  So the exit rate and the reduced column of level l settle to
+fixed values, the repeating-rows case of Grassmann and Heyman (J. Appl.
+Prob. 27, 1990), and they hold all the way up to the top.  Such a bank
+fills its per-level table at once, and once a level's exit rate and
+column match those of a level far below it the elimination stops: the
+sums of the levels above follow a recurrence of order m with
+non-negative coefficients, run in blocks of levels up to the top, whose
+reduced row is its own pmf folded through the repeating way up.  No row
+past the stop is built.
+
 Stored photons are never discarded, so every photon kept in a cycle,
 slotted or stored, leaves in some slot.  Routing never sees
 multiplicities, so each kept photon carries a multi-pair event with the
@@ -101,8 +116,9 @@ __all__ = [
 ]
 
 # a constrained chain walks all 4**K edge-row click patterns from every
-# level; a cold chain at K=5 takes about 0.10 s on a 2-core machine, and every
-# further stage multiplies that by about 16 (1.6 s at K=6, 25 s at K=7)
+# level; a cold chain at S=100, m=2**(K-1) takes about 0.07 s at K=5 on a
+# shared 2-core machine, and every further stage multiplies that by 10 to 16
+# (0.8 s at K=6)
 MAX_CONSTRAINED_STEP_COUNT = 5
 
 
@@ -236,19 +252,32 @@ def _weigh(table: np.ndarray, mean: float) -> np.ndarray:
     return np.einsum("n,xnj->xj", weight, table)
 
 
-def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
-    """Row blocks of the transition matrix in level order, as bands, and a
+def _chain_tables(
+    config: SimConfig,
+) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray, np.ndarray | None]:
+    """Row blocks of the transition matrix in level order, as bands; a
     per-level table whose columns are the expected lacks, kept photons,
     discards, heralds (S p_herald) and multi-pair photons kept (kept photons
-    times p_multi / p_herald of the level's pump), then the level itself.
+    times p_multi / p_herald of the level's pump), then the level itself;
+    and, if the rows repeat, the top row's entries at the m levels below it.
 
     The block of levels low .. high-1 is ``(first, rows)``, with
     ``rows[i, k]`` the entry of level low + i at level first + k.  A cycle
     drops at most m levels and stores at most S photons, so the band covers
     levels max(low - m, 0) .. min(high + S, capacity + 1) - 1 and every
-    entry outside it is zero.  The blocks come from a generator that fills
-    the per-level table as it runs; the levels it has not reached read zero
-    but for the level.
+    entry outside it is zero.  The blocks come from a generator, which
+    builds a row only when it is pulled.  A bank with no edge rows fills its
+    per-level table per pump run, every level of a run at once, each column
+    a closed form of the run's pmf; a constrained bank fills it block by
+    block.  The levels the generator has not reached read zero but for the
+    level.
+
+    If the levels below the top of a bank with no edge rows share one pump,
+    its runs are filled before the first block, and every row from level m
+    up to the top is that pump's pmf shifted by one level a row, the top
+    column clamped: the third item is then the top row's entries at levels
+    capacity - m .. capacity - 1, the first m terms of the top level's pmf.
+    It is None for every other bank.
 
     Only a constrained bank reads walk tables, the joint walk of its edge
     rows and, if it has interior rows, the top and bottom walks; a bank with
@@ -270,6 +299,40 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
     split = edge and rows > 0
     # the joint walk, then the top and bottom walks if the walk splits
     walks = _walks(config.source_count, config.step_count, m) if edge else ()
+    # runs of levels under one pump: a monotone feedback repeats no pump
+    cuts = [level for level in range(1, size) if pumps[level] != pumps[level - 1]]
+    runs = list(zip([0, *cuts], [*cuts, size]))
+
+    def prepare(begin: int, end: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The multi-pair share of kept photons, the interior herald pmf and
+        its tail sums for the run of levels begin .. end-1; without edge rows
+        the run's per-level table too."""
+        probs = herald_probabilities(pumps[begin])  # also rejects an infinite fed-back pump
+        per_level[begin:end, 3] = config.source_count * probs.p_herald
+        relative = probs.p_multi / probs.p_herald
+        interior = herald_count_distribution(rows, pumps[begin]) if rows else np.ones(1)
+        # for n <= span, tail[n] = P(max(n, 1) or more interior clicks),
+        # reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
+        rest = np.cumsum(interior[:0:-1])[::-1]
+        tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
+        reach = np.concatenate(([0.0], np.cumsum(tail[1:])))
+        over = np.concatenate((np.cumsum(rest[::-1])[::-1], np.zeros(span + 1)))[:span + 1]
+        if not edge:
+            # the run keeps E[min(c, left)] photons of the targets left,
+            # discards the rest, and from level l < m leaves m - l - c slots empty
+            left = span - np.arange(begin, end)
+            sums[begin:end, 1] = reach[left]
+            sums[begin:end, 2] = over[left]
+            short = np.arange(begin, min(end, m))[:, None]
+            clicks = np.arange(min(m - begin, interior.size))
+            sums[begin:begin + short.size, 0] = np.maximum(m - short - clicks, 0) @ interior[:clicks.size]
+            per_level[begin:end, 4] = relative * sums[begin:end, 1]
+        return relative, interior, tail, reach, over
+
+    # rows that repeat: one pump below the top and no edge rows
+    repeats = not edge and runs[0][1] >= size - 1
+    prepared = {begin: prepare(begin, end) for begin, end in runs} if repeats else {}
+    top_row = prepared[runs[-1][0]][1][:m] if repeats else None
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
         # the top rows fill i = 0 .. K targets before the first interior row
@@ -286,24 +349,13 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
         shifted = np.lib.stride_tricks.sliding_window_view(band, offsets.size, axis=0)
         # with edge rows the run takes the cycles with an interior click
         clicked = int(edge)
-        # runs of levels under one pump: a monotone feedback repeats no pump
-        cuts = [level for level in range(1, size) if pumps[level] != pumps[level - 1]]
-        for begin, end in zip([0, *cuts], [*cuts, size]):
+        for begin, end in runs:
+            relative, interior, tail, reach, over = prepared.get(begin) or prepare(begin, end)
             pump = pumps[begin]
-            probs = herald_probabilities(pump)  # also rejects an infinite fed-back pump
-            per_level[begin:end, 3] = config.source_count * probs.p_herald
-            relative = probs.p_multi / probs.p_herald
-            interior = herald_count_distribution(rows, pump) if rows else np.ones(1)
             if split:
                 bottom = _weigh(walks[2], pump)
                 stored = bottom[:, :-3][:, :size]  # [stop, j]
             run[clicked:interior.size] = interior[clicked:span]
-            # for n <= span, tail[n] = P(max(n, 1) or more interior clicks),
-            # reach[n] = E[min(c, n)] and over[n] = E[max(c - n, 0)]
-            rest = np.cumsum(interior[:0:-1])[::-1]
-            tail = np.concatenate((rest[:1], rest[:span], np.zeros(span + 1)))[:span + 1]
-            reach = np.concatenate(([0.0], np.cumsum(tail[1:])))
-            over = np.concatenate((np.cumsum(rest[::-1])[::-1], np.zeros(span + 1)))[:span + 1]
             for low in range(begin, end, block):
                 high = min(end, low + block)
                 level = np.arange(low, high)[:, None]
@@ -343,19 +395,13 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
                     sums[low:high, 2] += (top * over[left]).sum(axis=1) + tail[0] * passed
                 else:
                     # the run alone: the next level is min(max(s - m, 0), capacity)
-                    runs = band[:high - low, :below]
+                    ahead = band[:high - low, :below]
                     if below > past - low:
-                        cells[:, past - m - first:low + below - m - first] = runs[:, past - low:]
+                        cells[:, past - m - first:low + below - m - first] = ahead[:, past - low:]
                     if under > 0:
-                        cells[:, 0] += runs[:, :under].sum(axis=1)
-                    left = left[:, 0]
+                        cells[:, 0] += ahead[:, :under].sum(axis=1)
                     if last > span:  # the run fills storage: the last column is capacity
-                        cells[:, -1] += tail[left]
-                    # from s < m the run leaves m - s slots empty
-                    empty = m - np.arange(low, min(m, low + below), dtype=float)
-                    sums[low:high, 0] = runs[:, :empty.size] @ empty
-                    sums[low:high, 1] = reach[left]
-                    sums[low:high, 2] = over[left]
+                        cells[:, -1] += tail[left[:, 0]]
                 if edge:
                     # no interior click: the edge rows walk jointly from the level
                     joint = interior[0] * _weigh(walks[0][low:high], pump)
@@ -363,10 +409,10 @@ def _chain_tables(config: SimConfig) -> tuple[Iterator[tuple[int, np.ndarray]], 
                     joint = joint[:, :-3]
                     columns = np.minimum(np.maximum(level - m, 0) + np.arange(joint.shape[1]), size - 1)
                     np.add.at(cells, (level - low, columns - first), joint)  # columns past capacity add 0
-                per_level[low:high, 4] = relative * sums[low:high, 1]
+                    per_level[low:high, 4] = relative * sums[low:high, 1]
                 yield first, cells
 
-    return blocks(), per_level
+    return blocks(), per_level, top_row
 
 
 def _drops(nonzero: np.ndarray, level: int, first: int = 0) -> np.ndarray:
@@ -383,6 +429,7 @@ def _solve_rows(
     size: int,
     width: int,
     rewards: np.ndarray | None = None,
+    top: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary vector, by GTH state reduction, of a ``size``-level chain
     whose rows arrive in level order and drop at most ``width`` levels; or,
@@ -433,6 +480,29 @@ def _solve_rows(
     gives the same ratio.  Each column takes its own scale, so a mean far
     below the steps' keeps its digits; while the scales agree no sum passes
     2**53 T_l, and T_l alone is checked.
+
+    ``top``, given with the rewards, says that every row from level
+    ``width`` up to the top, level ``size`` - 1, is one pmf shifted by one
+    level a row, the top column clamped; it holds the top row's entries at
+    the ``width`` levels below it.  Below the top column such rows are
+    Toeplitz, and the clamped column is the sum of the columns past it,
+    which the elimination carries as it would carry them apart.  So exit_l
+    and the column P'[l + d, l] tend to fixed values e and h_d all the way
+    up to the top.  The elimination stops after the first level l whose
+    exit rate and column are each within one unit in the last place of
+    those of level l - max(``width``, l // 2), if its exit rate is at least
+    2**-128; no later block is read.  Rounding can leave the last bits
+    alternating from one level to the next, so e and h are the means of
+    levels l - 1 and l.  Above l, X_k = R_k / exit_k follows X_k = (r_k +
+    sum_d h_d X_(k-d)) / e, a recurrence with non-negative coefficients,
+    run in blocks of at most ``_BLOCK`` levels: X_block = T (r_block / e +
+    F X_before), with F the coefficients of the ``width`` levels before the
+    block and T = (I - A)**-1 for the block's own, built once by block
+    forward substitution.  Before each block each column whose X passes 2**600 is
+    scaled to 2**500: T sums to at most 2**64, the coefficients to at most
+    2**128 and r / e is at most 2**181, so no block overflows.  The top
+    row's reduced entries are its own entries folded through the way up of
+    level l, and they give R and T at the top as at a ceiling.
     """
     width = min(width, size - 1)
     carried = 0 if rewards is None else rewards.shape[1] + 1  # the rewards and the ones
@@ -447,6 +517,10 @@ def _solve_rows(
     base = done = read = 0
     ends = [0]  # ends[l + 1] = 1 + the last nonzero of rows 0 .. l
     ceiling = None
+    # the exit rates and columns of the levels eliminated, for the stop rule;
+    # it pairs a level below size - 1 - width with one width or more below
+    # it and at or above width, so it can fire only if 3 width < size - 1
+    rates, seen = [], np.empty((size, width)) if top is not None and 3 * width < size - 1 else None
     for first, rows in blocks:
         nonzero = rows != 0.0
         if _drops(nonzero, read, first).max() > width:
@@ -503,6 +577,19 @@ def _solve_rows(
                 below[level, :column.size] = column
                 exit_rate[level] = rate
             window[row + 1:row + 1 + width, row] = column
+            if seen is not None and level < size - 1 - width:  # no row or way up reaches the top
+                seen[level], back = column, level - max(width, level // 2)
+                rates.append(float(rate))
+                close = back >= width and rate >= 2.0**-128 and abs(rate - rates[back]) <= math.ulp(rate)
+                if close and (np.abs(column - seen[back]) <= np.spacing(column)).all():
+                    # rounding can leave the last bits alternating from one
+                    # level to the next, so the stretch takes the mean of two
+                    rate, column = 0.5 * (rates[-1] + rates[-2]), 0.5 * (column + seen[level - 1])
+                    held = window[row + 1 - width:row + 1, -carried:]
+                    way_up = window[row, row + 1:row + width]
+                    up = _climb(held, rate, column, way_up, top, rewards[level + 1:], shift)
+                    ceiling = size - 1
+                    break
         if ceiling is not None:
             break  # pi is zero above the ceiling, so no later row is needed
         keep = max(ready - width, base)
@@ -525,6 +612,67 @@ def _solve_rows(
         else:
             pi[level] = inflow / exit_rate[level]
     return pi / pi.sum()
+
+
+# the most levels one block of a repeating stretch takes
+_BLOCK = 128
+
+
+def _series(coefficients: np.ndarray, count: int, limit: float = math.inf) -> np.ndarray:
+    """The first ``count`` terms of the power series of 1 / (1 - a(z)),
+    a(z) = sum_i ``coefficients``[i - 1] z**i: s_0 = 1 and s_p = sum_i a_i
+    s_(p-i).  Block forward substitution doubles the terms at each step:
+    the n terms so far pull on the next n through a, and those next n are
+    that pull convolved with the n terms so far; no term is a difference.
+    If the terms would sum past ``limit`` they stop at the power of two
+    before."""
+    terms = np.ones(1)
+    while terms.size < count:
+        n = terms.size
+        pull = np.convolve(coefficients, terms)[n - 1:2 * n - 1]
+        grown = np.concatenate((terms, np.convolve(terms, pull)[:n]))
+        if grown.sum() > limit:
+            break
+        terms = grown
+    return terms[:count]
+
+
+def _climb(
+    held: np.ndarray, rate: float, column: np.ndarray, way_up: np.ndarray,
+    top: np.ndarray, rewards: np.ndarray, shift: np.ndarray,
+) -> np.ndarray:
+    """R and T at the top of a repeating stretch, scaled by 2**-``shift``,
+    which it updates; see :func:`_solve_rows`.
+
+    ``held`` holds X of the m levels last eliminated, one column per reward
+    and the ones last, and ``rate``, ``column`` and ``way_up`` are the exit
+    rate, the column and the way up, divided by the rate, of the last one.
+    ``rewards`` are those of the levels after it, the top last.
+    """
+    width = len(held)
+    scale = column / rate
+    lower = _series(scale, max(min(_BLOCK, len(rewards) - 1), 1), 2.0**64)
+    count = lower.size
+    # the block's T[p, q] = lower[p - q], and F[p, q] = scale[p + width - 1 - q]
+    # for q >= p: the X of the width levels before the block it takes in
+    windows = np.lib.stride_tricks.sliding_window_view
+    triangle = windows(np.concatenate((np.zeros(count - 1), lower)), count)[:, ::-1].copy()
+    far = windows(np.concatenate((scale, np.zeros(width))), width)[:, ::-1]
+    sums = np.ones((len(rewards), held.shape[1]))
+    sums[:, :-1] = rewards
+    for low in range(0, len(rewards) - 1, count):
+        exponent = np.frexp(held.max(axis=0))[1]
+        drop = np.where(exponent > 600, exponent - 500, 0)
+        held = np.ldexp(held, -drop)
+        shift += drop
+        step = np.ldexp(sums[low:min(low + count, len(rewards) - 1)], -shift) / rate
+        near = min(len(step), width)
+        step[:near] += far[:near] @ held
+        held = np.concatenate((held, triangle[:len(step), :len(step)] @ step))[-width:]
+    # the top row's entries at the width levels below it, reduced through
+    # their ways up: (I - U)**-1 of the strictly upper Toeplitz U is the series of way_up
+    reduced = np.convolve(top, _series(way_up, width))[:width]
+    return np.ldexp(sums[-1], -shift) + reduced @ held
 
 
 # the rows of every chain the oracle builds sum to one within 1e-15, so this
@@ -593,6 +741,16 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     above the lowest one with no way up are never visited and their rows
     are never built, so a bank whose storage never fills costs one block.
 
+    A bank without boundary limits whose levels below the top share one
+    pump (feedback ``off``, or ``boost``) repeats its rows from level
+    ``multiple`` up to the top.  Its per-level sums are filled at once, and
+    the elimination stops once a level's exit rate and reduced column are
+    within one unit in the last place of those of the level max(``multiple``,
+    l // 2) below it: the sums of the levels above follow a recurrence with
+    the mean coefficients of the last two levels, solved in blocks of up to
+    128 levels, and no row above the stop is built.  Constrained banks and
+    ``turbo_boost`` eliminate every level.
+
     Parameters
     ----------
     config : SimConfig
@@ -610,8 +768,8 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     ParameterError
         For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    blocks, per_level = _chain_tables(config)
-    means = _solve_rows(blocks, config.capacity + 1, config.multiple, per_level)
+    blocks, per_level, top_row = _chain_tables(config)
+    means = _solve_rows(blocks, config.capacity + 1, config.multiple, per_level, top_row)
     lacks, kept, discards, heralds, multi, storage = map(float, means)
     # every kept photon leaves in some slot, so kept photons count the filled
     # slots in full precision, where 1 - lack cancels

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .emission import herald, sample_cycle_emissions
+from .emission import _pair_count_cdf, herald, sample_cycle_emissions
 from .errors import (
     ConservationError,
     ParameterError,
@@ -192,10 +192,19 @@ def run_cycles(config: SimConfig) -> Iterator[tuple[np.ndarray, CyclePlan]]:
     The run starts from empty storage and replays one uniform stream from
     ``config.seed``.  A cycle pumps at ``config.pumps`` of the level it
     starts from, samples every source, heralds the clicks and routes them;
-    its plan's ``storage_level`` is where the next cycle starts.
+    its plan's ``storage_level`` is where the next cycle starts.  A bank
+    whose largest pump cannot be sampled raises :class:`ParameterError`
+    before the first cycle, naming the pump setting it came from.
     """
     rng = np.random.default_rng(config.seed)
     pumps, topology, m = config.pumps, config.topology, config.multiple
+    try:
+        _pair_count_cdf(max(pumps))
+    except ParameterError as exc:
+        raise ParameterError(
+            f"{exc}; the bank's largest pump, from mean pair number {config.mean_pairs!r} "
+            f"with feedback {config.feedback.value} at gain {config.feedback_strength!r}"
+        ) from None
     constrained = config.boundary is BoundaryMode.CONSTRAINED
     level = 0
     for _ in range(config.cycles):

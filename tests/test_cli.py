@@ -738,6 +738,20 @@ def test_unsampleable_pump_exits_one(capsys: pytest.CaptureFixture) -> None:
     assert capsys.readouterr().err.startswith("error: mean pair number 800.0 is too large")
 
 
+def test_unsampleable_fed_back_pump_names_the_setting(capsys: pytest.CaptureFixture) -> None:
+    # boost raises a samplable pump of 304.43 by a gain of 41.62, past the
+    # largest pump the sampler takes; the line names the pump as given
+    code = run_command(
+        ["simulate", "--sources", "20", "--multiple", "4", "--mean-pairs", "304.43",
+         "--feedback", "boost", "--feedback-strength", "41.62", "--cycles", "10"]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: mean pair number 12974.8066 is too large to sample")
+    assert err.endswith("from mean pair number 304.43 with feedback boost at gain 41.62\n")
+
+
 def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFixture) -> None:
     real_plan_cycle = simulator.plan_cycle
 

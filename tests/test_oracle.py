@@ -167,7 +167,7 @@ def test_chain_rows_arrive_as_bands() -> None:
             feedback_strength=round(float(rng.uniform(0.0, 2.0)), 2),
         )
         size = config.capacity + 1
-        blocks, _ = oracle._chain_tables(config)
+        blocks, *_ = oracle._chain_tables(config)
         low = 0
         for first, rows in blocks:
             high = low + len(rows)
@@ -392,11 +392,11 @@ def _solve_with(solver, config: SimConfig) -> tuple[OracleRates, np.ndarray]:
     found = []
     production = oracle._solve_rows
 
-    def recording(blocks, size: int, width: int, rewards: np.ndarray) -> np.ndarray:
+    def recording(blocks, size: int, width: int, rewards: np.ndarray, top) -> np.ndarray:
         blocks = list(blocks)  # fills the rewards of every level
         found.append(solver(blocks, size, width))
         if solver is production:
-            return production(blocks, size, width, rewards)
+            return production(blocks, size, width, rewards, top)
         return found[-1] @ rewards
 
     with pytest.MonkeyPatch.context() as patch:
@@ -448,17 +448,107 @@ def test_reward_sums_match_the_stationary_vector_where_they_shrink() -> None:
     banks = (_spec(2000, 16, 12, 0.002025), _spec(200, 16, 10, 0.01), _spec(240, 46, 7, 1e-7),
              _spec(3, 4, 12, 0.4))
     for config in banks:
-        blocks, rewards = oracle._chain_tables(config)
+        blocks, rewards, top = oracle._chain_tables(config)
         blocks = list(blocks)  # fills the rewards of every level
         size, width = config.capacity + 1, config.multiple
         pi = oracle._solve_rows(blocks, size, width)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            means = oracle._solve_rows(blocks, size, width, rewards)
+            means = oracle._solve_rows(blocks, size, width, rewards, top)
         assert means == pytest.approx(pi @ rewards, rel=1e-12, abs=0.0), config
         if not pi[1:].any():
             assert means[-1] == 0.0 and stationary_rates(config).mean_storage == 0.0
         else:
             assert pi[pi > 0.0].min() < 2.0**-600 * pi.max(), config
+
+
+def _long_double_means(blocks, size: int, width: int, rewards: np.ndarray, top=None) -> np.ndarray:
+    """pi @ ``rewards`` by right-looking GTH on the dense matrix in
+    ``np.longdouble``, every level eliminated: the reference for the
+    solver's repeating stretch.  ``top`` is not read."""
+    matrix = np.concatenate([_dense(block, size) for block in blocks]).astype(np.longdouble)
+    exit_rate = np.zeros(size, dtype=np.longdouble)
+    ceiling = size - 1
+    for level in range(size - 1):
+        up = matrix[level, level + 1:]
+        exit_rate[level] = up.sum()
+        if exit_rate[level] == 0.0:
+            ceiling = level
+            break
+        column = matrix[level + 1:level + 1 + width, level]
+        matrix[level + 1:level + 1 + width, level + 1:] += np.outer(column, up / exit_rate[level])
+    pi = np.zeros(size, dtype=np.longdouble)
+    pi[ceiling] = 1.0
+    for level in range(ceiling - 1, -1, -1):
+        inflow = pi[level + 1:level + 1 + width] @ matrix[level + 1:level + 1 + width, level]
+        pi[level] = inflow / exit_rate[level]
+    return (pi @ rewards.astype(np.longdouble) / pi.sum()).astype(float)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="np.longdouble is not wider than float64 here"
+)
+def test_repeating_stretch_matches_a_long_double_reference(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the benchmark's K=8 bank near its crossing and its K=10 bank at 0.95
+    # load, then random banks with no edge rows, unfed or under boost
+    rng = np.random.default_rng(27)
+    banks = [_spec(500, 16, 8, 0.0320056), _spec(200, 16, 10, 0.07904320734045289)]
+    while len(banks) < 22:
+        steps = int(rng.integers(5, 10))
+        multiple = int(rng.integers(1, 33))
+        if 2**steps - multiple > 500:
+            continue
+        sources = int(rng.integers(multiple + 1, 400))
+        herald = min(float(rng.uniform(0.5, 1.5)) * multiple / sources, 0.9)
+        banks.append(SimConfig(
+            source_count=sources,
+            multiple=multiple,
+            mean_pairs=-math.log1p(-herald),
+            step_count=steps,
+            boundary="unconstrained",
+            feedback=("off", "boost")[len(banks) % 2],
+            feedback_strength=round(float(rng.uniform(0.0, 2.0)), 2),
+        ))
+    stretches = []
+    climb = oracle._climb
+    monkeypatch.setattr(oracle, "_climb", lambda *args: stretches.append(args) or climb(*args))
+    for config in banks:
+        rates = stationary_rates(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_solve_rows", _long_double_means)
+            reference = stationary_rates(config)
+        for field, value in rates._asdict().items():
+            expected = getattr(reference, field)
+            if math.isnan(expected):
+                assert math.isnan(value), (config, field)
+            else:
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0), (config, field)
+    # both benchmark banks and most of the random ones stop eliminating early
+    assert len(stretches) >= 12
+
+
+def test_repeating_rows_leave_most_blocks_unbuilt(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the K=10 bank at 0.95 load repeats its rows from level m on, so its
+    # solve stops pulling blocks long before the top; a pump that changes
+    # with the level and a constrained bank repeat no rows and pull them all
+    pulled = []
+    real = oracle._chain_tables
+
+    def counting(config: SimConfig):
+        blocks, *vectors = real(config)
+        return (pulled.append(block) or block for block in blocks), *vectors
+
+    monkeypatch.setattr(oracle, "_chain_tables", counting)
+    deep = _spec(200, 16, 10, 0.07904320734045289)
+    constrained = SimConfig(source_count=60, multiple=8, mean_pairs=0.15, step_count=5)
+    for config, unbuilt in ((deep, True), (replace(deep, feedback="turbo_boost"), False),
+                            (constrained, False)):
+        pulled.clear()
+        stationary_rates(config)
+        total = sum(1 for _ in real(config)[0])
+        if unbuilt:
+            assert 4 * len(pulled) < total, (config, len(pulled), total)
+        else:
+            assert len(pulled) == total, (config, len(pulled), total)
 
 
 def _level_pump(config: SimConfig, level: int) -> HeraldProbabilities:
@@ -914,7 +1004,7 @@ def test_kept_and_discarded_photons_add_up_to_the_heralds() -> None:
         _spec(208, 6, 4, 6.848873694814347e-05),
     ]
     for config in banks:
-        blocks, per_level = oracle._chain_tables(config)
+        blocks, per_level, _ = oracle._chain_tables(config)
         for _ in blocks:
             pass
         _, kept, discards, heralds, _ = per_level.T[:5]
