@@ -290,7 +290,11 @@ def _cmd_verify_topology(args: argparse.Namespace) -> str:
     topology = RegisterTopology(source_count=args.sources, step_count=steps)
     delays = topology.delay_count
     # each row renders as one byte array: a digit per delay, commas between
-    cells = np.full((topology.source_count, 2 * delays), ord(","), dtype=np.uint8)
+    shape = (topology.source_count, 2 * delays)
+    if shape[0] * shape[1] > np.iinfo(np.intp).max:
+        # numpy refuses a shape past its index range with a ValueError
+        raise MemoryError(f"Unable to allocate a table of shape {shape}: past any address space")
+    cells = np.full(shape, ord(","), dtype=np.uint8)
     cells[:, ::2] = topology.access_table
     cells[:, ::2] += ord("0")
     cells[:, -1] = ord("\n")
@@ -404,8 +408,8 @@ def run_command(argv: Sequence[str]) -> int:
 
     Usage mistakes exit 2 (argparse convention), domain and numeric
     failures (including a float overflow, an allocation the memory limit
-    refuses and a photon conservation violation) exit 1 with a message on
-    stderr, success exits 0.
+    refuses or numpy cannot index, and a photon conservation violation)
+    exit 1 with a message on stderr, success exits 0.
     """
     parser = _build_parser()
     try:

@@ -519,8 +519,9 @@ def _solve_rows(
     ceiling = None
     # the exit rates and columns of the levels eliminated, for the stop rule;
     # it pairs a level below size - 1 - width with one width or more below
-    # it and at or above width, so it can fire only if 3 width < size - 1
-    rates, seen = [], np.empty((size, width)) if top is not None and 3 * width < size - 1 else None
+    # it and at or above width, so it can fire only if 3 width < size - 1.
+    # A column is kept only while a later level can still compare against it
+    rates, seen = [], {} if top is not None and 3 * width < size - 1 else None
     for first, rows in blocks:
         nonzero = rows != 0.0
         if _drops(nonzero, read, first).max() > width:
@@ -579,6 +580,8 @@ def _solve_rows(
             window[row + 1:row + 1 + width, row] = column
             if seen is not None and level < size - 1 - width:  # no row or way up reaches the top
                 seen[level], back = column, level - max(width, level // 2)
+                # back rises by at most one a level, and no later level reads below it
+                seen.pop(back - 1, None)
                 rates.append(float(rate))
                 close = back >= width and rate >= 2.0**-128 and abs(rate - rates[back]) <= math.ulp(rate)
                 if close and (np.abs(column - seen[back]) <= np.spacing(column)).all():

@@ -20,17 +20,25 @@ The storage level, the number of photons held over, is the only state a
 cycle carries into the next.  The greedy walk sees only the clicked rows
 and the open delays, which follow from that level: pair multiplicities
 never reach the planner, so they cannot influence a routing choice.
+
+The planner takes the bank it routes, a ``SimConfig`` checked once when
+it was built, and reads S, K, m, the storage capacity and the boundary
+mode from it.  :class:`BoundaryMode` lives here, beside the walk that
+acts on it; ``simulator`` imports it, not the other way round.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
+from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, check_step_count, is_whole
-from .register import RegisterTopology
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig
 
 __all__ = [
     "CyclePlan",
@@ -49,6 +57,13 @@ def storage_capacity(step_count: int, multiple: int) -> int:
     return span - int(multiple)
 
 
+class BoundaryMode(str, Enum):
+    """Whether edge rows keep their restricted reachability windows."""
+
+    CONSTRAINED = "constrained"
+    UNCONSTRAINED = "unconstrained"
+
+
 class CyclePlan(NamedTuple):
     """Complete routing decision for one cycle.
 
@@ -65,42 +80,34 @@ class CyclePlan(NamedTuple):
     discarded: int
 
 
-def plan_cycle(
-    topology: RegisterTopology,
-    clicks: np.ndarray,
-    level: int,
-    multiple: int,
-    *,
-    boundary_limits: bool = True,
-) -> CyclePlan:
-    """Route one cycle with the monotone greedy policy.
+def plan_cycle(config: SimConfig, clicks: np.ndarray, level: int) -> CyclePlan:
+    """Route one cycle of the bank ``config`` with the monotone greedy policy.
 
     The ``level`` stored photons drain into the leading slots first, so the
     open targets are delays level .. 2**K - 1: the slots they leave empty,
     then the storage positions behind the photons still stored.  Heralded
     rows and these targets are walked together, fastest row to earliest
-    target.  With ``boundary_limits`` true a row is only eligible for
-    delays inside its reachability window; rows walked past while locating
-    an eligible one are discarded, which is what keeps the plan monotone.
-    Storage filling stops at the first position nobody can reach, since
-    stored photons must sit contiguously behind the train.
+    target.  In a constrained bank a row is only eligible for delays inside
+    its reachability window; rows walked past while locating an eligible
+    one are discarded, which is what keeps the plan monotone.  Storage
+    filling stops at the first position nobody can reach, since stored
+    photons must sit contiguously behind the train.
+
+    The bank was checked when it was built; only ``clicks`` and ``level``,
+    which change from cycle to cycle, are checked here.
 
     Returns
     -------
     CyclePlan
     """
-    if not isinstance(clicks, np.ndarray) or clicks.shape != (topology.source_count,):
-        raise ParameterError(
-            f"clicks must be a numpy array over the topology's {topology.source_count} sources"
-        )
-    capacity = storage_capacity(topology.step_count, multiple)
+    s, m, capacity = config.source_count, config.multiple, config.capacity
+    if not isinstance(clicks, np.ndarray) or clicks.shape != (s,):
+        raise ParameterError(f"clicks must be a numpy array over the bank's {s} sources")
     if not is_whole(level) or not 0 <= level <= capacity:
-        raise ParameterError(
-            f"storage level must be an integer in [0, {capacity}], got {level!r}"
-        )
-    m, level = int(multiple), int(level)
+        raise ParameterError(f"storage level must be an integer in [0, {capacity}], got {level!r}")
+    level = int(level)
     rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
-    slack = topology.source_count - topology.step_count if boundary_limits else None
+    slack = s - config.step_count if config.boundary is BoundaryMode.CONSTRAINED else None
     assignments = _route_greedy(slack, rows, level, m, m + capacity)
     # stored photons sit contiguously behind the train, so the last delay
     # taken sets the next level; every other kept photon fills a slot

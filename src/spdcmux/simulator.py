@@ -27,8 +27,7 @@ from .errors import (
     check_source_count,
     is_whole,
 )
-from .register import RegisterTopology
-from .scheduler import CyclePlan, plan_cycle, storage_capacity
+from .scheduler import BoundaryMode, CyclePlan, plan_cycle, storage_capacity
 
 __all__ = [
     "BoundaryMode",
@@ -53,13 +52,6 @@ class FeedbackMode(str, Enum):
     OFF = "off"
     BOOST = "boost"
     TURBO_BOOST = "turbo_boost"
-
-
-class BoundaryMode(str, Enum):
-    """Whether edge rows keep their restricted reachability windows."""
-
-    CONSTRAINED = "constrained"
-    UNCONSTRAINED = "unconstrained"
 
 
 @dataclass(frozen=True)
@@ -116,10 +108,6 @@ class SimConfig:
     @cached_property
     def capacity(self) -> int:
         return storage_capacity(self.step_count, self.multiple)
-
-    @cached_property
-    def topology(self) -> RegisterTopology:
-        return RegisterTopology(self.source_count, self.step_count)
 
     @cached_property
     def pumps(self) -> tuple[float, ...]:
@@ -197,7 +185,7 @@ def run_cycles(config: SimConfig) -> Iterator[tuple[np.ndarray, CyclePlan]]:
     before the first cycle, naming the pump setting it came from.
     """
     rng = np.random.default_rng(config.seed)
-    pumps, topology, m = config.pumps, config.topology, config.multiple
+    pumps = config.pumps
     try:
         _pair_count_cdf(max(pumps))
     except ParameterError as exc:
@@ -205,11 +193,10 @@ def run_cycles(config: SimConfig) -> Iterator[tuple[np.ndarray, CyclePlan]]:
             f"{exc}; the bank's largest pump, from mean pair number {config.mean_pairs!r} "
             f"with feedback {config.feedback.value} at gain {config.feedback_strength!r}"
         ) from None
-    constrained = config.boundary is BoundaryMode.CONSTRAINED
     level = 0
     for _ in range(config.cycles):
         counts = sample_cycle_emissions(config.source_count, pumps[level], rng)
-        plan = plan_cycle(topology, herald(counts), level, m, boundary_limits=constrained)
+        plan = plan_cycle(config, herald(counts), level)
         yield counts, plan
         level = plan.storage_level
 

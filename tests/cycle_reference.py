@@ -9,7 +9,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from spdcmux import (
-    BoundaryMode,
     CyclePlan,
     ParameterError,
     SimConfig,
@@ -72,14 +71,10 @@ def reference_cycles(config: SimConfig) -> Iterator[tuple[np.ndarray, tuple, Cyc
     every photon's pair count kept: (counts, storage in, plan, slots,
     storage out) per cycle, storage as pair counts, position 0 first."""
     rng = np.random.default_rng(config.seed)
-    constrained = config.boundary is BoundaryMode.CONSTRAINED
     storage: tuple[int, ...] = ()
     for _ in range(config.cycles):
         counts = sample_cycle_emissions(config.source_count, config.pumps[len(storage)], rng)
-        plan = plan_cycle(
-            config.topology, herald(counts), len(storage), config.multiple,
-            boundary_limits=constrained,
-        )
+        plan = plan_cycle(config, herald(counts), len(storage))
         slots, stored = place_photons(storage, counts, plan, config.multiple)
         yield counts, storage, plan, slots, stored
         storage = stored

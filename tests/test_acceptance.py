@@ -297,18 +297,21 @@ def test_a8_monotone_routing() -> None:
     # 10k random cycles per train length: random storage levels and herald
     # patterns (fire probability 0.3), both boundary settings
     rng = np.random.default_rng(11)
-    topology = RegisterTopology(source_count=11, step_count=3)
     checked = 0
     failures = 0
     for multiple in (4, 6, 8):
         capacity = storage_capacity(3, multiple)
+        banks = [
+            SimConfig(source_count=11, multiple=multiple, mean_pairs=0.1, boundary=boundary)
+            for boundary in BoundaryMode
+        ]
         for _ in range(10_000):
             level = int(rng.integers(0, capacity + 1))
             fired = rng.random(11) < 0.3
             counts = np.where(fired, rng.integers(1, 4, 11), 0).astype(np.int64)
             clicks = herald(counts)
-            for limits in (True, False):
-                plan = plan_cycle(topology, clicks, level, multiple, boundary_limits=limits)
+            for bank in banks:
+                plan = plan_cycle(bank, clicks, level)
                 checked += 1
                 if not verify_monotone_assignment(plan.assignments):
                     failures += 1

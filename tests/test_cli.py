@@ -755,8 +755,8 @@ def test_unsampleable_fed_back_pump_names_the_setting(capsys: pytest.CaptureFixt
 def test_conservation_violation_exits_one(monkeypatch, capsys: pytest.CaptureFixture) -> None:
     real_plan_cycle = simulator.plan_cycle
 
-    def leaky_plan_cycle(topology, clicks, level, multiple, **kwargs):
-        plan = real_plan_cycle(topology, clicks, level, multiple, **kwargs)
+    def leaky_plan_cycle(config, clicks, level):
+        plan = real_plan_cycle(config, clicks, level)
         # two photons routed to the same target
         return plan._replace(assignments=[(1, level), (2, level), *plan.assignments])
 
@@ -788,6 +788,24 @@ def test_register_depth_is_bounded_before_allocation(capsys: pytest.CaptureFixtu
             assert code == 1, argv
             assert capsys.readouterr().err.startswith("error: step count"), argv
             assert peak < 2**20, (argv, peak)
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_past_the_index_range_exits_one(capsys: pytest.CaptureFixture) -> None:
+    # S * 2**(K+1) cells of at least 2**63 bytes is a shape numpy refuses
+    # outright; the command says so in one line and allocates nothing
+    tracemalloc.start()
+    try:
+        for sources in ("9007199254740992", "1125899906842624"):
+            tracemalloc.reset_peak()
+            code = run_command(["verify-topology", "--sources", sources, "--steps", "12"])
+            peak = tracemalloc.get_traced_memory()[1]
+            out, err = capsys.readouterr()
+            assert code == 1, sources
+            assert out == "" and err.count("\n") == 1, (sources, err)
+            assert err.startswith("error: Unable to allocate a table of shape"), err
+            assert peak < 2**20, (sources, peak)
     finally:
         tracemalloc.stop()
 

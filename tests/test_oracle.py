@@ -22,7 +22,6 @@ from spdcmux import (
     HeraldProbabilities,
     OracleRates,
     ParameterError,
-    RegisterTopology,
     SimConfig,
     apply_feedback,
     herald_count_distribution,
@@ -569,11 +568,10 @@ def _herald_count_outcomes(config: SimConfig, level: int):
 def _click_pattern_outcomes(config: SimConfig, level: int):
     """(weight, next level, lacks, kept) per click pattern of a constrained
     bank, each pattern routed by plan_cycle and weighted in exact rationals."""
-    topology = RegisterTopology(config.source_count, config.step_count)
     p = Fraction(_level_pump(config, level).p_herald)
     for bits in itertools.product((0, 1), repeat=config.source_count):
         clicks = np.array(bits, dtype=bool)
-        plan = plan_cycle(topology, clicks, level, config.multiple)
+        plan = plan_cycle(config, clicks, level)
         clicked = sum(bits)
         weight = p**clicked * (1 - p) ** (config.source_count - clicked)
         yield weight, plan.storage_level, plan.lack_count, len(plan.assignments)
@@ -683,7 +681,6 @@ def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter,
     the targets is one more discard, so discards are tallied as at the
     number of targets.
     """
-    topology = RegisterTopology(config.source_count, config.step_count)
     edge = _edge_rows(config)
     interior = [row for row in range(1, config.source_count + 1) if row not in edge]
     rng = np.random.default_rng(11)
@@ -696,10 +693,7 @@ def _brute_force_outcomes(config: SimConfig) -> tuple[Counter, Counter, Counter,
                 rows += rng.choice(interior, size=n, replace=False).tolist()
                 clicks = np.zeros(config.source_count, dtype=bool)
                 clicks[np.array(rows, dtype=int) - 1] = True
-                plan = plan_cycle(
-                    topology, clicks, level, config.multiple,
-                    boundary_limits=config.boundary is BoundaryMode.CONSTRAINED,
-                )
+                plan = plan_cycle(config, clicks, level)
                 discards = len(rows) - len(plan.assignments) - max(n - targets, 0)
                 outcomes.setdefault((level, min(n, targets), bits), set()).add(
                     (plan.storage_level, plan.lack_count, len(plan.assignments), discards)
@@ -868,10 +862,13 @@ def test_walk_tables_do_not_hold_the_matrix() -> None:
 def test_stationary_rates_never_holds_the_matrix() -> None:
     # rows are built only at the levels they reach and solved as they are
     # built, so a warm call holds a window of band rows, not the
-    # (capacity + 1)**2 matrix: 8.1 MB at K=10, 127 MiB at K=12
+    # (capacity + 1)**2 matrix: 8.1 MB at K=10, 127 MiB at K=12.  The stop
+    # rule keeps a level's column only while a later level can compare
+    # against it, at most half the levels eliminated
     for config, mebibytes in [
         (_spec(200, 16, 10, -math.log1p(-0.95 * 16 / 200)), 1.5),
         (_spec(2000, 16, 12, 0.002025), 2),
+        (_spec(2000, 256, 12, -math.log1p(-0.95 * 256 / 2000)), 13),
     ]:
         stationary_rates(config)
         gc.collect()

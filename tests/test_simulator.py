@@ -217,7 +217,7 @@ def test_run_cycles_yields_each_cycle_once() -> None:
         pumps.add(config.pumps[level])
         replayed = sample_cycle_emissions(config.source_count, config.pumps[level], rng)
         assert np.array_equal(counts, replayed)
-        assert plan == plan_cycle(config.topology, herald(counts), level, config.multiple)
+        assert plan == plan_cycle(config, herald(counts), level)
         level = plan.storage_level
     # the boost bank draws at both its pumps
     assert pumps == set(config.pumps) and len(pumps) == 2
@@ -266,8 +266,8 @@ def test_plan_that_reuses_or_overwrites_a_target_aborts_the_run(monkeypatch) -> 
     real_plan_cycle = simulator.plan_cycle
     config = SimConfig(source_count=11, multiple=2, mean_pairs=0.3, cycles=200, seed=1)
     for bad_delay in (lambda level: level, lambda level: level - 1):
-        def faulty_plan_cycle(topology, clicks, level, multiple, **kwargs):
-            plan = real_plan_cycle(topology, clicks, level, multiple, **kwargs)
+        def faulty_plan_cycle(config, clicks, level):
+            plan = real_plan_cycle(config, clicks, level)
             if level == 0:
                 return plan
             # one photon more, routed to the first open target or onto a stored photon
