@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check_mean_pairs, check_source_count, is_whole
+from .errors import ParameterError, check_mean_pairs, check_source_count, check_whole
 
 __all__ = [
     "HeraldProbabilities",
@@ -43,10 +43,8 @@ def pair_pmf(count: int, mean_pairs: float) -> float:
     float
         ``mean_pairs**count * exp(-mean_pairs) / count!``
     """
-    if not is_whole(count) or count < 0:
-        raise ParameterError(f"pair count must be a non-negative integer, got {count!r}")
+    n = check_whole(count, "pair count")
     mean = check_mean_pairs(mean_pairs)
-    n = int(count)
     # log form keeps large counts from overflowing the numerator
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
 

@@ -102,7 +102,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .emission import herald_probabilities
-from .errors import ConvergenceError, ParameterError, as_real, check_mean_pairs, check_source_count
+from .errors import ConvergenceError, ParameterError, check_mean_pairs, check_real, check_source_count
 from .scheduler import _route_greedy
 from .simulator import BoundaryMode, SimConfig
 
@@ -865,9 +865,7 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> tuple[float,
         For a bad ``tolerance``, or a constrained bank deeper than
         ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    limit = as_real(tolerance)
-    if not (math.isfinite(limit) and limit > 0.0):
-        raise ParameterError(f"tolerance must be positive and finite, got {tolerance!r}")
+    limit = check_real(tolerance, "tolerance", positive=True)
     if bank.boundary is BoundaryMode.CONSTRAINED:
         _check_depth(bank.step_count)
     decisive = limit + max(limit, 1e-9)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .errors import ParameterError, check_source_count, check_step_count, is_whole
+from .errors import check_source_count, check_step_count, check_whole
 
 __all__ = [
     "RegisterTopology",
@@ -74,14 +74,6 @@ class RegisterTopology:
         return table
 
 
-def _check_source(topology: RegisterTopology, source: int) -> int:
-    if not is_whole(source) or not 1 <= source <= topology.source_count:
-        raise ParameterError(
-            f"source index must be in [1, {topology.source_count}], got {source!r}"
-        )
-    return int(source)
-
-
 def step_count_bounds(topology: RegisterTopology, source: int) -> tuple[int, int]:
     """Smallest and largest number of stages a row's photon can take.
 
@@ -89,7 +81,7 @@ def step_count_bounds(topology: RegisterTopology, source: int) -> tuple[int, int
     tall bank see the full window (0, K); rows within K of either edge
     are clipped by the crossing geometry.
     """
-    low, high = _stage_window(topology, _check_source(topology, source))
+    low, high = _stage_window(topology, check_whole(source, "source index", 1, topology.source_count))
     return int(low), int(high)
 
 

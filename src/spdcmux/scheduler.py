@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check_step_count, is_whole
+from .errors import ParameterError, check_step_count, check_whole
 
 if TYPE_CHECKING:
     from .simulator import SimConfig
@@ -50,11 +50,7 @@ __all__ = [
 def storage_capacity(step_count: int, multiple: int) -> int:
     """Free register span behind an m-photon train: ``2**step_count - multiple``."""
     span = 2 ** check_step_count(step_count)
-    if not is_whole(multiple) or not 1 <= multiple <= span:
-        raise ParameterError(
-            f"multiple must be an integer in [1, {span}], got {multiple!r}"
-        )
-    return span - int(multiple)
+    return span - check_whole(multiple, "multiple", 1, span)
 
 
 class BoundaryMode(str, Enum):
@@ -103,9 +99,7 @@ def plan_cycle(config: SimConfig, clicks: np.ndarray, level: int) -> CyclePlan:
     s, m, capacity = config.source_count, config.multiple, config.capacity
     if not isinstance(clicks, np.ndarray) or clicks.shape != (s,):
         raise ParameterError(f"clicks must be a numpy array over the bank's {s} sources")
-    if not is_whole(level) or not 0 <= level <= capacity:
-        raise ParameterError(f"storage level must be an integer in [0, {capacity}], got {level!r}")
-    level = int(level)
+    level = check_whole(level, "storage level", 0, capacity)
     rows = [i + 1 for i in clicks.nonzero()[0].tolist()]
     slack = s - config.step_count if config.boundary is BoundaryMode.CONSTRAINED else None
     assignments = _route_greedy(slack, rows, level, m, m + capacity)

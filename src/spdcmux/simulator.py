@@ -22,9 +22,10 @@ from .emission import _pair_count_cdf, herald, sample_cycle_emissions
 from .errors import (
     ConservationError,
     ParameterError,
-    as_real,
     check_mean_pairs,
+    check_real,
     check_source_count,
+    check_whole,
     is_whole,
 )
 from .scheduler import BoundaryMode, CyclePlan, plan_cycle, storage_capacity
@@ -79,23 +80,14 @@ class SimConfig:
     boundary: BoundaryMode = BoundaryMode.CONSTRAINED
 
     def __post_init__(self) -> None:
-        strength = as_real(self.feedback_strength)
-        if not math.isfinite(strength) or strength < 0.0:
-            raise ParameterError(
-                "feedback strength must be finite and non-negative, "
-                f"got {self.feedback_strength!r}"
-            )
+        strength = check_real(self.feedback_strength, "feedback strength", positive=False)
         object.__setattr__(self, "feedback_strength", strength)
         check_source_count(self.source_count)
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
         object.__setattr__(self, "mean_pairs", check_mean_pairs(self.mean_pairs))
-        if not is_whole(self.cycles) or self.cycles < 0:
-            raise ParameterError(
-                f"cycle count must be a non-negative integer, got {self.cycles!r}"
-            )
-        if not is_whole(self.seed) or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_whole(self.cycles, "cycle count")
+        check_whole(self.seed, "seed")
         # whole floats become ints, so the repr of each field reads back through --config
         for name in ("source_count", "step_count", "multiple", "cycles", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -123,11 +115,7 @@ class SimConfig:
 
 def apply_feedback(config: SimConfig, storage_level: int) -> float:
     """The pump of a cycle that starts with ``storage_level`` photons stored, checked."""
-    if not is_whole(storage_level) or not 0 <= storage_level <= config.capacity:
-        raise ParameterError(
-            f"storage level must be an integer in [0, {config.capacity}], got {storage_level!r}"
-        )
-    return config.pumps[int(storage_level)]
+    return config.pumps[check_whole(storage_level, "storage level", 0, config.capacity)]
 
 
 @dataclass(frozen=True)

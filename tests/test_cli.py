@@ -224,6 +224,13 @@ def test_simulate_writes_csv_to_stdout(capsys: pytest.CaptureFixture) -> None:
     assert rows[0][8] == "3"
     assert rows[0][9] == "500"
     assert float(rows[0][0]) == pytest.approx(0.1)
+    # a seed past the float range is a seed like any other
+    huge = str(2**1024)
+    code = run_command(
+        ["simulate", "--sources", "10", "--multiple", "4", "--mean-pairs", "0.1", "--seed", huge]
+    )
+    assert code == 0
+    assert _rows(capsys.readouterr().out)[0][8] == huge
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path) -> None:
@@ -467,6 +474,10 @@ def test_sweep_grid_misuse_fails_cleanly(capsys: pytest.CaptureFixture) -> None:
                         "--sources", "5", "--mean-pairs", "0.1", "--cycles", "100"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    assert run_command(base + ["--values", ","]) == 1
+    assert capsys.readouterr().err == "error: --values is empty\n"
+    assert run_command(base + ["--from", "0.1", "--to", "0.2", "--steps", "0"]) == 1
+    assert capsys.readouterr().err == "error: --steps must be at least 1, got 0\n"
     # non-finite grid values cannot be rounded to a bank size or a train length
     for argv in (["--param", "size", "--multiple", "4"], ["--param", "multiple", "--sources", "5"]):
         for value in ("nan", "inf"):

@@ -1092,6 +1092,11 @@ def test_optimized_power_failure_modes() -> None:
     # at any pump, so the curves never cross
     with pytest.raises(ConvergenceError):
         optimized_power(_spec(1, 2, 1, 1.0))
+    # boost at gain 1e6 lifts even the smallest pump tried to about 1, where
+    # multi-pairs outnumber lacks
+    bank = replace(_spec(10, 1, 1, 1.0), feedback="boost", feedback_strength=1e6)
+    with pytest.raises(ConvergenceError, match="^lack does not exceed multi even at vanishing pump"):
+        optimized_power(bank)
     # feedback triples the highest pump, so the bracket stops three times lower
     for feedback in ("boost", "turbo_boost"):
         bank = replace(_spec(4, 8, 4, 1.0), feedback=feedback, feedback_strength=2.0)
@@ -1103,6 +1108,9 @@ def test_optimized_power_failure_modes() -> None:
     for tolerance in (0.0, math.inf, math.nan, "1e-6", None, b"1"):
         with pytest.raises(ParameterError):
             optimized_power(_spec(100, 4, 3, 1.0), tolerance=tolerance)
+    # a tolerance below the gap's float resolution is accepted, and never met
+    with pytest.raises(ConvergenceError, match=r"^bisection failed to bring \|lack - multi\| under 1e-300$"):
+        optimized_power(_spec(100, 4, 3, 1.0), tolerance=1e-300)
 
 
 def test_optimized_power_balances_the_bank_as_given() -> None:

@@ -143,6 +143,12 @@ def test_sim_config_validation() -> None:
     whole = SimConfig(source_count=10.0, multiple=2.0, mean_pairs=0.3, step_count=3.0, seed=4.0)
     assert [whole.source_count, whole.multiple, whole.step_count, whole.seed] == [10, 2, 3, 4]
     assert all(type(value) is int for value in (whole.source_count, whole.multiple, whole.seed))
+    # an int is whole at any size: numpy seeds from one past the float range,
+    # and a source count past 2**53 is still refused as given
+    huge = SimConfig(source_count=10, multiple=4, mean_pairs=0.1, cycles=100, seed=2**1024)
+    assert huge.seed == 2**1024 and run_simulation(huge).cycles == 100
+    with pytest.raises(ParameterError, match=r"^source count must be an integer in \[1, 2\*\*53\], got 10{400}$"):
+        SimConfig(source_count=10**400, multiple=4, mean_pairs=0.05)
 
 
 def test_same_config_reproduces_identical_metrics() -> None:
@@ -364,3 +370,4 @@ def test_derive_point_seed_is_stable_and_spread() -> None:
         with pytest.raises(ParameterError, match="non-negative integers"):
             derive_point_seed(master, index)
     assert derive_point_seed(42.0, 0.0) == first
+    assert 0 <= derive_point_seed(2**1024, 0) < 2**64
