@@ -31,6 +31,12 @@ __all__ = [
 def pair_pmf(count: int, mean_pairs: float) -> float:
     """Probability of emitting exactly ``count`` pairs in one cycle.
 
+    Past 15 pairs it is Loader's saddle-point form (2000),
+    e**-(d(n) + b(n, mean)) / sqrt(2 pi n): d(n) is Stirling's series for
+    the error of Stirling's formula, and b(n, mean) = n log(n / mean) +
+    mean - n is summed from the gap n - mean, so it keeps its digits where
+    the count is near the mean and the large terms of the direct form cancel.
+
     Parameters
     ----------
     count : int
@@ -41,12 +47,39 @@ def pair_pmf(count: int, mean_pairs: float) -> float:
     Returns
     -------
     float
-        ``mean_pairs**count * exp(-mean_pairs) / count!``
+        ``mean_pairs**count * exp(-mean_pairs) / count!``, 0.0 where it
+        underflows.
     """
     n = check_whole(count, "pair count")
     mean = check_mean_pairs(mean_pairs)
-    # log form keeps large counts from overflowing the numerator
-    return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+    if n <= 15:
+        # log form keeps the numerator from overflowing
+        return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+    try:
+        x = float(n)
+    except OverflowError:  # a count past the float range lies far past any float mean
+        return 0.0
+    # the whole and fractional parts of a float are exact, so the gap is
+    # n - mean rounded at most twice, even where x rounds n
+    whole = int(mean)
+    gap = float(n - whole) - (mean - whole)
+    half_sum = 0.5 * x + 0.5 * mean  # x + mean can pass the float range
+    if abs(gap) < 0.2 * half_sum:
+        # b = gap v + 2 n (v**3 / 3 + v**5 / 5 + ...), v = gap / (n + mean)
+        v = 0.5 * gap / half_sum
+        deviance, term = gap * v, 2.0 * (x * v)
+        for j in itertools.count(1):
+            term *= v * v
+            grown = deviance + term / (2 * j + 1)
+            if grown == deviance:
+                break
+            deviance = grown
+    else:
+        deviance = x * math.log(x / mean) + mean - x  # inf where p underflows
+    s = 1.0 / (x * x)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / x
+    # two roots: 2 pi n can pass the float range
+    return math.exp(-stirling - deviance) / math.sqrt(2.0 * math.pi) / math.sqrt(x)
 
 
 class HeraldProbabilities(NamedTuple):

@@ -67,7 +67,9 @@ ratio to the cycle's length, with no stationary vector and no
 back-substitution.  So a solve holds the last m rows eliminated and the
 rows not yet eliminated, never the dense (capacity + 1)**2 matrix, and
 no row past the block that holds the ceiling is built: the levels above
-it are never visited.
+it are never visited.  :func:`stationary_distribution` runs the same
+elimination with no rewards: it censors out every level up to the
+ceiling and back-substitutes for the stationary vector.
 
 A bank with no edge rows whose levels below the top share one pump (no
 feedback, or boost, whose top level pumps apart) repeats its rows: from
@@ -678,46 +680,26 @@ def _climb(
     return np.ldexp(sums[-1], -shift) + reduced @ held
 
 
-# the rows of every chain the oracle builds sum to one within 1e-15, so this
-# leaves ample room for rounding while rejecting a matrix that is not stochastic
-_ROW_SUM_TOLERANCE = 1e-9
+def stationary_distribution(config: SimConfig) -> np.ndarray:
+    """Stationary distribution of the storage level of the bank ``config``
+    describes: ``pi[L]`` is the long-run share of cycles that start with L
+    photons stored, for L = 0 .. ``capacity``.
 
-
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix, left unmodified.
-
-    Solved directly by Grassmann-Taksar-Heyman (GTH) state reduction, the
-    levels censored out from the bottom as in :func:`stationary_rates`,
-    with the band read from the data: the furthest any row drops below
-    its diagonal.  It is subtraction-free, so small probabilities keep
-    full relative precision, and it has no iteration to converge.  The
-    levels above the lowest one with no way up get exactly zero.
+    The chain is the one :func:`stationary_rates` solves, boundary limits
+    and pump feedback included; only ``cycles`` and ``seed`` play no part.
+    Its rows are built as they are solved, by the same subtraction-free
+    GTH state reduction, so pi is exact as the rates are, and no call holds
+    the (capacity + 1)**2 matrix.  Every level is censored out and pi comes
+    from back-substitution; the levels above the lowest one with no way up
+    get exactly zero.
 
     Raises
     ------
     ParameterError
-        If the matrix is not square and non-empty, has a non-finite or
-        negative entry, or has a row whose sum is off one by more than
-        ``_ROW_SUM_TOLERANCE`` (1e-9).
+        For a constrained bank deeper than ``MAX_CONSTRAINED_STEP_COUNT``.
     """
-    try:
-        matrix = np.asarray(matrix)
-    except ValueError as exc:  # a ragged nesting
-        raise ParameterError("transition matrix must be square and non-empty") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ParameterError("transition matrix must be square and non-empty")
-    real = matrix.dtype.kind in "biuf"  # bool, integer or float: no text, complex or objects
-    if not (real and np.isfinite(matrix).all() and (matrix >= 0.0).all()):
-        raise ParameterError("transition matrix entries must be finite and non-negative")
-    matrix = matrix.astype(float, copy=False)
-    if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOLERANCE:
-        raise ParameterError(
-            f"transition matrix rows must sum to one within {_ROW_SUM_TOLERANCE:g}"
-        )
-    size = matrix.shape[0]
-    width = max(int(_drops(matrix != 0.0, 0).max()), 0)
-    step = max(1, 2**16 // size)
-    return _solve_rows(((0, matrix[low:low + step]) for low in range(0, size, step)), size, width)
+    blocks, _, _ = _chain_tables(config)
+    return _solve_rows(blocks, config.capacity + 1, config.multiple)
 
 
 def stationary_rates(config: SimConfig) -> OracleRates:

@@ -86,7 +86,8 @@ class SimConfig:
         # delegates range checking of step count and multiple to the capacity rule
         storage_capacity(self.step_count, self.multiple)
         object.__setattr__(self, "mean_pairs", check_mean_pairs(self.mean_pairs))
-        check_whole(self.cycles, "cycle count")
+        # as with sources: no run of more than 2**53 cycles could end
+        check_whole(self.cycles, "cycle count", 0, 2**53)
         check_whole(self.seed, "seed")
         # whole floats become ints, so the repr of each field reads back through --config
         for name in ("source_count", "step_count", "multiple", "cycles", "seed"):

@@ -626,6 +626,19 @@ def test_huge_banks_exit_one(capsys: pytest.CaptureFixture) -> None:
         assert captured.out == "", command
         assert captured.err.startswith("error: source count must be an integer in [1, 2**53]")
         assert captured.err.count("\n") == 1, command
+    # so is a cycle count past the float range, before any chain or run starts
+    bank = ["--sources", "10", "--multiple", "4", "--cycles", str(10**400)]
+    for command in (
+        ["simulate", *bank, "--mean-pairs", "0.1"],
+        ["oracle", *bank, "--mean-pairs", "0.1"],
+        ["optimize", *bank],
+        ["sweep", "--param", "power", "--values", "0.1", *bank, "--engine", "oracle"],
+    ):
+        assert run_command(command) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: cycle count must be an integer in [0, "), command
+        assert captured.err.count("\n") == 1, command
 
 
 def test_sweep_names_a_huge_grid_value_as_given(capsys: pytest.CaptureFixture) -> None:

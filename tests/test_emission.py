@@ -1,6 +1,9 @@
 """Emission statistics: pmf values, herald probabilities, sampler contract."""
 
+import decimal
 import math
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -45,6 +48,29 @@ def test_pair_pmf_normalises_and_has_poisson_mean() -> None:
         probs = [pair_pmf(n, mean) for n in range(80)]
         assert sum(probs) == pytest.approx(1.0, abs=1e-13)
         assert sum(n * p for n, p in enumerate(probs)) == pytest.approx(mean, rel=1e-12)
+
+
+def test_pair_pmf_at_large_counts() -> None:
+    # past 15 pairs: against 50-digit sums with exact factorials
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for count, mean in ((16, 16.0), (40, 25.5), (200, 230.0), (1000, 1000.0), (1000, 900.0)):
+            exact = (Decimal(mean).ln() * count - Decimal(mean)).exp() / math.factorial(count)
+            assert pair_pmf(count, mean) == pytest.approx(float(exact), rel=1e-14), (count, mean)
+    # log(count!) passes the float range from a count of ~2.6e305: far from
+    # the mean the value underflows, as it does for a count past the float range
+    for count in (2.6e305, 1e306, 10**400):
+        assert pair_pmf(count, 0.1) == 0.0
+    # at the mean it is 1 / sqrt(2 pi n), Stirling's 1 / (12 n) below
+    # resolution; the direct log form cancels there, to 2.1e-9 for 1.3e-8 at 10**15
+    for mean in (1e15, 1e306, 2.0**1023, sys.float_info.max):
+        peak = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(mean)
+        assert pair_pmf(mean, mean) == pytest.approx(peak, rel=1e-14), mean
+    # half a standard deviation above a mean of 1e306, read from the exact gap
+    mean = int(1e306)
+    expected = math.exp(-10**306 / (2 * mean)) / math.sqrt(2.0 * math.pi * 1e306)
+    assert pair_pmf(mean + 10**153, 1e306) == pytest.approx(expected, rel=1e-14)
+    assert pair_pmf(10**306, 1e306) == 0.0  # 1.7e290 below it: 1.7e137 deviations
 
 
 def test_pair_pmf_rejects_bad_arguments() -> None:

@@ -35,7 +35,10 @@ def test_each_check_names_its_argument_and_range() -> None:
             lambda: config(feedback_strength=-1.0),
             "feedback strength must be finite and non-negative, got -1.0",
         ),
-        (lambda: config(cycles=-1), "cycle count must be a non-negative integer, got -1"),
+        (
+            lambda: config(cycles=-1),
+            "cycle count must be an integer in [0, 9007199254740992], got -1",
+        ),
         (lambda: config(seed=1.5), "seed must be a non-negative integer, got 1.5"),
         (lambda: pair_pmf(-1, 0.1), "pair count must be a non-negative integer, got -1"),
         (

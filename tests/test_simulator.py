@@ -149,6 +149,11 @@ def test_sim_config_validation() -> None:
     assert huge.seed == 2**1024 and run_simulation(huge).cycles == 100
     with pytest.raises(ParameterError, match=r"^source count must be an integer in \[1, 2\*\*53\], got 10{400}$"):
         SimConfig(source_count=10**400, multiple=4, mean_pairs=0.05)
+    # and so is a cycle count, which bounds a run that must end
+    assert SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=2**53).cycles == 2**53
+    for cycles in (2**53 + 1, 10**400):
+        with pytest.raises(ParameterError, match=rf"^cycle count must be an integer in \[0, {2**53}\]"):
+            SimConfig(source_count=10, multiple=4, mean_pairs=0.05, cycles=cycles)
 
 
 def test_same_config_reproduces_identical_metrics() -> None:
