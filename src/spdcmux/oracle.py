@@ -45,8 +45,9 @@ interior rows: its run takes every cycle, none clicked included, and its
 rows are one strided copy of the pmf, P[l, j] = pmf[j - l + m], with the
 two end columns clamped.
 The expected lacks, kept photons, discards, heralds and multi-pair
-photons kept fill one table per level, which the stationary distribution
-weighs into the rates.
+photons kept fill one table per level, whose sums over one return cycle
+to the ceiling give the rates as renewal-reward ratios, below: no
+stationary distribution is formed.
 
 The rows are built in blocks of whole levels, in level order, and solved
 as they arrive.  A cycle drops at most m levels and stores at most S
@@ -770,9 +771,60 @@ def stationary_rates(config: SimConfig) -> OracleRates:
     )
 
 
-def _gap_bounds(config: SimConfig) -> tuple[float, float]:
+def _lundberg_exponent(source_count: int, multiple: int, mean: float) -> float:
+    """A Lundberg exponent theta > 0 of the side of the level walk L' =
+    min(max(L + c - m, 0), capacity), c ~ Binomial(S, p) at pump ``mean``,
+    that drifts down: the root of f below to about 1e-12 relative, or 700
+    if f is still negative there; 0.0 at S p = m.  That side is the level
+    itself if S p < m, whose overflow is the discards (L + c - m -
+    capacity)^+, else its mirror capacity - L, which steps by m - c and
+    overflows by the lacks (m - L - c)^+.
+
+    With s = +-1 the sign of that side's steps, any theta > 0 where f(theta)
+    = S log E[e**(s theta b)] - s m theta <= 0, b one source's click, bounds
+    the mean overflow per cycle by e**(-theta capacity) / (e**theta - 1):
+    the walk stays under the one reflected at zero alone, whose stationary
+    tail is at most e**(-theta x) (Kingman 1964).  f is convex with f(0) =
+    0, so Newton from above, nudged down by 2**-40 a step, crosses its
+    root onto the side where f <= 0 and stops there.
+    """
+    p = -math.expm1(-mean)
+    heralds = source_count * p
+    if heralds == multiple:
+        return 0.0
+    sign = 1.0 if heralds < multiple else -1.0
+
+    def log_mgf(theta: float) -> float:
+        # log(1 + p (e**(s theta) - 1)); past half way down, 1 - p is e**-mean
+        if sign > 0.0 or p * -math.expm1(-theta) <= 0.5:
+            return math.log1p(p * math.expm1(sign * theta))
+        return math.log(math.exp(-mean) + p * math.exp(-theta))
+
+    # f(theta) >= (S - m) theta + S log p going up and m theta - S mean going
+    # down, so both starts sit at or above the root, and theta stops at 700,
+    # where the bound is ~1e-304; the guess from the drift and the variance
+    # S p (1 - p) starts closer wherever f is positive there
+    rise = source_count - multiple
+    start = -source_count * math.log(p) / rise if rise > 0 else math.inf
+    theta = min(start if sign > 0.0 else source_count * mean / multiple, 700.0)
+    spread = heralds * math.exp(-mean)
+    guess = 3.0 * abs(multiple - heralds) / spread if spread > 0.0 else math.inf
+    if guess < theta and source_count * log_mgf(guess) > sign * multiple * guess:
+        theta = guess
+    for _ in range(64):
+        cumulant = log_mgf(theta)
+        value = source_count * cumulant - sign * multiple * theta
+        if value <= 0.0:
+            return theta
+        slope = sign * (source_count * p * math.exp(sign * theta - cumulant) - multiple)
+        theta -= value / slope + theta * 2.0**-40
+    return 0.0
+
+
+def _gap_bounds(config: SimConfig, discards: tuple[float, float] = (0.0, math.inf)) -> tuple[float, float]:
     """Closed-form bounds ``(lower, upper)`` on lack_rate - multi_rate of
     ``config``, from the herald pmf of its lowest pump; no chain.
+    ``discards`` bounds its mean discards per cycle from outside.
 
     With r = p_multi / p_herald, each kept photon carries a multi-pair
     event with the r of its pump, and kept photons fill the slots, so
@@ -782,14 +834,33 @@ def _gap_bounds(config: SimConfig) -> tuple[float, float]:
     any slot is left empty, stored photons only fill slots and feedback
     only raises the pump, so lack is at most E[max(m - I, 0)] / m with I
     the interior clicks at the lowest pump.
+
+    A bank with no boundary limits whose levels all share one pump keeps
+    every herald it does not discard, so lack = 1 - (H - D) / m with H =
+    S p_herald and D the mean discards, and ``discards`` bounds lack both
+    ways.  Its level is the walk of :func:`_lundberg_exponent`, whose
+    Lundberg bound caps D when H < m and the lacks per cycle when H > m.
+    Every other bank ignores ``discards``.
     """
     m = config.multiple
-    low, high = (herald_probabilities(pump) for pump in (min(config.pumps), max(config.pumps)))
+    pump, top = min(config.pumps), max(config.pumps)
+    low, high = herald_probabilities(pump), herald_probabilities(top)
     r_min, r_max = low.p_multi / low.p_herald, high.p_multi / high.p_herald
     lack_floor = 1.0 - config.source_count * high.p_herald / m
     rows = _interior_rows(config)
-    short = herald_count_distribution(rows, min(config.pumps))[:m] if rows else np.ones(1)
+    short = herald_count_distribution(rows, pump)[:m] if rows else np.ones(1)
     lack_ceiling = float(short @ (m - np.arange(short.size))) / m
+    if pump == top and config.boundary is not BoundaryMode.CONSTRAINED:
+        heralds = config.source_count * low.p_herald
+        least, most = discards
+        theta = _lundberg_exponent(config.source_count, m, pump)
+        overflow = math.exp(-theta * config.capacity) / math.expm1(theta) if theta > 0.0 else math.inf
+        if heralds < m:
+            most = min(most, overflow)
+        else:
+            lack_ceiling = min(lack_ceiling, overflow / m)
+        lack_floor = max(lack_floor, 1.0 - (heralds - least) / m)
+        lack_ceiling = min(lack_ceiling, 1.0 - (heralds - most) / m)
     return (
         lack_floor - r_max * (1.0 - lack_floor),
         lack_ceiling - r_min * (1.0 - lack_ceiling),
@@ -826,6 +897,22 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> tuple[float,
     * lack - multi <= U (1 + r_min) - r_min, with U = E[max(m - I, 0)] / m
       and I ~ Binomial(interior rows, p_min).
 
+    A bank with no boundary limits whose levels all share one pump (feedback
+    ``off``, gain 0 or no storage) has two more, from its level walk L' =
+    min(max(L + c - m, 0), capacity) and, with H = S p_herald and D the
+    mean discards per cycle, lack - multi = 1 - (1 + r) (H - D) / m:
+
+    * Lundberg, per pump: the side of the walk that drifts down, the level
+      if H < m and capacity - L if H > m, stays under the walk reflected at
+      zero alone, whose stationary tail falls as e**(-theta x) for the
+      Lundberg exponent theta.  So its overflow, D if H < m and the lacks
+      per cycle if H > m, is at most e**(-theta capacity) / (e**theta - 1).
+    * Monotone discards, across steps: two pumps fed from the same uniforms
+      click on a superset at the higher pump, and the level map and the
+      discards rise with L and c, so D rises with the pump.  The largest D
+      solved at or below the step and the smallest solved at or above it
+      bound D, and so lack - multi, both ways.
+
     A step solves the chain only when neither bound clears +-``tolerance``
     by max(``tolerance``, 1e-9), so the bisection takes the same steps to
     the same float as it would solving the chain at every one.
@@ -852,17 +939,22 @@ def optimized_power(bank: SimConfig, *, tolerance: float = 1e-6) -> tuple[float,
         _check_depth(bank.step_count)
     decisive = limit + max(limit, 1e-9)
     gain = max(bank.pumps) / bank.mean_pairs
+    solved: list[tuple[float, float]] = []  # the pump and mean discards of each solve
 
     def gap(mean: float) -> tuple[float, OracleRates | None]:
         """lack - multi at pump ``mean``, and the rates if the chain was solved."""
         config = replace(bank, mean_pairs=mean)
+        # discards rise with the pump, so the solves below and above bound them
+        least = max((discards for pump, discards in solved if pump <= mean), default=0.0)
+        most = min((discards for pump, discards in solved if pump >= mean), default=math.inf)
         # a bound this far past the tolerance takes the step the exact gap would
-        lower, upper = _gap_bounds(config)
+        lower, upper = _gap_bounds(config, (least, most))
         if lower >= decisive:
             return lower, None
         if upper <= -decisive:
             return upper, None
         rates = stationary_rates(config)
+        solved.append((mean, rates.mean_discards))
         return rates.lack_rate - rates.multi_rate, rates
 
     low, high = 1e-6, 1.0

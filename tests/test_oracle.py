@@ -1128,7 +1128,8 @@ def test_optimize_builds_each_herald_pmf_once(monkeypatch: pytest.MonkeyPatch) -
     monkeypatch.setattr(oracle, "herald_count_distribution", recording)
     oracle._herald_pmf.cache_clear()
     optimized_power(_spec(100, 4, 3, 1.0))
-    assert len(calls) == 42
+    # 24 load bounds and 16 chain solves
+    assert len(calls) == 40
     assert oracle._herald_pmf.cache_info().misses == len(set(calls)) == 24
     pmf = real(100, 0.049)
     assert not pmf.flags.writeable
@@ -1190,10 +1191,11 @@ def test_optimized_power_takes_the_reference_bisection_steps(monkeypatch) -> Non
 
     monkeypatch.setattr(oracle, "stationary_rates", counted)
     rng = np.random.default_rng(15)
-    deep = _spec(500, 16, 8, 1.0)
+    deep, deeper = _spec(500, 16, 8, 1.0), _spec(2000, 16, 12, 1.0)
     banks = [
         _spec(100, 4, 3, 1.0),  # A2
         deep,
+        deeper,
         _spec(1, 2, 1, 1.0),  # no crossing at all
         _spec(1, 1, 1, 1.0),  # a crossing above one pair
         SimConfig(source_count=100, multiple=4, mean_pairs=0.3, step_count=3, feedback="boost"),
@@ -1212,7 +1214,12 @@ def test_optimized_power_takes_the_reference_bisection_steps(monkeypatch) -> Non
         assert mean == reference, bank
         assert bounded_solves <= reference_solves, bank
         if bank == deep:
-            assert reference_solves == 24 and bounded_solves <= 12
+            assert reference_solves == 24 and bounded_solves <= 5
+        if bank == deeper:
+            assert reference_solves == 27 and bounded_solves <= 3
+    # the step that ends the bisection is a solve, so its rates are the chain's there
+    mean, rates = optimized_power(deep)
+    assert rates == solve(replace(deep, mean_pairs=mean))
 
 
 def test_gap_bounds_hold_on_random_banks() -> None:
@@ -1225,3 +1232,54 @@ def test_gap_bounds_hold_on_random_banks() -> None:
             lower, upper = oracle._gap_bounds(config)
             gap = rates.lack_rate - rates.multi_rate
             assert lower - 1e-12 <= gap <= upper + 1e-12, config
+    # unconstrained single-pump banks up to K=12, on both sides of rho = S p / m
+    # = 1: the Lundberg bound caps the discards below 1 and the lacks above it,
+    # and the discards solved a tenth below and above the pump bound them both ways
+    sides = set()
+    for index in range(24):
+        steps = int(rng.integers(1, 13))
+        multiple = int(rng.integers(1, min(2**steps, 2000) + 1))
+        sources = int(rng.integers(multiple + 1, 3001))
+        load = (1 - 1e-3, 1 + 1e-3)[index % 2] if index < 4 else float(np.exp(rng.uniform(-2.0, 2.0)))
+        if load * multiple >= sources:
+            load = 0.5
+        bank = SimConfig(
+            source_count=sources, multiple=multiple, mean_pairs=1.0, step_count=steps,
+            boundary="unconstrained", feedback=("off", "boost")[index % 3 == 0],
+            feedback_strength=0.0,
+        )
+        mean = -math.log1p(-load * multiple / sources)
+        discards = [
+            stationary_rates(replace(bank, mean_pairs=mean * scale)).mean_discards
+            for scale in (0.9, 1.1)
+        ]
+        config = replace(bank, mean_pairs=mean)
+        rates = stationary_rates(config)
+        gap = rates.lack_rate - rates.multi_rate
+        assert discards[0] <= rates.mean_discards + 1e-12 and rates.mean_discards <= discards[1] + 1e-12
+        for known in ((0.0, math.inf), tuple(discards)):
+            lower, upper = oracle._gap_bounds(config, known)
+            assert lower - 1e-12 <= gap <= upper + 1e-12, (config, known)
+        sides.add(load < 1.0)
+    assert sides == {True, False}
+    # not vacuous: near the crossing of S=500, m=16, K=8 and above rho = 1 the
+    # bound on the lacks fixes the sign, where the interior-click bound reads +0.073
+    assert oracle._gap_bounds(_spec(500, 16, 8, 0.0332))[1] < -2e-6
+
+
+def test_lundberg_exponent_gives_the_decay_of_the_discards() -> None:
+    # ln z* of z**m = (1 - p + p z)**S at S=100, m=4, mu=0.04; the exact
+    # discards lie under e**(-theta capacity) / (e**theta - 1) at every depth
+    # and fall as e**(-theta capacity): their ratio to the bound settles
+    theta = oracle._lundberg_exponent(100, 4, 0.04)
+    assert theta == pytest.approx(0.0413794, abs=1e-7)
+    p = -math.expm1(-0.04)
+    # f(theta) = S log(1 - p + p e**theta) - m theta is at most zero, and only just
+    assert 4 * theta * (1 - 1e-10) < 100 * math.log1p(p * math.expm1(theta)) <= 4 * theta
+    ratios = []
+    for steps in range(3, 11):
+        bank = _spec(100, 4, steps, 0.04)
+        bound = math.exp(-theta * bank.capacity) / math.expm1(theta)
+        ratios.append(stationary_rates(bank).mean_discards / bound)
+    assert max(ratios) < 1.0
+    assert ratios[-1] == pytest.approx(ratios[-2], rel=1e-8)
